@@ -13,9 +13,10 @@ correction.  This module provides
   from one Sylvester solve per support column),
 * front-position probing and relative error norms for the benchmark runs.
 
-Writing gamma = 1 (first order) or 3/2 (second order), the shifts are
-alpha = s*dt*D and beta = s*(gamma + w*dt) for phi or s*gamma for c, with
-s = 1 or 2; the bounds below depend only on dt, D, gamma, w and the grid sums
+With (s, gamma) = (1, 1) for Euler and (2, 3/2) for 2SBDF, read from the
+coefficient table of `pitcorr.rect` that also shifts the solvers, the shifts
+are alpha = s*dt*D and beta = s*(gamma + w*dt) for phi or s*gamma for c; the
+bounds below depend only on dt, D, gamma, w and the grid sums
 S = sum(1/dr^2).
 """
 
@@ -27,11 +28,10 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .grid import mask_norm_bounds
 from .holes import IMEX_E, IMEX_I
 from .linalg import build_operator
 from .model import CorrosionParameters
-from .rect import EULER, TWO_SBDF
+from .rect import COEFFICIENTS
 
 __all__ = [
     "BoundQuery",
@@ -72,13 +72,11 @@ class BoundQuery:
     w: float
     params: CorrosionParameters
     geometry: str = "generic"  # 'generic' | 'circle'
-    norm_product: float | None = None  # optional exact ||N||_1 * ||N||_inf
-    rho_m: float | None = None  # optional exact spectral radius of M
 
     def __post_init__(self):
         if self.variant not in (IMEX_I, IMEX_E):
             raise ValueError(f"unknown variant {self.variant!r}")
-        if self.order not in (EULER, TWO_SBDF):
+        if self.order not in COEFFICIENTS:
             raise ValueError(f"unknown order {self.order!r}")
         if self.bc_outer not in ("dirichlet", "neumann"):
             raise ValueError(f"unknown outer boundary {self.bc_outer!r}")
@@ -90,18 +88,15 @@ class BoundQuery:
             raise ValueError("steps must be positive")
 
 
-def _gamma(order: str) -> float:
-    return 1.0 if order == EULER else 1.5
-
-
 def iteration_shifts(order: str, equation: str, dt: float, w: float,
                      params: CorrosionParameters):
-    """(alpha, beta) of the shifted system solved per inner iteration."""
-    s = 1.0 if order == EULER else 2.0
-    D = params.D_phi if equation == "phi" else params.D_c
-    gamma = _gamma(order)
-    beta = s * (gamma + w * dt) if equation == "phi" else s * gamma
-    return s * dt * D, beta
+    """(alpha, beta) of the shifted system solved per inner iteration.
+
+    The same coefficient table shifts the solvers of `rect.build_rect_operators`.
+    """
+    if equation == "phi":
+        return COEFFICIENTS[order].shifts(dt, w, params.D_phi)
+    return COEFFICIENTS[order].shifts(dt, 0.0, params.D_c)
 
 
 def _stencil_sum(q: BoundQuery) -> float:
@@ -109,25 +104,18 @@ def _stencil_sum(q: BoundQuery) -> float:
 
 
 def _denominator_terms(q: BoundQuery):
-    """gamma-normalized effective shift pieces used by every bound."""
-    gamma = _gamma(q.order)
+    """(D, beta/s): the diffusivity and the s-normalized shift of the equation."""
     D = q.params.D_phi if q.equation == "phi" else q.params.D_c
-    shift = gamma + q.w * q.dt if q.equation == "phi" else gamma
-    return gamma, D, shift
+    _, beta = iteration_shifts(q.order, q.equation, q.dt, q.w, q.params)
+    return D, beta / COEFFICIENTS[q.order].s
 
 
 def _norm_factor(q: BoundQuery) -> float:
-    """sqrt(||N||_1 ||N||_inf) from exact norms, circle constants or worst case."""
-    if q.norm_product is not None:
-        return math.sqrt(q.norm_product)
+    """sqrt(||N||_1 ||N||_inf) from circle constants or the worst case."""
     h2 = min(q.dx, q.dy) ** 2
     if q.geometry == "circle":
         return math.sqrt(6.0) / h2
     return 4.0 * _stencil_sum(q)
-
-
-def _rho_m(q: BoundQuery) -> float:
-    return 4.0 * _stencil_sum(q) if q.rho_m is None else q.rho_m
 
 
 def bound_spectral_radius(q: BoundQuery):
@@ -137,7 +125,7 @@ def bound_spectral_radius(q: BoundQuery):
     precondition fails the sentinel is returned instead of a number.
     """
     S = _stencil_sum(q)
-    _, D, shift = _denominator_terms(q)
+    D, shift = _denominator_terms(q)
 
     if q.variant == IMEX_I:
         if q.bc_outer == "dirichlet":
@@ -148,7 +136,7 @@ def bound_spectral_radius(q: BoundQuery):
         return 4.0 * D * q.dt * S / margin
 
     nfac = _norm_factor(q)
-    rho_m = _rho_m(q)
+    rho_m = 4.0 * _stencil_sum(q)
     resolvent = rho_m / (shift + q.dt * D * rho_m)
     if q.bc_outer == "dirichlet":
         return D**2 * q.dt**2 * nfac * resolvent / shift
@@ -168,7 +156,7 @@ def sufficient_step_conditions(variant: str, order: str, bc_outer: str,
     """
     if h <= 0.0 or w <= 0.0:
         raise ValueError("h and w must be positive")
-    gamma = _gamma(order)
+    gamma = COEFFICIENTS[order].gamma
     h2 = h * h
 
     if variant == IMEX_I:

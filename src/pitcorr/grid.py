@@ -19,12 +19,13 @@ because its rows live on Theta and its columns on Omega.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
 
-from .linalg import DIRICHLET, NEUMANN, Laplacian1D, kronecker_sum, laplacian_1d
+from .linalg import DIRICHLET, NEUMANN, kronecker_sum, laplacian_1d, spectral_factorize
 
 __all__ = [
     "GridSpec",
@@ -84,6 +85,15 @@ class Grid:
     def coordinate_arrays(self):
         """Meshgrid ('ij') coordinate arrays of all unknown nodes."""
         return np.meshgrid(*self.axes, indexing="ij")
+
+    @cached_property
+    def factorizations(self) -> tuple:
+        """Spectral factorization of each 1D Laplacian, computed once per grid.
+
+        Every shifted solver on the grid differs only in its (a, b) shift, so
+        all of them share these.
+        """
+        return tuple(spectral_factorize(M) for M in self.laplacians)
 
 
 def spacing_for_axis(extent: float, count: int, bc_pair) -> float:
@@ -213,30 +223,9 @@ class RoughEdgeProfile:
 
 @dataclass
 class DomainMask:
-    """Node indicator of the holes plus interface classification caches."""
+    """Node indicator of the holes."""
 
     theta: np.ndarray  # boolean, grid-shaped
-    theta_interface: np.ndarray = field(init=False)  # Theta nodes with an Omega neighbor
-    omega_interface: np.ndarray = field(init=False)  # Omega nodes with a Theta neighbor
-
-    def __post_init__(self):
-        theta = self.theta
-        t_if = np.zeros_like(theta)
-        o_if = np.zeros_like(theta)
-        for ax in range(theta.ndim):
-            lo = tuple(
-                slice(None) if a != ax else slice(0, -1) for a in range(theta.ndim)
-            )
-            hi = tuple(
-                slice(None) if a != ax else slice(1, None) for a in range(theta.ndim)
-            )
-            cross = theta[lo] != theta[hi]
-            t_if[lo] |= cross & theta[lo]
-            t_if[hi] |= cross & theta[hi]
-            o_if[lo] |= cross & ~theta[lo]
-            o_if[hi] |= cross & ~theta[hi]
-        self.theta_interface = t_if
-        self.omega_interface = o_if
 
     @property
     def omega(self) -> np.ndarray:

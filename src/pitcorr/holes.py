@@ -1,20 +1,20 @@
-"""Iterative IMEX steppers for domains with holes (fictitious-domain form).
+"""Cavity domains: the IMEX step of `pitcorr.rect` with sparse corrections.
 
 The holes Theta are kept inside the rectangular grid; the masked Laplacian
-M - N1 - N2 decouples them, but is not a Kronecker sum.  Each time step is
-therefore solved by an inner fixed-point iteration whose implicit operator is
-the plain Kronecker sum (solvable in Sylvester form), while the sparse
-corrections are lagged:
+M - N1 - N2 decouples them, but is not a Kronecker sum.  The step therefore
+keeps the Kronecker-sum solve of `rect.imex_step`, with the same coefficient
+table, and lags the sparse corrections:
 
-    variant 'imex-i':  N = N1 + N2 applied to the previous iterate, G = 0,
+    variant 'imex-i':  N = N1 + N2 applied to the previous iterate, no G,
     variant 'imex-e':  N = N1 applied to the previous iterate, G = N2
-                       applied to known time levels.
+                       applied to the extrapolated known time levels.
 
-The phi loop runs first; the c loop consumes the converged phi.  Iterations
-stop when the change over the physical region drops below eps1 and the values
-on Theta are either below the time-proportional budget eps2 * t/T or have
-stagnated below eps3.  The reduced mode performs a single phi iteration and
-stops the c loop on the global change only.
+Each solve becomes an inner fixed-point loop.  The phi loop runs first; the
+c loop consumes the converged phi.  Iterations stop when the change over the
+physical region drops below eps1 and the values on Theta are either below
+the time-proportional budget eps2 * t/T or have stagnated below eps3.  The
+reduced mode performs a single phi iteration and stops the c loop on the
+global change only.  With an empty Theta the step is the rectangle step.
 """
 
 from __future__ import annotations
@@ -24,19 +24,17 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .linalg import apply_laplacian
-from .model import CorrosionParameters, reaction_f1, reaction_f2
+from .model import CorrosionParameters
 from .rect import (
     EULER,
-    TWO_SBDF,
     BoundaryData,
     FieldPair,
     SchemeConfig,
-    boundary_contribution,
-    bootstrap_substeps,
     build_rect_operators,
-    step_imex_2sbdf_rect,
-    step_imex_euler_rect,
+    imex_step,
+    matvec,
+    run_loop,
+    start_2sbdf,
 )
 
 __all__ = [
@@ -111,46 +109,67 @@ class HoleOperators:
     """Shared per-run machinery: Sylvester solvers, mask and sparse corrections."""
 
     rect: object
-    grid: object
-    params: CorrosionParameters
     cfg: IterSchemeConfig
     mask: object
     N: object  # lagged on the running iterate
-    G: object  # lagged on known time levels
+    G: object  # lagged on known time levels; None for imex-i
     N12: object  # N1 + N2, for the masked Laplacian action
     chi: np.ndarray  # indicator of the physical region
 
     @property
     def trivial(self) -> bool:
-        return self.N.nnz == 0 and self.G.nnz == 0
+        return self.N.nnz == 0 and (self.G is None or self.G.nnz == 0)
+
+    def iterate(self, field, solve, base, scale, warm, budget_frac):
+        """Solve u = solve(base - scale * N u) by fixed-point iteration from
+        `warm`; returns (solution, (iterations, last residual)).
+
+        The time-proportional Theta-level budget applies to the c loop only.
+        The phi iteration contracts fast enough to always run to Theta
+        stagnation; accepting a phi iterate on the level budget instead would
+        freeze a hole-region residual of the budget's size permanently,
+        because the converged step map preserves whatever phi values the
+        holes carry.
+        """
+        cfg = self.cfg
+        eps2_budget = cfg.eps2 * budget_frac if field == "c" else 0.0
+        u = warm
+        for k in range(1, cfg.max_iters + 1):
+            u_next = solve(base - scale * matvec(self.N, u))
+            if cfg.stop_mode == REDUCED:
+                resid = float(np.abs(u_next - u).max())
+                if field == "phi" or resid < cfg.eps1:
+                    return u_next, (k, resid)
+            else:
+                stop, resid = check_stop_criteria(
+                    u, u_next, self.mask, cfg.eps1, eps2_budget, cfg.eps3
+                )
+                if stop:
+                    return u_next, (k, resid)
+            u = u_next
+        raise ConvergenceError(
+            f"{field} iteration exceeded max_iters={cfg.max_iters} "
+            f"(last residual {resid:.3e})",
+            last_residual=resid,
+        )
 
 
 def build_hole_operators(grid, cfg: IterSchemeConfig, params: CorrosionParameters,
                          mask, correction) -> HoleOperators:
-    rect_ops = build_rect_operators(grid, cfg.scheme(), params)
+    N12 = correction.N12
     if cfg.variant == IMEX_I:
-        N, G = correction.N12, correction.N1 * 0.0
+        N, G = N12, None
     else:
         N, G = correction.N1, correction.N2
     return HoleOperators(
-        rect=rect_ops,
-        grid=grid,
-        params=params,
+        rect=build_rect_operators(grid, cfg.scheme(), params),
         cfg=cfg,
         mask=mask,
-        N=N.tocsr(),
-        G=G.tocsr(),
-        N12=correction.N12,
+        N=N,
+        G=G,
+        N12=N12,
         chi=(~mask.theta).astype(float),
     )
-
-
-def _flat(U: np.ndarray) -> np.ndarray:
-    return U.ravel(order="F")
-
-
-def _unflat(v: np.ndarray, shape) -> np.ndarray:
-    return v.reshape(shape, order="F")
 
 
 def _masked_max(delta: np.ndarray, region: np.ndarray) -> float:
@@ -171,186 +190,34 @@ def check_stop_criteria(u_prev: np.ndarray, u_next: np.ndarray, mask,
     return (theta_level < eps2_budget or theta_delta < eps3), resid
 
 
-def _iterate(solve, base, correction_rhs, warm, ops, budget_frac, field_name):
-    """Run one inner fixed-point loop; returns (solution, iters, last residual).
-
-    The time-proportional Theta-level budget applies to the c loop only.  The
-    phi iteration contracts fast enough to always run to Theta stagnation;
-    accepting a phi iterate on the level budget instead would freeze a
-    hole-region residual of the budget's size permanently, because the
-    converged step map preserves whatever phi values the holes carry.
-    """
-    cfg = ops.cfg
-    eps2_budget = cfg.eps2 * budget_frac if field_name == "c" else 0.0
-    u = warm
-    for k in range(1, cfg.max_iters + 1):
-        rhs = base - correction_rhs(u)
-        u_next = solve(rhs)
-        if cfg.stop_mode == REDUCED:
-            if field_name == "phi":
-                return u_next, 1, float(np.abs(u_next - u).max())
-            resid = float(np.abs(u_next - u).max())
-            if resid < cfg.eps1:
-                return u_next, k, resid
-        else:
-            stop, resid = check_stop_criteria(
-                u, u_next, ops.mask, cfg.eps1, eps2_budget, cfg.eps3
-            )
-            if stop:
-                return u_next, k, resid
-        u = u_next
-    raise ConvergenceError(
-        f"{field_name} iteration exceeded max_iters={cfg.max_iters} "
-        f"(last residual {resid:.3e})",
-        last_residual=resid,
+def _step(levels, ops: HoleOperators, bdata: BoundaryData, budget_frac: float):
+    tic = time.perf_counter()
+    hole = None if ops.trivial else ops
+    out, ((k_phi, r_phi), (k_c, r_c)) = imex_step(levels, ops.rect, bdata, hole, budget_frac)
+    report = IterationReport(
+        step_index=out.step_index,
+        t=out.t,
+        k_phi=k_phi,
+        k_c=k_c,
+        resid_phi=r_phi,
+        resid_c=r_c,
+        max_phi_theta=_masked_max(out.Phi, ops.mask.theta),
+        max_c_theta=_masked_max(out.C, ops.mask.theta),
+        wall_ms=(time.perf_counter() - tic) * 1e3,
     )
+    return out, report
 
 
 def step_iter_euler(state: FieldPair, ops: HoleOperators, bdata: BoundaryData,
                     budget_frac: float = 1.0):
     """One iterative IMEX Euler step; returns (state, IterationReport)."""
-    tic = time.perf_counter()
-    cfg, p, grid = ops.cfg, ops.params, ops.grid
-    dt, w = cfg.dt, cfg.w
-    shape = state.Phi.shape
-
-    if ops.trivial:
-        out = step_imex_euler_rect(state, ops.rect, bdata)
-        return out, _trivial_report(out, tic)
-
-    t1 = state.t + dt
-    psi_phi = boundary_contribution(grid, bdata, "phi", t1)
-    # The relaxation shift, like the reaction, only acts on the physical
-    # region: on the holes it would exactly cancel the implicit shift and
-    # preserve any injected round-off forever, while the masked form damps
-    # hole values by 1/(1+w*dt) per step.
-    f1 = ops.chi * reaction_f1(state.Phi, state.C, p)
-    base_phi = state.Phi + dt * (
-        w * ops.chi * state.Phi + f1 + p.D_phi * psi_phi
-        - p.D_phi * _unflat(ops.G @ _flat(state.Phi), shape)
-    )
-    phi1, k_phi, r_phi = _iterate(
-        ops.rect.phi.solve,
-        base_phi,
-        lambda u: dt * p.D_phi * _unflat(ops.N @ _flat(u), shape),
-        state.Phi,
-        ops,
-        budget_frac,
-        "phi",
-    )
-
-    psi_c = boundary_contribution(grid, bdata, "c", t1)
-    psi_f2 = boundary_contribution(grid, bdata, "F2", t1, p)
-    f2 = reaction_f2(phi1, p)
-    lap_f2 = apply_laplacian(grid.laplacians, f2) - _unflat(
-        ops.N12 @ _flat(f2), shape
-    )
-    base_c = state.C + dt * p.D_c * (
-        lap_f2 + psi_c + psi_f2 - _unflat(ops.G @ _flat(state.C), shape)
-    )
-    c1, k_c, r_c = _iterate(
-        ops.rect.c.solve,
-        base_c,
-        lambda u: dt * p.D_c * _unflat(ops.N @ _flat(u), shape),
-        state.C,
-        ops,
-        budget_frac,
-        "c",
-    )
-
-    out = FieldPair(phi1, c1, t1, state.step_index + 1)
-    out.validate()
-    report = IterationReport(
-        step_index=out.step_index,
-        t=out.t,
-        k_phi=k_phi,
-        k_c=k_c,
-        resid_phi=r_phi,
-        resid_c=r_c,
-        max_phi_theta=_masked_max(phi1, ops.mask.theta),
-        max_c_theta=_masked_max(c1, ops.mask.theta),
-        wall_ms=(time.perf_counter() - tic) * 1e3,
-    )
-    return out, report
+    return _step((state,), ops, bdata, budget_frac)
 
 
 def step_iter_2sbdf(prev: FieldPair, curr: FieldPair, ops: HoleOperators,
                     bdata: BoundaryData, budget_frac: float = 1.0):
     """One iterative IMEX 2SBDF step; returns (state, IterationReport)."""
-    tic = time.perf_counter()
-    cfg, p, grid = ops.cfg, ops.params, ops.grid
-    dt, w = cfg.dt, cfg.w
-    shape = curr.Phi.shape
-
-    if ops.trivial:
-        out = step_imex_2sbdf_rect(prev, curr, ops.rect, bdata)
-        return out, _trivial_report(out, tic)
-
-    t2 = curr.t + dt
-    extrap_phi = 2.0 * curr.Phi - prev.Phi
-    extrap_c = 2.0 * curr.C - prev.C
-
-    psi_phi = boundary_contribution(grid, bdata, "phi", t2)
-    base_phi = (
-        4.0 * curr.Phi
-        - prev.Phi
-        + 2.0 * dt * ops.chi * (
-            2.0 * reaction_f1(curr.Phi, curr.C, p)
-            + 2.0 * w * curr.Phi
-            - reaction_f1(prev.Phi, prev.C, p)
-            - w * prev.Phi
-        )
-        + 2.0 * dt * p.D_phi * (
-            psi_phi - _unflat(ops.G @ _flat(extrap_phi), shape)
-        )
-    )
-    phi2, k_phi, r_phi = _iterate(
-        ops.rect.phi.solve,
-        base_phi,
-        lambda u: 2.0 * dt * p.D_phi * _unflat(ops.N @ _flat(u), shape),
-        curr.Phi,
-        ops,
-        budget_frac,
-        "phi",
-    )
-
-    psi_c = boundary_contribution(grid, bdata, "c", t2)
-    psi_f2 = boundary_contribution(grid, bdata, "F2", t2, p)
-    f2 = reaction_f2(phi2, p)
-    lap_f2 = apply_laplacian(grid.laplacians, f2) - _unflat(
-        ops.N12 @ _flat(f2), shape
-    )
-    base_c = (
-        4.0 * curr.C
-        - prev.C
-        + 2.0 * dt * p.D_c * (
-            lap_f2 + psi_c + psi_f2 - _unflat(ops.G @ _flat(extrap_c), shape)
-        )
-    )
-    c2, k_c, r_c = _iterate(
-        ops.rect.c.solve,
-        base_c,
-        lambda u: 2.0 * dt * p.D_c * _unflat(ops.N @ _flat(u), shape),
-        curr.C,
-        ops,
-        budget_frac,
-        "c",
-    )
-
-    out = FieldPair(phi2, c2, t2, curr.step_index + 1)
-    out.validate()
-    report = IterationReport(
-        step_index=out.step_index,
-        t=out.t,
-        k_phi=k_phi,
-        k_c=k_c,
-        resid_phi=r_phi,
-        resid_c=r_c,
-        max_phi_theta=_masked_max(phi2, ops.mask.theta),
-        max_c_theta=_masked_max(c2, ops.mask.theta),
-        wall_ms=(time.perf_counter() - tic) * 1e3,
-    )
-    return out, report
+    return _step((curr, prev), ops, bdata, budget_frac)
 
 
 def theta_error(state: FieldPair, mask):
@@ -363,73 +230,40 @@ def theta_error(state: FieldPair, mask):
     )
 
 
-def _trivial_report(state: FieldPair, tic: float) -> IterationReport:
-    return IterationReport(
-        step_index=state.step_index,
-        t=state.t,
-        k_phi=1,
-        k_c=1,
-        resid_phi=0.0,
-        resid_c=0.0,
-        max_phi_theta=0.0,
-        max_c_theta=0.0,
-        wall_ms=(time.perf_counter() - tic) * 1e3,
-    )
-
-
 def run_holes(state0: FieldPair, cfg: IterSchemeConfig,
               params: CorrosionParameters, grid, mask, correction,
               bdata: BoundaryData, horizon: float, hooks=()):
     """Advance a masked-domain run; returns (final state, iteration reports).
 
-    The time-proportional Theta budget grows as eps2 * t / horizon, so the
-    final step is held to eps2 exactly.
+    Reports cover the main-loop steps, not the 2SBDF start substeps.  The
+    time-proportional Theta budget grows as eps2 * t / horizon, so the final
+    step is held to eps2 exactly.  See `rect.run_loop`.
     """
-    n_steps = round(horizon / cfg.dt)
-    if abs(n_steps * cfg.dt - horizon) > 1e-12 * max(1.0, horizon):
-        raise ValueError("horizon must be an integer multiple of dt")
-    state0.validate()
-    for hook in hooks:
-        hook(state0)
-    reports = []
-    if n_steps == 0:
-        return state0, reports
-
     ops = build_hole_operators(grid, cfg, params, mask, correction)
+    reports = []
 
-    def frac(t_next):
-        return t_next / (state0.t + horizon)
+    def record(out):
+        reports.append(out[1])
+        return out[0]
 
-    if cfg.order == EULER:
-        state = state0
-        for _ in range(n_steps):
-            state, rep = step_iter_euler(
-                state, ops, bdata, budget_frac=frac(state.t + cfg.dt)
+    def start(budget):
+        def substep_for(sub_dt):
+            sub_cfg = replace(cfg, order=EULER, dt=sub_dt)
+            sub_ops = replace(
+                ops, rect=build_rect_operators(grid, sub_cfg.scheme(), params), cfg=sub_cfg
             )
-            reports.append(rep)
-            for hook in hooks:
-                hook(state)
-        return state, reports
+            return lambda state: step_iter_euler(
+                state, sub_ops, bdata, budget(state.t + sub_dt)
+            )[0]
 
-    # Bootstrap the two-step scheme by fine iterative Euler substeps.
-    count, sub_dt = bootstrap_substeps(cfg.dt)
-    sub_cfg = replace(cfg, order=EULER, dt=sub_dt)
-    sub_ops = build_hole_operators(grid, sub_cfg, params, mask, correction)
-    curr = state0
-    for _ in range(count):
-        curr, _ = step_iter_euler(
-            curr, sub_ops, bdata, budget_frac=frac(curr.t + sub_dt)
-        )
-    curr = FieldPair(curr.Phi, curr.C, state0.t + cfg.dt, state0.step_index + 1)
-    prev = state0
-    for hook in hooks:
-        hook(curr)
-    for _ in range(n_steps - 1):
-        nxt, rep = step_iter_2sbdf(
-            prev, curr, ops, bdata, budget_frac=frac(curr.t + cfg.dt)
-        )
-        reports.append(rep)
-        prev, curr = curr, nxt
-        for hook in hooks:
-            hook(curr)
-    return curr, reports
+        return start_2sbdf(state0, cfg.dt, substep_for)
+
+    final = run_loop(
+        state0, cfg, horizon, hooks,
+        euler=lambda state, frac: record(step_iter_euler(state, ops, bdata, frac)),
+        two_step=lambda prev, curr, frac: record(
+            step_iter_2sbdf(prev, curr, ops, bdata, frac)
+        ),
+        start=start,
+    )
+    return final, reports

@@ -36,8 +36,6 @@ __all__ = [
     "SylvesterOperator",
     "laplacian_1d",
     "spectral_factorize",
-    "sylvester_solve",
-    "solve_3d",
     "build_operator",
     "apply_laplacian",
     "kronecker_sum",
@@ -224,16 +222,6 @@ def _mode_products(Ax, Ay, Az, Y: np.ndarray) -> np.ndarray:
 def build_operator(a: float, b: float, laplacians) -> SylvesterOperator:
     """Factorize each 1D Laplacian and assemble the shifted solver."""
     return SylvesterOperator(a, b, [spectral_factorize(M) for M in laplacians])
-
-
-def sylvester_solve(op: SylvesterOperator, Y: np.ndarray) -> np.ndarray:
-    """Solve (a*I + b*Mx) X + b*X*My^T = Y via the precomputed diagonalization."""
-    return op.solve(Y)
-
-
-def solve_3d(a: float, b: float, Mx, My, Mz, G: np.ndarray) -> np.ndarray:
-    """One-shot 3D solve of (a*I + b*(Mx (+) My (+) Mz)) vec(X) = vec(G)."""
-    return build_operator(a, b, (Mx, My, Mz)).solve(G)
 
 
 def apply_laplacian(laplacians, U: np.ndarray) -> np.ndarray:

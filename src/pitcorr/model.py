@@ -21,22 +21,16 @@ polynomials remain well defined for transient overshoots.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "CorrosionParameters",
-    "RelaxationPolicy",
     "eval_h_family",
     "eval_g_family",
     "reaction_f1",
     "reaction_f2",
-    "jacobian_f1_phi",
-    "estimate_relaxation_w",
-    "derive_interface_parameters",
-    "default_relaxation_policy",
 ]
 
 # Relaxation shift used throughout the reference experiments with the default
@@ -74,38 +68,6 @@ class CorrosionParameters:
         return self == CorrosionParameters()
 
 
-@dataclass(frozen=True)
-class RelaxationPolicy:
-    """How the relaxation shift w for the phi equation is chosen.
-
-    mode 'fixed' returns fixed_w; mode 'jacobian-max' returns
-    safety_factor * max |dF1/dphi| over the supplied fields.
-    """
-
-    mode: str = "fixed"
-    fixed_w: float = DEFAULT_FIXED_W
-    safety_factor: float = 1.1
-
-    def __post_init__(self):
-        if self.mode not in ("fixed", "jacobian-max"):
-            raise ValueError(f"unknown relaxation mode {self.mode!r}")
-        if self.fixed_w <= 0.0:
-            raise ValueError("fixed_w must be positive")
-        if self.safety_factor < 1.0:
-            raise ValueError("safety_factor must be >= 1")
-
-
-def default_relaxation_policy(params: CorrosionParameters) -> RelaxationPolicy:
-    """Fixed w for the default parameter set, Jacobian-based estimate otherwise.
-
-    An overestimated w slows the dynamics, so the calibrated constant is kept
-    whenever the physical constants match the defaults.
-    """
-    if params.is_default():
-        return RelaxationPolicy(mode="fixed", fixed_w=DEFAULT_FIXED_W)
-    return RelaxationPolicy(mode="jacobian-max", safety_factor=1.1)
-
-
 def eval_h_family(phi):
     """Return (h, h', h'') of the interpolant h(phi) = -2*phi^3 + 3*phi^2."""
     phi = np.asarray(phi)
@@ -137,54 +99,3 @@ def reaction_f2(phi, p: CorrosionParameters):
     """Nonlinear flux contribution of the c equation, applied entrywise."""
     h, _, _ = eval_h_family(phi)
     return (p.c_L - 1.0) * h
-
-
-def jacobian_f1_phi(phi, c, p: CorrosionParameters):
-    """Partial derivative dF1/dphi (the reaction Jacobian is diagonal)."""
-    h, dh, d2h = eval_h_family(phi)
-    _, _, d2g = eval_g_family(phi)
-    drive = np.asarray(c) - h * (1.0 - p.c_L) - p.c_L
-    return (
-        2.0 * p.A * p.L * (1.0 - p.c_L) * (drive * d2h - (1.0 - p.c_L) * dh * dh)
-        - p.omega * p.L * d2g
-    )
-
-
-def estimate_relaxation_w(p: CorrosionParameters, policy: RelaxationPolicy, fields=None) -> float:
-    """Return the relaxation shift w according to the policy.
-
-    For the 'jacobian-max' mode, `fields` must be a (phi, c) pair of grid
-    arrays; w is the safety-scaled maximum modulus of the reaction Jacobian
-    over the grid.
-    """
-    if policy.mode == "fixed":
-        return policy.fixed_w
-    if fields is None:
-        raise ValueError("jacobian-max relaxation requires the current fields")
-    phi, c = fields
-    jac = jacobian_f1_phi(np.asarray(phi), np.asarray(c), p)
-    return policy.safety_factor * float(np.max(np.abs(jac)))
-
-
-def derive_interface_parameters(l: float, sigma_hat: float, alpha_star: float, L: float):
-    """Re-derive (alpha_phi, omega, D_phi) from interface width and energy.
-
-    Documented helper, not part of the solver path: the gradient-energy
-    coefficient alpha_phi, the double-well height omega and the phase
-    diffusivity D_phi follow from the interface thickness l, the interface
-    energy sigma_hat and the thickness coefficient alpha_star through
-
-        sigma_hat ~= sqrt(16 * omega * alpha_phi),
-        l          = alpha_star * sqrt(2 * alpha_phi / omega),
-        D_phi      = L * alpha_phi.
-
-    Solving the first two relations gives alpha_phi and omega; with the
-    default inputs (l = 5e-6 m, sigma_hat = 10 J/m^2, alpha_star = 2.94,
-    L = 2) this lands on the default D_phi and omega up to rounding.
-    """
-    if min(l, sigma_hat, alpha_star, L) <= 0.0:
-        raise ValueError("all inputs must be positive")
-    # sigma_hat^2 = 16 * omega * alpha_phi and l^2 = 2 * alpha_star^2 * alpha_phi / omega
-    alpha_phi = sigma_hat * l / (alpha_star * math.sqrt(32.0))
-    omega = sigma_hat ** 2 / (16.0 * alpha_phi)
-    return alpha_phi, omega, L * alpha_phi

@@ -1,21 +1,32 @@
-"""IMEX time steppers in Sylvester form on rectangular domains.
+"""IMEX Euler and 2SBDF in Sylvester form: one step for every domain.
 
-Both steppers treat diffusion implicitly and the reaction explicitly, with the
-stiff phi reaction relaxed by a shift w (applied to the phi equation only):
+Diffusion is implicit and the reaction explicit, with the stiff phi reaction
+relaxed by a shift w (phi equation only).  Both schemes are one step driven
+by a row of a coefficient table, as in Ascher, Ruuth & Wetton (SIAM J.
+Numer. Anal. 32, 1995):
 
-IMEX Euler
-    ((1+w*dt)I + bphi*Mx) Phi1 + bphi*Phi1*My^T
-        = Phi0 + dt*(D_phi*Psi_phi(t1) + w*Phi0 + F1(Phi0, C0)),
-    (I + bc*Mx) C1 + bc*C1*My^T
-        = C0 + dt*D_c*(Lap F2(Phi1) + Psi_c(t1) + Psi_F2(t1)),
+    order   history h   extrapolation e   s   gamma
+    euler   (1)         (1)               1   1
+    2sbdf   (4, -1)     (2, -1)           2   3/2
 
-with bphi = -dt*D_phi and bc = -dt*D_c; the c step consumes the freshly
-computed Phi1.  The two-step second-order scheme (2SBDF) combines levels n and
-n+1 with the shifts (3+2*w*dt, -2*dt*D_phi) and (3, -2*dt*D_c), and is
-bootstrapped from fine IMEX Euler substeps up to t = dt.
+From the levels u^n, u^(n-1), ... (newest first) to t = t_n + dt, with
+S_h(u) = sum_i h_i u^(n-i) and S_e likewise, the step solves
 
-Psi terms collect the known Dirichlet boundary values scaled by 1/dr^2 on the
-adjacent interior layer; Neumann edges contribute nothing.
+    (s*(gamma + w*dt) I - s*dt*D_phi M) Phi
+        = S_h(Phi) + s*dt*(S_e(F1(Phi, C) + w*Phi) + D_phi*Psi_phi(t)),
+    (s*gamma I - s*dt*D_c M) C
+        = S_h(C) + s*dt*D_c*(M F2(Phi_new) + Psi_c(t) + Psi_F2(t)),
+
+the c equation consuming the new Phi.  M is the Kronecker-sum Laplacian, so
+each system is one shifted Sylvester (2D) or tensor (3D) solve, and all of
+them share one spectral factorization per axis.  Psi terms collect the known
+Dirichlet boundary values scaled by 1/dr^2 on the adjacent interior layer;
+Neumann edges contribute nothing.
+
+A rectangle is the case without correction: one direct solve per field.  A
+cavity domain (`pitcorr.holes`) adds sparse corrections and an inner loop
+per solve.  2SBDF starts from ceil(4/dt) fine IMEX Euler substeps up to
+t = dt, and one run loop drives both domains.
 """
 
 from __future__ import annotations
@@ -25,7 +36,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .linalg import DIRICHLET, apply_laplacian, build_operator
+from .linalg import DIRICHLET, SylvesterOperator, apply_laplacian
 from .model import CorrosionParameters, reaction_f1, reaction_f2
 
 __all__ = [
@@ -33,17 +44,41 @@ __all__ = [
     "SchemeConfig",
     "BoundaryData",
     "boundary_contribution",
+    "IMEXCoefficients",
+    "COEFFICIENTS",
     "RectOperators",
     "build_rect_operators",
+    "imex_step",
     "step_imex_euler_rect",
     "step_imex_2sbdf_rect",
     "bootstrap_2sbdf",
+    "run_loop",
     "run_rect",
     "InstabilityError",
 ]
 
 EULER = "euler"
 TWO_SBDF = "2sbdf"
+
+
+@dataclass(frozen=True)
+class IMEXCoefficients:
+    """One row of the IMEX table: the weights of a step and its shift scales."""
+
+    history: tuple  # weights of u^n, u^(n-1), ... in the discrete time derivative
+    extrap: tuple  # extrapolation weights of the explicit terms
+    s: float
+    gamma: float
+
+    def shifts(self, dt: float, w: float, D: float):
+        """(alpha, beta) of the shifted system (beta*I - alpha*M) u = rhs."""
+        return self.s * dt * D, self.s * (self.gamma + w * dt)
+
+
+COEFFICIENTS = {
+    EULER: IMEXCoefficients((1.0,), (1.0,), 1.0, 1.0),
+    TWO_SBDF: IMEXCoefficients((4.0, -1.0), (2.0, -1.0), 2.0, 1.5),
+}
 
 
 class InstabilityError(RuntimeError):
@@ -142,86 +177,124 @@ def boundary_contribution(grid, bdata: BoundaryData, which: str, t: float,
 class RectOperators:
     """The two shifted Sylvester solvers shared by every step of a run."""
 
-    phi: object
-    c: object
+    phi: SylvesterOperator
+    c: SylvesterOperator
     grid: object
     params: CorrosionParameters
     cfg: SchemeConfig
 
 
 def build_rect_operators(grid, cfg: SchemeConfig, params: CorrosionParameters) -> RectOperators:
-    """Factorize once per (grid, scheme, steps); reused across the time loop."""
-    if cfg.order == EULER:
-        a_phi, b_phi = 1.0 + cfg.w * cfg.dt, -cfg.dt * params.D_phi
-        a_c, b_c = 1.0, -cfg.dt * params.D_c
-    else:
-        a_phi, b_phi = 3.0 + 2.0 * cfg.w * cfg.dt, -2.0 * cfg.dt * params.D_phi
-        a_c, b_c = 3.0, -2.0 * cfg.dt * params.D_c
+    """Shift the grid's factorizations (computed once per grid) for one scheme."""
+    coef = COEFFICIENTS[cfg.order]
+
+    def operator(D, w):
+        alpha, beta = coef.shifts(cfg.dt, w, D)
+        return SylvesterOperator(beta, -alpha, grid.factorizations)
+
     return RectOperators(
-        phi=build_operator(a_phi, b_phi, grid.laplacians),
-        c=build_operator(a_c, b_c, grid.laplacians),
-        grid=grid,
-        params=params,
-        cfg=cfg,
+        operator(params.D_phi, cfg.w), operator(params.D_c, 0.0), grid, params, cfg
     )
+
+
+def _combine(terms):
+    """sum(weight * u) over (weight, u) pairs, with no products by +-1."""
+    total = None
+    for weight, u in terms:
+        if total is None:
+            total = u if weight == 1.0 else weight * u
+        elif weight == 1.0:
+            total = total + u
+        elif weight == -1.0:
+            total = total - u
+        else:
+            total = total + weight * u
+    return total
+
+
+def matvec(A, U: np.ndarray) -> np.ndarray:
+    """A sparse matrix applied to the column-stacked (Fortran-order) field U."""
+    return (A @ U.ravel(order="F")).reshape(U.shape, order="F")
+
+
+def imex_step(levels, ops: RectOperators, bdata: BoundaryData, hole=None,
+              budget_frac: float = 1.0):
+    """One step of `ops.cfg.order` from `levels`, newest first.
+
+    Returns (state, loops), with loops the (iterations, last residual) of the
+    phi and the c solve.  Without `hole` each field takes one direct solve.
+    A `holes.HoleOperators` as `hole` confines the explicit terms to the
+    physical region (`chi`), subtracts the known-level correction `G` on the
+    extrapolated levels and `N12` from the Laplacian of F2, and solves each
+    field by its inner loop under the Theta budget fraction `budget_frac`.
+    """
+    cfg, p, grid = ops.cfg, ops.params, ops.grid
+    coef = COEFFICIENTS[cfg.order]
+    if len(levels) != len(coef.history):
+        raise ValueError(f"{cfg.order} steps from {len(coef.history)} time levels")
+    for newer, older in zip(levels, levels[1:]):
+        if abs((older.t + cfg.dt) - newer.t) > 1e-9 * max(cfg.dt, abs(newer.t)):
+            raise ValueError("2SBDF needs two states one dt apart")
+    curr = levels[0]
+    t = curr.t + cfg.dt
+    sdt = coef.s * cfg.dt
+
+    def combine(weights, name):
+        return _combine(zip(weights, [getattr(u, name) for u in levels]))
+
+    def known(load, name):
+        if hole is None or hole.G is None:
+            return load
+        return load - matvec(hole.G, combine(coef.extrap, name))
+
+    def solve(op, base, D, field, warm):
+        if hole is None:
+            return op.solve(base), (1, 0.0)
+        return hole.iterate(field, op.solve, base, sdt * D, warm, budget_frac)
+
+    def explicit_terms():
+        for e, u in zip(coef.extrap, levels):
+            yield e, reaction_f1(u.Phi, u.C, p)
+            yield e * cfg.w, u.Phi
+
+    explicit = _combine(explicit_terms())
+    if hole is not None:
+        # The relaxation shift, like the reaction, only acts on the physical
+        # region: on the holes it would exactly cancel the implicit shift and
+        # preserve any injected round-off forever, while the masked form damps
+        # hole values by the implicit shift every step.
+        explicit = hole.chi * explicit
+    psi_phi = boundary_contribution(grid, bdata, "phi", t)
+    base_phi = combine(coef.history, "Phi") + sdt * (
+        explicit + p.D_phi * known(psi_phi, "Phi")
+    )
+    phi, phi_loop = solve(ops.phi, base_phi, p.D_phi, "phi", curr.Phi)
+
+    f2 = reaction_f2(phi, p)
+    lap_f2 = apply_laplacian(grid.laplacians, f2)
+    if hole is not None:
+        lap_f2 = lap_f2 - matvec(hole.N12, f2)
+    load_c = (
+        lap_f2
+        + boundary_contribution(grid, bdata, "c", t)
+        + boundary_contribution(grid, bdata, "F2", t, p)
+    )
+    base_c = combine(coef.history, "C") + sdt * p.D_c * known(load_c, "C")
+    c, c_loop = solve(ops.c, base_c, p.D_c, "c", curr.C)
+
+    out = FieldPair(phi, c, t, curr.step_index + 1)
+    out.validate()
+    return out, (phi_loop, c_loop)
 
 
 def step_imex_euler_rect(state: FieldPair, ops: RectOperators,
                          bdata: BoundaryData) -> FieldPair:
-    cfg, p, grid = ops.cfg, ops.params, ops.grid
-    dt, w = cfg.dt, cfg.w
-    t1 = state.t + dt
-
-    psi_phi = boundary_contribution(grid, bdata, "phi", t1)
-    rhs_phi = state.Phi + dt * (
-        p.D_phi * psi_phi + w * state.Phi + reaction_f1(state.Phi, state.C, p)
-    )
-    phi1 = ops.phi.solve(rhs_phi)
-
-    psi_c = boundary_contribution(grid, bdata, "c", t1)
-    psi_f2 = boundary_contribution(grid, bdata, "F2", t1, p)
-    lap_f2 = apply_laplacian(grid.laplacians, reaction_f2(phi1, p))
-    rhs_c = state.C + dt * p.D_c * (lap_f2 + psi_c + psi_f2)
-    c1 = ops.c.solve(rhs_c)
-
-    out = FieldPair(phi1, c1, t1, state.step_index + 1)
-    out.validate()
-    return out
+    return imex_step((state,), ops, bdata)[0]
 
 
 def step_imex_2sbdf_rect(prev: FieldPair, curr: FieldPair, ops: RectOperators,
                          bdata: BoundaryData) -> FieldPair:
-    cfg, p, grid = ops.cfg, ops.params, ops.grid
-    dt, w = cfg.dt, cfg.w
-    if abs((prev.t + dt) - curr.t) > 1e-9 * max(dt, abs(curr.t)):
-        raise ValueError("2SBDF needs two states one dt apart")
-    t2 = curr.t + dt
-
-    psi_phi = boundary_contribution(grid, bdata, "phi", t2)
-    rhs_phi = (
-        4.0 * curr.Phi
-        - prev.Phi
-        + 2.0 * dt * (
-            2.0 * reaction_f1(curr.Phi, curr.C, p)
-            + 2.0 * w * curr.Phi
-            - reaction_f1(prev.Phi, prev.C, p)
-            - w * prev.Phi
-        )
-        + 2.0 * dt * p.D_phi * psi_phi
-    )
-    phi2 = ops.phi.solve(rhs_phi)
-
-    psi_c = boundary_contribution(grid, bdata, "c", t2)
-    psi_f2 = boundary_contribution(grid, bdata, "F2", t2, p)
-    lap_f2 = apply_laplacian(grid.laplacians, reaction_f2(phi2, p))
-    rhs_c = (
-        4.0 * curr.C - prev.C + 2.0 * dt * p.D_c * (lap_f2 + psi_c + psi_f2)
-    )
-    c2 = ops.c.solve(rhs_c)
-
-    out = FieldPair(phi2, c2, t2, curr.step_index + 1)
-    out.validate()
-    return out
+    return imex_step((curr, prev), ops, bdata)[0]
 
 
 def bootstrap_substeps(dt: float):
@@ -230,26 +303,38 @@ def bootstrap_substeps(dt: float):
     return count, dt / count
 
 
+def start_2sbdf(state0: FieldPair, dt: float, substep_for) -> FieldPair:
+    """The second 2SBDF level, at t0 + dt, from fine Euler substeps.
+
+    `substep_for(sub_dt)` returns the callable advancing one substep.
+    """
+    count, sub_dt = bootstrap_substeps(dt)
+    substep = substep_for(sub_dt)
+    state = state0
+    for _ in range(count):
+        state = substep(state)
+    return replace(state, t=state0.t + dt, step_index=state0.step_index + 1)
+
+
 def bootstrap_2sbdf(state0: FieldPair, cfg: SchemeConfig,
                     params: CorrosionParameters, grid,
                     bdata: BoundaryData):
     """Produce the second 2SBDF starting value by fine IMEX Euler substeps."""
-    count, sub_dt = bootstrap_substeps(cfg.dt)
-    sub_cfg = SchemeConfig(EULER, sub_dt, cfg.w)
-    sub_ops = build_rect_operators(grid, sub_cfg, params)
-    state = state0
-    for _ in range(count):
-        state = step_imex_euler_rect(state, sub_ops, bdata)
-    state = replace(state, t=state0.t + cfg.dt, step_index=state0.step_index + 1)
-    return state0, state
+
+    def substep_for(sub_dt):
+        sub_ops = build_rect_operators(grid, SchemeConfig(EULER, sub_dt, cfg.w), params)
+        return lambda state: step_imex_euler_rect(state, sub_ops, bdata)
+
+    return state0, start_2sbdf(state0, cfg.dt, substep_for)
 
 
-def run_rect(state0: FieldPair, cfg: SchemeConfig, params: CorrosionParameters,
-             grid, bdata: BoundaryData, horizon: float, hooks=()):
-    """Advance to `horizon` (a step multiple), factorizing once up front.
+def run_loop(state0: FieldPair, cfg, horizon: float, hooks, euler, two_step, start):
+    """Advance `state0` by `horizon`, a multiple of dt, on any domain.
 
-    `hooks` are callables invoked with each completed state, including the
-    initial one.
+    `euler(state, budget_frac)` and `two_step(prev, curr, budget_frac)` return
+    the next level; `start(budget)` returns the second 2SBDF level, where
+    budget(t) = t / (t0 + horizon) is the Theta budget fraction at time t.
+    `hooks` are called with each completed level, the initial one included.
     """
     n_steps = round(horizon / cfg.dt)
     if abs(n_steps * cfg.dt - horizon) > 1e-12 * max(1.0, horizon):
@@ -257,23 +342,32 @@ def run_rect(state0: FieldPair, cfg: SchemeConfig, params: CorrosionParameters,
     state0.validate()
     for hook in hooks:
         hook(state0)
-    if n_steps == 0:
-        return state0
 
-    ops = build_rect_operators(grid, cfg, params)
-    if cfg.order == EULER:
-        state = state0
-        for _ in range(n_steps):
-            state = step_imex_euler_rect(state, ops, bdata)
-            for hook in hooks:
-                hook(state)
-        return state
+    def budget(t):
+        return t / (state0.t + horizon)
 
-    prev, curr = bootstrap_2sbdf(state0, cfg, params, grid, bdata)
-    for hook in hooks:
-        hook(curr)
-    for _ in range(n_steps - 1):
-        prev, curr = curr, step_imex_2sbdf_rect(prev, curr, ops, bdata)
+    prev, curr = None, state0
+    for _ in range(n_steps):
+        frac = budget(curr.t + cfg.dt)
+        if cfg.order == EULER:
+            nxt = euler(curr, frac)
+        elif prev is None:
+            nxt = start(budget)
+        else:
+            nxt = two_step(prev, curr, frac)
+        prev, curr = curr, nxt
         for hook in hooks:
             hook(curr)
     return curr
+
+
+def run_rect(state0: FieldPair, cfg: SchemeConfig, params: CorrosionParameters,
+             grid, bdata: BoundaryData, horizon: float, hooks=()):
+    """Advance a rectangle to `horizon` (a step multiple); see `run_loop`."""
+    ops = build_rect_operators(grid, cfg, params)
+    return run_loop(
+        state0, cfg, horizon, hooks,
+        euler=lambda state, _: step_imex_euler_rect(state, ops, bdata),
+        two_step=lambda prev, curr, _: step_imex_2sbdf_rect(prev, curr, ops, bdata),
+        start=lambda _: bootstrap_2sbdf(state0, cfg, params, grid, bdata)[1],
+    )

@@ -31,7 +31,7 @@ from pitcorr.grid import (
     rasterize_mask,
 )
 from pitcorr.holes import IterSchemeConfig, build_hole_operators
-from pitcorr.linalg import build_operator, kronecker_sum, laplacian_1d, sylvester_solve
+from pitcorr.linalg import build_operator, kronecker_sum, laplacian_1d
 from pitcorr.model import CorrosionParameters, DEFAULT_FIXED_W
 from pitcorr.rect import (
     BoundaryData,
@@ -84,7 +84,7 @@ def test_criterion_01_sylvester_oracle(capfd):
         b = -(0.01 + rng.random())
         op = build_operator(a, b, laps)
         Y = rng.standard_normal((mx, my))
-        X = sylvester_solve(op, Y)
+        X = op.solve(Y)
         A = a * sp.identity(mx * my) + b * kronecker_sum(laps)
         Xd = np.linalg.solve(A.toarray(), Y.ravel(order="F")).reshape(mx, my, order="F")
         worst = max(worst, np.abs(X - Xd).max() / max(np.abs(Xd).max(), 1e-30))
@@ -188,6 +188,7 @@ def test_criterion_03_temporal_order(capfd):
     assert ok
 
 
+@pytest.mark.slow
 def test_criterion_04_sqrt_t_front_law(capfd):
     cfg = parse_config(_raw("pencil2d"))
     artifacts = run_scenario(cfg)
@@ -203,6 +204,7 @@ def test_criterion_04_sqrt_t_front_law(capfd):
     assert ok
 
 
+@pytest.mark.slow
 def test_criterion_05_theta_error_control(capfd):
     cfg = parse_config(_raw("circular_pit"))
     artifacts = run_scenario(cfg)
@@ -276,6 +278,7 @@ def test_criterion_06_spectral_radius_validation(capfd):
     assert ok
 
 
+@pytest.mark.slow
 def test_criterion_07_iteration_count_behavior(capfd):
     # Long run: second-order explicit-variant c-iterations settle below 15.
     raw = _raw("circular_pit")
@@ -307,6 +310,7 @@ def test_criterion_07_iteration_count_behavior(capfd):
     assert ok
 
 
+@pytest.mark.slow
 def test_criterion_08_cost_scaling(capfd):
     cfg = parse_config(_raw("pencil2d"))
     rep_dt = scaling_report(cfg, "dt", [0.5, 1.0, 2.0], horizon_scale=0.02)

@@ -133,16 +133,6 @@ class TestShapes:
 
 
 class TestDomainMask:
-    def test_interface_classification(self):
-        theta = np.zeros((5, 5), dtype=bool)
-        theta[2, 2] = True
-        mask = DomainMask(theta)
-        assert mask.theta_interface[2, 2]
-        expected_omega = np.zeros((5, 5), dtype=bool)
-        for i, j in ((1, 2), (3, 2), (2, 1), (2, 3)):
-            expected_omega[i, j] = True
-        np.testing.assert_array_equal(mask.omega_interface, expected_omega)
-
     def test_omega_is_complement(self):
         theta = np.zeros((4, 4), dtype=bool)
         theta[0, 0] = True

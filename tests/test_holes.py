@@ -20,7 +20,7 @@ from pitcorr.holes import (
     step_iter_euler,
     theta_error,
 )
-from pitcorr.linalg import kronecker_sum
+from pitcorr.linalg import factorization_count, kronecker_sum
 from pitcorr.model import CorrosionParameters, reaction_f1, reaction_f2
 from pitcorr.rect import (
     BoundaryData,
@@ -31,6 +31,7 @@ from pitcorr.rect import (
     run_rect,
     step_imex_euler_rect,
 )
+from pitcorr.scenarios import load_config
 
 NN = ("neumann", "neumann")
 W = 4.43e8
@@ -113,6 +114,25 @@ class TestStopCriteria:
         u1[1, 1] = 9e-4  # below eps2 budget, still moving faster than eps3
         stop, _ = check_stop_criteria(u0, u1, mask, 1e-4, 1e-3, 1e-8)
         assert stop
+
+
+class TestOperators:
+    def test_imex_i_has_no_known_level_correction(self, params):
+        cfg = load_config("circular_pit")
+        g = build_grid(cfg.grid_spec)
+        mask = rasterize_mask(g, tuple(s.snapped(g) for s in cfg.shapes))
+        corr = build_correction_matrices(g, mask)
+        ops = build_hole_operators(g, iter_cfg(variant="imex-i"), params, mask, corr)
+        assert ops.G is None or ops.G.nnz == 0
+        assert ops.N.nnz == corr.N12.nnz
+
+    def test_2sbdf_run_factorizes_each_axis_once(self, pit_setup, params):
+        g, mask, corr = pit_setup
+        before = factorization_count()
+        cfg = iter_cfg(variant="imex-e", order="2sbdf", dt=6e-3)
+        run_holes(pit_state(g, mask), cfg, params, g, mask, corr,
+                  BoundaryData.homogeneous(2), 3 * cfg.dt)
+        assert factorization_count() - before == g.ndim
 
 
 class TestTrivialMask:

@@ -4,14 +4,8 @@ from hypothesis import given, strategies as st
 
 from pitcorr.model import (
     CorrosionParameters,
-    DEFAULT_FIXED_W,
-    RelaxationPolicy,
-    default_relaxation_policy,
-    derive_interface_parameters,
-    estimate_relaxation_w,
     eval_g_family,
     eval_h_family,
-    jacobian_f1_phi,
     reaction_f1,
     reaction_f2,
 )
@@ -84,18 +78,6 @@ class TestReactions:
         )
         np.testing.assert_allclose(reaction_f1(phi, c, p), expected, rtol=1e-13)
 
-    def test_jacobian_matches_finite_difference(self, params):
-        rng = np.random.default_rng(5)
-        phi = rng.uniform(0.0, 1.0, (21, 21))
-        c = rng.uniform(0.0, 1.0, (21, 21))
-        eps = 1e-7
-        fd = (
-            reaction_f1(phi + eps, c, params) - reaction_f1(phi - eps, c, params)
-        ) / (2 * eps)
-        jac = jacobian_f1_phi(phi, c, params)
-        scale = np.abs(jac).max()
-        assert np.abs(jac - fd).max() / scale < 1e-4
-
 
 class TestParameters:
     def test_defaults_match_reference_values(self, params):
@@ -112,31 +94,3 @@ class TestParameters:
             CorrosionParameters(D_phi=-1.0)
         with pytest.raises(ValueError):
             CorrosionParameters(c_L=1.5)
-
-    def test_derive_interface_parameters(self):
-        alpha_phi, omega, D_phi = derive_interface_parameters(
-            l=5e-6, sigma_hat=10.0, alpha_star=2.94, L=2.0
-        )
-        assert alpha_phi == pytest.approx(3.007e-6, rel=1e-3)
-        assert omega == pytest.approx(2.08e6, rel=1e-2)
-        assert D_phi == pytest.approx(6.02e-6, rel=1e-2)
-
-
-class TestRelaxation:
-    def test_default_policy_is_fixed_for_default_params(self, params):
-        policy = default_relaxation_policy(params)
-        assert policy.mode == "fixed"
-        assert estimate_relaxation_w(params, policy) == pytest.approx(DEFAULT_FIXED_W)
-
-    def test_jacobian_max_policy_scales_max(self, params):
-        policy = RelaxationPolicy(mode="jacobian-max", safety_factor=1.1)
-        rng = np.random.default_rng(0)
-        phi = rng.uniform(0.0, 1.0, (9, 9))
-        c = rng.uniform(0.0, 1.0, (9, 9))
-        w = estimate_relaxation_w(params, policy, fields=(phi, c))
-        jmax = np.abs(jacobian_f1_phi(phi, c, params)).max()
-        assert w == pytest.approx(1.1 * jmax)
-
-    def test_fixed_w_positive(self):
-        with pytest.raises(ValueError):
-            RelaxationPolicy(mode="fixed", fixed_w=-1.0)

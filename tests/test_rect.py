@@ -3,7 +3,7 @@ import pytest
 import scipy.sparse as sp
 
 from pitcorr.grid import GridSpec, build_grid
-from pitcorr.linalg import kronecker_sum
+from pitcorr.linalg import factorization_count, kronecker_sum
 from pitcorr.model import CorrosionParameters, reaction_f1, reaction_f2
 from pitcorr.rect import (
     BoundaryData,
@@ -291,3 +291,12 @@ class TestRunValidation:
             hooks=(lambda s: seen.append(s.t),),
         )
         np.testing.assert_allclose(seen, np.arange(6) * 1e-3, atol=1e-15)
+
+    def test_2sbdf_run_factorizes_each_axis_once(self, params):
+        # The main, c and start operators share one factorization per axis.
+        g = build_grid(GridSpec((3e-6, 4e-6, 3e-6), (3, 4, 4), (DD, NN, ND)))
+        state = FieldPair(np.ones(g.counts), np.ones(g.counts))
+        before = factorization_count()
+        run_rect(state, SchemeConfig("2sbdf", 1.0, 4.43e8), params, g,
+                 BoundaryData.homogeneous(3), 3.0)
+        assert factorization_count() - before == g.ndim
