@@ -234,9 +234,6 @@ class DomainMask:
     def theta_flat(self) -> np.ndarray:
         return self.theta.ravel(order="F")
 
-    def any_theta(self) -> bool:
-        return bool(self.theta.any())
-
 
 def rasterize_mask(grid: Grid, shapes) -> DomainMask:
     """Union of closed shapes; every shape must cover at least one node."""

@@ -47,7 +47,6 @@ __all__ = [
     "step_iter_euler",
     "step_iter_2sbdf",
     "check_stop_criteria",
-    "theta_error",
     "run_holes",
     "ConvergenceError",
 ]
@@ -155,14 +154,14 @@ class HoleOperators:
 
 
 def build_hole_operators(grid, cfg: IterSchemeConfig, params: CorrosionParameters,
-                         mask, correction) -> HoleOperators:
+                         mask, correction, bdata=BoundaryData()) -> HoleOperators:
     N12 = correction.N12
     if cfg.variant == IMEX_I:
         N, G = N12, None
     else:
         N, G = correction.N1, correction.N2
     return HoleOperators(
-        rect=build_rect_operators(grid, cfg.scheme(), params),
+        rect=build_rect_operators(grid, cfg.scheme(), params, bdata),
         cfg=cfg,
         mask=mask,
         N=N,
@@ -190,10 +189,10 @@ def check_stop_criteria(u_prev: np.ndarray, u_next: np.ndarray, mask,
     return (theta_level < eps2_budget or theta_delta < eps3), resid
 
 
-def _step(levels, ops: HoleOperators, bdata: BoundaryData, budget_frac: float):
+def _step(levels, ops: HoleOperators, budget_frac: float):
     tic = time.perf_counter()
     hole = None if ops.trivial else ops
-    out, ((k_phi, r_phi), (k_c, r_c)) = imex_step(levels, ops.rect, bdata, hole, budget_frac)
+    out, ((k_phi, r_phi), (k_c, r_c)) = imex_step(levels, ops.rect, hole, budget_frac)
     report = IterationReport(
         step_index=out.step_index,
         t=out.t,
@@ -208,26 +207,15 @@ def _step(levels, ops: HoleOperators, bdata: BoundaryData, budget_frac: float):
     return out, report
 
 
-def step_iter_euler(state: FieldPair, ops: HoleOperators, bdata: BoundaryData,
-                    budget_frac: float = 1.0):
+def step_iter_euler(state: FieldPair, ops: HoleOperators, budget_frac: float = 1.0):
     """One iterative IMEX Euler step; returns (state, IterationReport)."""
-    return _step((state,), ops, bdata, budget_frac)
+    return _step((state,), ops, budget_frac)
 
 
 def step_iter_2sbdf(prev: FieldPair, curr: FieldPair, ops: HoleOperators,
-                    bdata: BoundaryData, budget_frac: float = 1.0):
+                    budget_frac: float = 1.0):
     """One iterative IMEX 2SBDF step; returns (state, IterationReport)."""
-    return _step((curr, prev), ops, bdata, budget_frac)
-
-
-def theta_error(state: FieldPair, mask):
-    """Max-abs of (phi, c) over the hole nodes."""
-    if not mask.any_theta():
-        raise ValueError("Theta is empty")
-    return (
-        _masked_max(state.Phi, mask.theta),
-        _masked_max(state.C, mask.theta),
-    )
+    return _step((curr, prev), ops, budget_frac)
 
 
 def run_holes(state0: FieldPair, cfg: IterSchemeConfig,
@@ -239,7 +227,7 @@ def run_holes(state0: FieldPair, cfg: IterSchemeConfig,
     time-proportional Theta budget grows as eps2 * t / horizon, so the final
     step is held to eps2 exactly.  See `rect.run_loop`.
     """
-    ops = build_hole_operators(grid, cfg, params, mask, correction)
+    ops = build_hole_operators(grid, cfg, params, mask, correction, bdata)
     reports = []
 
     def record(out):
@@ -249,21 +237,16 @@ def run_holes(state0: FieldPair, cfg: IterSchemeConfig,
     def start(budget):
         def substep_for(sub_dt):
             sub_cfg = replace(cfg, order=EULER, dt=sub_dt)
-            sub_ops = replace(
-                ops, rect=build_rect_operators(grid, sub_cfg.scheme(), params), cfg=sub_cfg
-            )
-            return lambda state: step_iter_euler(
-                state, sub_ops, bdata, budget(state.t + sub_dt)
-            )[0]
+            sub_rect = build_rect_operators(grid, sub_cfg.scheme(), params, bdata)
+            sub_ops = replace(ops, rect=sub_rect, cfg=sub_cfg)
+            return lambda state: step_iter_euler(state, sub_ops, budget(state.t + sub_dt))[0]
 
         return start_2sbdf(state0, cfg.dt, substep_for)
 
     final = run_loop(
         state0, cfg, horizon, hooks,
-        euler=lambda state, frac: record(step_iter_euler(state, ops, bdata, frac)),
-        two_step=lambda prev, curr, frac: record(
-            step_iter_2sbdf(prev, curr, ops, bdata, frac)
-        ),
+        euler=lambda state, frac: record(step_iter_euler(state, ops, frac)),
+        two_step=lambda prev, curr, frac: record(step_iter_2sbdf(prev, curr, ops, frac)),
         start=start,
     )
     return final, reports

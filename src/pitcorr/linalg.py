@@ -187,14 +187,6 @@ class SylvesterOperator:
         self.solve_count = 0
 
     @property
-    def fact_x(self) -> SpectralFactorization:
-        return self.facts[0]
-
-    @property
-    def fact_y(self) -> SpectralFactorization:
-        return self.facts[1]
-
-    @property
     def shape(self):
         return tuple(f.lam.size for f in self.facts)
 

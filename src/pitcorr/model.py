@@ -64,9 +64,6 @@ class CorrosionParameters:
         if not 0.0 < self.c_L < 1.0:
             raise ValueError("c_L must lie in (0, 1)")
 
-    def is_default(self) -> bool:
-        return self == CorrosionParameters()
-
 
 def eval_h_family(phi):
     """Return (h, h', h'') of the interpolant h(phi) = -2*phi^3 + 3*phi^2."""

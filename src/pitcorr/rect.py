@@ -13,15 +13,17 @@ From the levels u^n, u^(n-1), ... (newest first) to t = t_n + dt, with
 S_h(u) = sum_i h_i u^(n-i) and S_e likewise, the step solves
 
     (s*(gamma + w*dt) I - s*dt*D_phi M) Phi
-        = S_h(Phi) + s*dt*(S_e(F1(Phi, C) + w*Phi) + D_phi*Psi_phi(t)),
+        = S_h(Phi) + s*dt*(S_e(F1(Phi, C) + w*Phi) + D_phi*Psi_phi),
     (s*gamma I - s*dt*D_c M) C
-        = S_h(C) + s*dt*D_c*(M F2(Phi_new) + Psi_c(t) + Psi_F2(t)),
+        = S_h(C) + s*dt*D_c*(M F2(Phi_new) + Psi_c + Psi_F2),
 
 the c equation consuming the new Phi.  M is the Kronecker-sum Laplacian, so
 each system is one shifted Sylvester (2D) or tensor (3D) solve, and all of
 them share one spectral factorization per axis.  Psi terms collect the known
 Dirichlet boundary values scaled by 1/dr^2 on the adjacent interior layer;
-Neumann edges contribute nothing.
+Neumann edges contribute nothing.  The boundary values are constant, so the
+loads are built once with the operators (`RectOperators.load_phi`,
+`load_c`) and a step reads only its time levels and the operators.
 
 A rectangle is the case without correction: one direct solve per field.  A
 cavity domain (`pitcorr.holes`) adds sparse corrections and an inner loop
@@ -120,10 +122,10 @@ class SchemeConfig:
 
 @dataclass(frozen=True)
 class BoundaryData:
-    """Per-axis (low, high) Dirichlet values for phi and c.
+    """Per-axis (low, high) constant Dirichlet values for phi and c.
 
-    Values may be scalars or callables of time; entries on Neumann ends are
-    ignored.  Defaults to homogeneous data on every Dirichlet edge.
+    Entries on Neumann ends are ignored.  Defaults to homogeneous data on
+    every Dirichlet edge.
     """
 
     phi: tuple = ()
@@ -134,39 +136,31 @@ class BoundaryData:
         zeros = tuple((0.0, 0.0) for _ in range(ndim))
         return BoundaryData(zeros, zeros)
 
-    def values_for(self, which: str):
-        return self.phi if which == "phi" else self.c
 
-
-def _edge_value(raw, t: float) -> float:
-    return float(raw(t)) if callable(raw) else float(raw)
-
-
-def boundary_contribution(grid, bdata: BoundaryData, which: str, t: float,
-                          params: CorrosionParameters | None = None) -> np.ndarray:
-    """Stencil load of the known Dirichlet boundary values.
+def boundary_contribution(grid, bdata: BoundaryData, which: str,
+                          params: CorrosionParameters | None = None) -> np.ndarray | float:
+    """Stencil load of the known Dirichlet boundary values; 0.0 if it is zero.
 
     which='phi'/'c' inserts the boundary values themselves; which='F2' maps
     the phi boundary values through the nonlinear flux F2 (hence `params`).
     """
     if which not in ("phi", "c", "F2"):
         raise ValueError(f"unknown boundary contribution kind {which!r}")
-    field = "phi" if which == "F2" else which
-    values = bdata.values_for(field)
-    psi = np.zeros(grid.counts)
-    if not values:
-        return psi
+    values = bdata.c if which == "c" else bdata.phi
+    psi = 0.0
     for ax, (lap, (low_raw, high_raw)) in enumerate(zip(grid.laplacians, values)):
         inv2 = 1.0 / grid.spacings[ax] ** 2
         for end, raw in (("low", low_raw), ("high", high_raw)):
             bc_kind = lap.bc_low if end == "low" else lap.bc_high
             if bc_kind != DIRICHLET:
                 continue
-            v = _edge_value(raw, t)
+            v = float(raw)
             if which == "F2":
                 v = float(reaction_f2(v, params))
             if v == 0.0:
                 continue
+            if not isinstance(psi, np.ndarray):
+                psi = np.zeros(grid.counts)
             idx = [slice(None)] * grid.ndim
             idx[ax] = 0 if end == "low" else grid.counts[ax] - 1
             psi[tuple(idx)] += v * inv2
@@ -175,17 +169,26 @@ def boundary_contribution(grid, bdata: BoundaryData, which: str, t: float,
 
 @dataclass(frozen=True)
 class RectOperators:
-    """The two shifted Sylvester solvers shared by every step of a run."""
+    """What every step of a run shares: the two shifted Sylvester solvers and
+    the constant Dirichlet loads Psi_phi and Psi_c + Psi_F2.
+
+    A load that is zero everywhere is the scalar 0.0, not an array.
+    """
 
     phi: SylvesterOperator
     c: SylvesterOperator
     grid: object
     params: CorrosionParameters
     cfg: SchemeConfig
+    load_phi: np.ndarray | float
+    load_c: np.ndarray | float
 
 
-def build_rect_operators(grid, cfg: SchemeConfig, params: CorrosionParameters) -> RectOperators:
-    """Shift the grid's factorizations (computed once per grid) for one scheme."""
+def build_rect_operators(grid, cfg: SchemeConfig, params: CorrosionParameters,
+                         bdata: BoundaryData = BoundaryData()) -> RectOperators:
+    """Shift the grid's factorizations (computed once per grid) for one scheme,
+    and assemble the Dirichlet loads of `bdata`.
+    """
     coef = COEFFICIENTS[cfg.order]
 
     def operator(D, w):
@@ -193,7 +196,10 @@ def build_rect_operators(grid, cfg: SchemeConfig, params: CorrosionParameters) -
         return SylvesterOperator(beta, -alpha, grid.factorizations)
 
     return RectOperators(
-        operator(params.D_phi, cfg.w), operator(params.D_c, 0.0), grid, params, cfg
+        operator(params.D_phi, cfg.w), operator(params.D_c, 0.0), grid, params, cfg,
+        load_phi=boundary_contribution(grid, bdata, "phi"),
+        load_c=boundary_contribution(grid, bdata, "c")
+        + boundary_contribution(grid, bdata, "F2", params),
     )
 
 
@@ -217,8 +223,7 @@ def matvec(A, U: np.ndarray) -> np.ndarray:
     return (A @ U.ravel(order="F")).reshape(U.shape, order="F")
 
 
-def imex_step(levels, ops: RectOperators, bdata: BoundaryData, hole=None,
-              budget_frac: float = 1.0):
+def imex_step(levels, ops: RectOperators, hole=None, budget_frac: float = 1.0):
     """One step of `ops.cfg.order` from `levels`, newest first.
 
     Returns (state, loops), with loops the (iterations, last residual) of the
@@ -264,9 +269,8 @@ def imex_step(levels, ops: RectOperators, bdata: BoundaryData, hole=None,
         # preserve any injected round-off forever, while the masked form damps
         # hole values by the implicit shift every step.
         explicit = hole.chi * explicit
-    psi_phi = boundary_contribution(grid, bdata, "phi", t)
     base_phi = combine(coef.history, "Phi") + sdt * (
-        explicit + p.D_phi * known(psi_phi, "Phi")
+        explicit + p.D_phi * known(ops.load_phi, "Phi")
     )
     phi, phi_loop = solve(ops.phi, base_phi, p.D_phi, "phi", curr.Phi)
 
@@ -274,12 +278,7 @@ def imex_step(levels, ops: RectOperators, bdata: BoundaryData, hole=None,
     lap_f2 = apply_laplacian(grid.laplacians, f2)
     if hole is not None:
         lap_f2 = lap_f2 - matvec(hole.N12, f2)
-    load_c = (
-        lap_f2
-        + boundary_contribution(grid, bdata, "c", t)
-        + boundary_contribution(grid, bdata, "F2", t, p)
-    )
-    base_c = combine(coef.history, "C") + sdt * p.D_c * known(load_c, "C")
+    base_c = combine(coef.history, "C") + sdt * p.D_c * known(lap_f2 + ops.load_c, "C")
     c, c_loop = solve(ops.c, base_c, p.D_c, "c", curr.C)
 
     out = FieldPair(phi, c, t, curr.step_index + 1)
@@ -287,14 +286,12 @@ def imex_step(levels, ops: RectOperators, bdata: BoundaryData, hole=None,
     return out, (phi_loop, c_loop)
 
 
-def step_imex_euler_rect(state: FieldPair, ops: RectOperators,
-                         bdata: BoundaryData) -> FieldPair:
-    return imex_step((state,), ops, bdata)[0]
+def step_imex_euler_rect(state: FieldPair, ops: RectOperators) -> FieldPair:
+    return imex_step((state,), ops)[0]
 
 
-def step_imex_2sbdf_rect(prev: FieldPair, curr: FieldPair, ops: RectOperators,
-                         bdata: BoundaryData) -> FieldPair:
-    return imex_step((curr, prev), ops, bdata)[0]
+def step_imex_2sbdf_rect(prev: FieldPair, curr: FieldPair, ops: RectOperators) -> FieldPair:
+    return imex_step((curr, prev), ops)[0]
 
 
 def bootstrap_substeps(dt: float):
@@ -306,7 +303,7 @@ def bootstrap_substeps(dt: float):
 def start_2sbdf(state0: FieldPair, dt: float, substep_for) -> FieldPair:
     """The second 2SBDF level, at t0 + dt, from fine Euler substeps.
 
-    `substep_for(sub_dt)` returns the callable advancing one substep.
+    `substep_for(sub_dt)` returns the function advancing one substep.
     """
     count, sub_dt = bootstrap_substeps(dt)
     substep = substep_for(sub_dt)
@@ -322,8 +319,8 @@ def bootstrap_2sbdf(state0: FieldPair, cfg: SchemeConfig,
     """Produce the second 2SBDF starting value by fine IMEX Euler substeps."""
 
     def substep_for(sub_dt):
-        sub_ops = build_rect_operators(grid, SchemeConfig(EULER, sub_dt, cfg.w), params)
-        return lambda state: step_imex_euler_rect(state, sub_ops, bdata)
+        sub_ops = build_rect_operators(grid, SchemeConfig(EULER, sub_dt, cfg.w), params, bdata)
+        return lambda state: step_imex_euler_rect(state, sub_ops)
 
     return state0, start_2sbdf(state0, cfg.dt, substep_for)
 
@@ -364,10 +361,10 @@ def run_loop(state0: FieldPair, cfg, horizon: float, hooks, euler, two_step, sta
 def run_rect(state0: FieldPair, cfg: SchemeConfig, params: CorrosionParameters,
              grid, bdata: BoundaryData, horizon: float, hooks=()):
     """Advance a rectangle to `horizon` (a step multiple); see `run_loop`."""
-    ops = build_rect_operators(grid, cfg, params)
+    ops = build_rect_operators(grid, cfg, params, bdata)
     return run_loop(
         state0, cfg, horizon, hooks,
-        euler=lambda state, _: step_imex_euler_rect(state, ops, bdata),
-        two_step=lambda prev, curr, _: step_imex_2sbdf_rect(prev, curr, ops, bdata),
+        euler=lambda state, _: step_imex_euler_rect(state, ops),
+        two_step=lambda prev, curr, _: step_imex_2sbdf_rect(prev, curr, ops),
         start=lambda _: bootstrap_2sbdf(state0, cfg, params, grid, bdata)[1],
     )

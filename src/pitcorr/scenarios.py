@@ -261,18 +261,30 @@ def _parse_grid(raw_grid) -> tuple:
 
 
 def _parse_boundary_values(raw, names, bc_pairs) -> BoundaryData:
+    """Constant (low, high) values per axis, shared by phi and c; null is 0."""
     raw_values = raw.get("boundary_values", {}) or {}
-    phi_vals, c_vals = [], []
+    if not isinstance(raw_values, dict):
+        raise ConfigError("boundary_values must map axis names to (low, high) pairs")
+    for name in raw_values:
+        if name not in names:
+            raise ConfigError(f"unknown axis {name!r} in boundary_values")
+    values = []
     for name, pair in zip(names, bc_pairs):
+        where = f"boundary_values.{name}"
         spec_vals = raw_values.get(name, [0.0, 0.0])
-        if len(spec_vals) != 2:
-            raise ConfigError(f"boundary_values.{name} must list (low, high)")
+        if not isinstance(spec_vals, (list, tuple)) or len(spec_vals) != 2:
+            raise ConfigError(f"{where} must list (low, high)")
         ends = []
         for kind, v in zip(pair, spec_vals):
-            ends.append(0.0 if v is None else float(v))
-        phi_vals.append(tuple(ends))
-        c_vals.append(tuple(ends))
-    return BoundaryData(tuple(phi_vals), tuple(c_vals))
+            try:
+                v = 0.0 if v is None else float(v)
+            except (TypeError, ValueError):
+                raise ConfigError(f"{where} holds {v!r}, not a number or null") from None
+            if kind == "neumann" and v != 0.0:
+                raise ConfigError(f"{where} sets {v!r} on a Neumann end, which takes null or 0")
+            ends.append(v)
+        values.append(tuple(ends))
+    return BoundaryData(tuple(values), tuple(values))
 
 
 def _axis_index(name) -> int:

@@ -114,7 +114,7 @@ def test_criterion_02_scheme_vs_vector_form(capfd):
     bdata = BoundaryData(((0.0, 0.0), (0.0, 0.2)), ((0.0, 0.0), (0.0, 0.1)))
     state = FieldPair(rng.uniform(0, 1, g.counts), rng.uniform(0, 1, g.counts))
     cfg_e = SchemeConfig("euler", 1e-3, W)
-    out = step_imex_euler_rect(state, build_rect_operators(g, cfg_e, PARAMS), bdata)
+    out = step_imex_euler_rect(state, build_rect_operators(g, cfg_e, PARAMS, bdata))
     phi_ref, c_ref = dense_euler_step(state, g, cfg_e, PARAMS, bdata)
     errs["euler"] = max(
         np.abs(out.Phi - phi_ref).max() / np.abs(phi_ref).max(),
@@ -127,7 +127,7 @@ def test_criterion_02_scheme_vs_vector_form(capfd):
     prev = state
     curr = FieldPair(rng.uniform(0, 1, g.counts), rng.uniform(0, 1, g.counts),
                      t=cfg_2.dt, step_index=1)
-    out2 = step_imex_2sbdf_rect(prev, curr, build_rect_operators(g, cfg_2, PARAMS), bdata)
+    out2 = step_imex_2sbdf_rect(prev, curr, build_rect_operators(g, cfg_2, PARAMS, bdata))
     phi_ref, c_ref = dense_2sbdf_step(prev, curr, g, cfg_2, PARAMS, bdata)
     errs["2sbdf"] = max(
         np.abs(out2.Phi - phi_ref).max() / np.abs(phi_ref).max(),
@@ -325,12 +325,11 @@ def test_criterion_08_cost_scaling(capfd):
 def test_criterion_09_equilibrium_and_determinism(capfd):
     g = build_grid(GridSpec((8e-6, 8e-6), (9, 9), (NN, NN)))
     cfg = SchemeConfig("euler", 1e-3, W)
-    ops = build_rect_operators(g, cfg, PARAMS)
-    bdata = BoundaryData.homogeneous(2)
+    ops = build_rect_operators(g, cfg, PARAMS, BoundaryData.homogeneous(2))
     state = FieldPair(np.ones(g.counts), np.ones(g.counts))
     drift = 0.0
     for _ in range(1000):
-        nxt = step_imex_euler_rect(state, ops, bdata)
+        nxt = step_imex_euler_rect(state, ops)
         drift = max(drift, np.abs(nxt.Phi - state.Phi).max(),
                     np.abs(nxt.C - state.C).max())
         state = nxt

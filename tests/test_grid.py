@@ -138,7 +138,6 @@ class TestDomainMask:
         theta[0, 0] = True
         mask = DomainMask(theta)
         np.testing.assert_array_equal(mask.omega, ~theta)
-        assert mask.any_theta()
 
 
 class TestCorrectionOperators:

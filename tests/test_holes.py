@@ -18,7 +18,6 @@ from pitcorr.holes import (
     run_holes,
     step_iter_2sbdf,
     step_iter_euler,
-    theta_error,
 )
 from pitcorr.linalg import factorization_count, kronecker_sum
 from pitcorr.model import CorrosionParameters, reaction_f1, reaction_f2
@@ -145,9 +144,9 @@ class TestTrivialMask:
         state = FieldPair(rng.uniform(0, 1, g.counts), rng.uniform(0, 1, g.counts))
 
         cfg = iter_cfg()
-        ops = build_hole_operators(g, cfg, params, mask, corr)
-        out, rep = step_iter_euler(state, ops, bdata)
-        ref = step_imex_euler_rect(state, ops.rect, bdata)
+        ops = build_hole_operators(g, cfg, params, mask, corr, bdata)
+        out, rep = step_iter_euler(state, ops)
+        ref = step_imex_euler_rect(state, ops.rect)
         np.testing.assert_array_equal(out.Phi, ref.Phi)
         np.testing.assert_array_equal(out.C, ref.C)
         assert rep.k_phi == 1 and rep.k_c == 1
@@ -176,7 +175,6 @@ def converged_dense_euler(state, g, mask, corr, cfg, params, bdata):
     n = M.shape[0]
     p, dt, w = params, cfg.dt, cfg.w
     chi = (~mask.theta).astype(float)
-    t1 = state.t + dt
 
     if cfg.variant == "imex-i":
         N, G = corr.N12, corr.N12 * 0.0
@@ -189,7 +187,7 @@ def converged_dense_euler(state, g, mask, corr, cfg, params, bdata):
     def un(v):
         return v.reshape(state.Phi.shape, order="F")
 
-    psi_phi = boundary_contribution(g, bdata, "phi", t1)
+    psi_phi = boundary_contribution(g, bdata, "phi")
     base_phi = state.Phi + dt * (
         chi * (w * state.Phi + reaction_f1(state.Phi, state.C, p))
         + p.D_phi * psi_phi - p.D_phi * un(G @ fl(state.Phi))
@@ -197,8 +195,8 @@ def converged_dense_euler(state, g, mask, corr, cfg, params, bdata):
     A = (1.0 + w * dt) * sp.identity(n) - dt * p.D_phi * M + dt * p.D_phi * N
     phi1 = un(sp.linalg.spsolve(A.tocsc(), fl(base_phi)))
 
-    psi_c = boundary_contribution(g, bdata, "c", t1)
-    psi_f2 = boundary_contribution(g, bdata, "F2", t1, p)
+    psi_c = boundary_contribution(g, bdata, "c")
+    psi_f2 = boundary_contribution(g, bdata, "F2", p)
     f2 = reaction_f2(phi1, p)
     lap_f2 = un((M - corr.N12) @ fl(f2))
     base_c = state.C + dt * p.D_c * (
@@ -217,8 +215,8 @@ class TestIterativeStepsMatchDense:
         state = pit_state(g, mask)
         cfg = iter_cfg(variant=variant, eps1=1e-13, eps2=1e-30, eps3=1e-14,
                        max_iters=500)
-        ops = build_hole_operators(g, cfg, params, mask, corr)
-        out, rep = step_iter_euler(state, ops, bdata)
+        ops = build_hole_operators(g, cfg, params, mask, corr, bdata)
+        out, rep = step_iter_euler(state, ops)
         phi_ref, c_ref = converged_dense_euler(
             state, g, mask, corr, cfg, params, bdata
         )
@@ -236,8 +234,8 @@ class TestIterativeStepsMatchDense:
         curr = FieldPair(curr_fields.Phi, curr_fields.C, t=dt, step_index=1)
         cfg = iter_cfg(variant="imex-e", order="2sbdf", dt=dt,
                        eps1=1e-13, eps2=1e-30, eps3=1e-14)
-        ops = build_hole_operators(g, cfg, params, mask, corr)
-        out, _ = step_iter_2sbdf(prev, curr, ops, bdata)
+        ops = build_hole_operators(g, cfg, params, mask, corr, bdata)
+        out, _ = step_iter_2sbdf(prev, curr, ops)
 
         # The converged iterate solves the masked two-step system directly.
         M = kronecker_sum(g.laplacians)
@@ -287,9 +285,9 @@ class TestReducedMode:
     def test_single_phi_iteration(self, pit_setup, params):
         g, mask, corr = pit_setup
         cfg = iter_cfg(stop_mode="reduced")
-        ops = build_hole_operators(g, cfg, params, mask, corr)
+        ops = build_hole_operators(g, cfg, params, mask, corr, BoundaryData.homogeneous(2))
         state = pit_state(g, mask)
-        _, rep = step_iter_euler(state, ops, BoundaryData.homogeneous(2))
+        _, rep = step_iter_euler(state, ops)
         assert rep.k_phi == 1
         assert rep.k_c >= 1
 
@@ -298,25 +296,11 @@ class TestFailureModes:
     def test_max_iters_exhaustion_raises(self, pit_setup, params):
         g, mask, corr = pit_setup
         cfg = iter_cfg(eps1=1e-30, eps2=1e-30, eps3=1e-30, max_iters=3)
-        ops = build_hole_operators(g, cfg, params, mask, corr)
+        ops = build_hole_operators(g, cfg, params, mask, corr, BoundaryData.homogeneous(2))
         state = pit_state(g, mask)
         with pytest.raises(ConvergenceError) as exc:
-            step_iter_euler(state, ops, BoundaryData.homogeneous(2))
+            step_iter_euler(state, ops)
         assert exc.value.last_residual is not None
-
-
-class TestThetaError:
-    def test_values_and_empty_rejection(self, pit_setup):
-        g, mask, _ = pit_setup
-        phi = np.zeros(g.counts)
-        c = np.zeros(g.counts)
-        phi[mask.theta] = 1e-5
-        e_phi, e_c = theta_error(FieldPair(phi, c), mask)
-        assert e_phi == pytest.approx(1e-5)
-        assert e_c == 0.0
-        empty = DomainMask(np.zeros(g.counts, dtype=bool))
-        with pytest.raises(ValueError):
-            theta_error(FieldPair(phi, c), empty)
 
 
 class TestRunHoles:

@@ -87,7 +87,6 @@ class TestParameters:
         assert params.D_c == pytest.approx(8.5e-10)
         assert params.c_L == pytest.approx(3.57e-2)
         assert params.omega == pytest.approx(2.08e6)
-        assert params.is_default()
 
     def test_validation(self):
         with pytest.raises(ValueError):

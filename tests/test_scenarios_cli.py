@@ -126,6 +126,30 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             load_config(raw)
 
+    @pytest.mark.parametrize("values", [
+        {"y": ["abc", 0.0]},
+        {"y": [[1], 0.0]},
+        {"y": 0.5},
+        {"z": [1.0, 1.0]},  # no z axis on a 2D grid
+        {"x": [0.5, 0.0]},  # x ends are Neumann
+        [0.0, 0.0],
+    ])
+    def test_bad_boundary_values_rejected(self, values, tmp_path, capsys):
+        raw = tiny_rect_config()
+        raw["boundary_values"] = values
+        with pytest.raises(ConfigError, match="boundary_values"):
+            load_config(raw)
+        path = tmp_path / "scenario.yaml"
+        path.write_text(yaml.safe_dump(raw))
+        assert main(["run", str(path), "--output", str(tmp_path / "out")]) == 2
+        assert "boundary_values" in capsys.readouterr().err
+
+    def test_boundary_values_shared_by_phi_and_c(self):
+        raw = tiny_rect_config()
+        raw["boundary_values"] = {"x": [None, 0.0], "y": [0.25, None]}
+        bdata = load_config(raw).bdata
+        assert bdata.phi == bdata.c == ((0.0, 0.0), (0.25, 0.0))
+
 
 class TestSnapshotFormats:
     @pytest.fixture
