@@ -29,7 +29,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .holes import IMEX_E, IMEX_I
-from .linalg import build_operator
+from .linalg import SylvesterOperator
 from .model import CorrosionParameters
 from .rect import COEFFICIENTS
 
@@ -190,20 +190,21 @@ def sufficient_step_conditions(variant: str, order: str, bc_outer: str,
     }
 
 
-def actual_spectral_radius(alpha: float, beta: float, laplacians,
+def actual_spectral_radius(alpha: float, beta: float, grid,
                            N: sp.spmatrix) -> float:
-    """Exact rho(-alpha * (beta*I - alpha*M)^{-1} * N).
+    """Exact rho(-alpha * (beta*I - alpha*M)^{-1} * N) on `grid`.
 
     Sigma acts through the columns of N only, so its nonzero spectrum equals
     that of the small matrix T[p, q] = Sigma[support_p, support_q] over the
-    structural column support; each column of T costs one Sylvester solve.
+    structural column support; each column of T costs one solve on the grid's
+    factorizations, which the time steppers share.
     """
     N = N.tocsc()
     N.eliminate_zeros()
     if N.nnz == 0:
         return 0.0
     support = np.flatnonzero(np.diff(N.indptr) > 0)
-    op = build_operator(beta, -alpha, laplacians)
+    op = SylvesterOperator(beta, -alpha, grid.factorizations)
     shape = op.shape
     T = np.empty((support.size, support.size))
     for col, j in enumerate(support):

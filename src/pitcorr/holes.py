@@ -12,9 +12,10 @@ table, and lags the sparse corrections:
 Each solve becomes an inner fixed-point loop.  The phi loop runs first; the
 c loop consumes the converged phi.  Iterations stop when the change over the
 physical region drops below eps1 and the values on Theta are either below
-the time-proportional budget eps2 * t/T or have stagnated below eps3.  The
-reduced mode performs a single phi iteration and stops the c loop on the
-global change only.  With an empty Theta the step is the rectangle step.
+the time-proportional budget eps2 * t/T (T is `HoleOperators.t_end`) or
+have stagnated below eps3.  The reduced mode performs a single phi iteration
+and stops the c loop on the global change only.  With an empty Theta the
+step is the rectangle step, and a run starts 2SBDF as a rectangle does.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ import numpy as np
 
 from .model import CorrosionParameters
 from .rect import (
-    EULER,
     BoundaryData,
     FieldPair,
     SchemeConfig,
@@ -34,7 +34,6 @@ from .rect import (
     imex_step,
     matvec,
     run_loop,
-    start_2sbdf,
 )
 
 __all__ = [
@@ -105,7 +104,11 @@ class IterationReport:
 
 @dataclass(frozen=True)
 class HoleOperators:
-    """Shared per-run machinery: Sylvester solvers, mask and sparse corrections."""
+    """Shared per-run machinery: Sylvester solvers, mask and sparse corrections.
+
+    `t_end` is the time T of the Theta budget eps2 * t/T; with None (the
+    default) the budget is eps2 on every step.
+    """
 
     rect: object
     cfg: IterSchemeConfig
@@ -114,14 +117,20 @@ class HoleOperators:
     G: object  # lagged on known time levels; None for imex-i
     N12: object  # N1 + N2, for the masked Laplacian action
     chi: np.ndarray  # indicator of the physical region
+    t_end: float | None = None
 
     @property
     def trivial(self) -> bool:
         return self.N.nnz == 0 and (self.G is None or self.G.nnz == 0)
 
-    def iterate(self, field, solve, base, scale, warm, budget_frac):
-        """Solve u = solve(base - scale * N u) by fixed-point iteration from
-        `warm`; returns (solution, (iterations, last residual)).
+    def retimed(self, order: str, dt: float) -> "HoleOperators":
+        """These operators for scheme `order` and step `dt`; see `RectOperators.retimed`."""
+        return replace(self, rect=self.rect.retimed(order, dt),
+                       cfg=replace(self.cfg, order=order, dt=dt))
+
+    def iterate(self, field, solve, base, scale, warm, t):
+        """Solve u = solve(base - scale * N u) from `warm` by fixed-point iteration
+        in the step to time `t`; returns (solution, (iterations, last residual)).
 
         The time-proportional Theta-level budget applies to the c loop only.
         The phi iteration contracts fast enough to always run to Theta
@@ -131,7 +140,8 @@ class HoleOperators:
         holes carry.
         """
         cfg = self.cfg
-        eps2_budget = cfg.eps2 * budget_frac if field == "c" else 0.0
+        frac = 1.0 if self.t_end is None else t / self.t_end
+        eps2_budget = cfg.eps2 * frac if field == "c" else 0.0
         u = warm
         for k in range(1, cfg.max_iters + 1):
             u_next = solve(base - scale * matvec(self.N, u))
@@ -189,10 +199,10 @@ def check_stop_criteria(u_prev: np.ndarray, u_next: np.ndarray, mask,
     return (theta_level < eps2_budget or theta_delta < eps3), resid
 
 
-def _step(levels, ops: HoleOperators, budget_frac: float):
+def _step(levels, ops: HoleOperators):
     tic = time.perf_counter()
     hole = None if ops.trivial else ops
-    out, ((k_phi, r_phi), (k_c, r_c)) = imex_step(levels, ops.rect, hole, budget_frac)
+    out, ((k_phi, r_phi), (k_c, r_c)) = imex_step(levels, ops.rect, hole)
     report = IterationReport(
         step_index=out.step_index,
         t=out.t,
@@ -207,15 +217,14 @@ def _step(levels, ops: HoleOperators, budget_frac: float):
     return out, report
 
 
-def step_iter_euler(state: FieldPair, ops: HoleOperators, budget_frac: float = 1.0):
+def step_iter_euler(state: FieldPair, ops: HoleOperators):
     """One iterative IMEX Euler step; returns (state, IterationReport)."""
-    return _step((state,), ops, budget_frac)
+    return _step((state,), ops)
 
 
-def step_iter_2sbdf(prev: FieldPair, curr: FieldPair, ops: HoleOperators,
-                    budget_frac: float = 1.0):
+def step_iter_2sbdf(prev: FieldPair, curr: FieldPair, ops: HoleOperators):
     """One iterative IMEX 2SBDF step; returns (state, IterationReport)."""
-    return _step((curr, prev), ops, budget_frac)
+    return _step((curr, prev), ops)
 
 
 def run_holes(state0: FieldPair, cfg: IterSchemeConfig,
@@ -224,29 +233,22 @@ def run_holes(state0: FieldPair, cfg: IterSchemeConfig,
     """Advance a masked-domain run; returns (final state, iteration reports).
 
     Reports cover the main-loop steps, not the 2SBDF start substeps.  The
-    time-proportional Theta budget grows as eps2 * t / horizon, so the final
-    step is held to eps2 exactly.  See `rect.run_loop`.
+    operators' `t_end` is t0 + horizon: the Theta budget grows as
+    eps2 * t / (t0 + horizon), and the final step is held to eps2 exactly.
     """
-    ops = build_hole_operators(grid, cfg, params, mask, correction, bdata)
+    ops = replace(build_hole_operators(grid, cfg, params, mask, correction, bdata),
+                  t_end=state0.t + horizon)
     reports = []
 
     def record(out):
         reports.append(out[1])
         return out[0]
 
-    def start(budget):
-        def substep_for(sub_dt):
-            sub_cfg = replace(cfg, order=EULER, dt=sub_dt)
-            sub_rect = build_rect_operators(grid, sub_cfg.scheme(), params, bdata)
-            sub_ops = replace(ops, rect=sub_rect, cfg=sub_cfg)
-            return lambda state: step_iter_euler(state, sub_ops, budget(state.t + sub_dt))[0]
-
-        return start_2sbdf(state0, cfg.dt, substep_for)
-
+    # The steppers are looked up by name on each call, as in `rect.run_rect`.
     final = run_loop(
-        state0, cfg, horizon, hooks,
-        euler=lambda state, frac: record(step_iter_euler(state, ops, frac)),
-        two_step=lambda prev, curr, frac: record(step_iter_2sbdf(prev, curr, ops, frac)),
-        start=start,
+        state0, ops, horizon, hooks,
+        euler=lambda state, ops: record(step_iter_euler(state, ops)),
+        two_step=lambda prev, curr, ops: record(step_iter_2sbdf(prev, curr, ops)),
+        substep=lambda state, ops: step_iter_euler(state, ops)[0],
     )
     return final, reports

@@ -14,7 +14,8 @@ with
     F2(phi)    = (c_L - 1) * h(phi)
 
 where h(phi) = -2*phi^3 + 3*phi^2 interpolates between the phases and
-g(phi) = phi^2 * (1 - phi)^2 is the double well.  All functions are applied
+g(phi) = phi^2 * (1 - phi)^2 is the double well; the reactions read only h,
+h' and g', so only those are coded.  All functions are applied
 entrywise on grid fields; phi is deliberately not clamped to [0, 1], the
 polynomials remain well defined for transient overshoots.
 """
@@ -27,8 +28,9 @@ import numpy as np
 
 __all__ = [
     "CorrosionParameters",
-    "eval_h_family",
-    "eval_g_family",
+    "interpolant",
+    "interpolant_slope",
+    "double_well_slope",
     "reaction_f1",
     "reaction_f2",
 ]
@@ -65,34 +67,31 @@ class CorrosionParameters:
             raise ValueError("c_L must lie in (0, 1)")
 
 
-def eval_h_family(phi):
-    """Return (h, h', h'') of the interpolant h(phi) = -2*phi^3 + 3*phi^2."""
+def interpolant(phi):
+    """h(phi) = -2*phi^3 + 3*phi^2."""
     phi = np.asarray(phi)
-    h = phi * phi * (3.0 - 2.0 * phi)
-    dh = 6.0 * phi * (1.0 - phi)
-    d2h = 6.0 - 12.0 * phi
-    return h, dh, d2h
+    return phi * phi * (3.0 - 2.0 * phi)
 
 
-def eval_g_family(phi):
-    """Return (g, g', g'') of the double well g(phi) = phi^2 * (1 - phi)^2."""
+def interpolant_slope(phi):
+    """h'(phi) = 6*phi*(1 - phi)."""
     phi = np.asarray(phi)
-    one_m = 1.0 - phi
-    g = phi * phi * one_m * one_m
-    dg = 2.0 * phi * one_m * (1.0 - 2.0 * phi)
-    d2g = (12.0 * phi - 12.0) * phi + 2.0
-    return g, dg, d2g
+    return 6.0 * phi * (1.0 - phi)
+
+
+def double_well_slope(phi):
+    """g'(phi) of the double well g(phi) = phi^2 * (1 - phi)^2."""
+    phi = np.asarray(phi)
+    return 2.0 * phi * (1.0 - phi) * (1.0 - 2.0 * phi)
 
 
 def reaction_f1(phi, c, p: CorrosionParameters):
     """Reaction term of the phi equation, applied entrywise."""
-    h, dh, _ = eval_h_family(phi)
-    _, dg, _ = eval_g_family(phi)
-    drive = np.asarray(c) - h * (1.0 - p.c_L) - p.c_L
-    return 2.0 * p.A * p.L * (1.0 - p.c_L) * drive * dh - p.omega * p.L * dg
+    drive = np.asarray(c) - interpolant(phi) * (1.0 - p.c_L) - p.c_L
+    return (2.0 * p.A * p.L * (1.0 - p.c_L) * drive * interpolant_slope(phi)
+            - p.omega * p.L * double_well_slope(phi))
 
 
 def reaction_f2(phi, p: CorrosionParameters):
     """Nonlinear flux contribution of the c equation, applied entrywise."""
-    h, _, _ = eval_h_family(phi)
-    return (p.c_L - 1.0) * h
+    return (p.c_L - 1.0) * interpolant(phi)

@@ -27,8 +27,8 @@ loads are built once with the operators (`RectOperators.load_phi`,
 
 A rectangle is the case without correction: one direct solve per field.  A
 cavity domain (`pitcorr.holes`) adds sparse corrections and an inner loop
-per solve.  2SBDF starts from ceil(4/dt) fine IMEX Euler substeps up to
-t = dt, and one run loop drives both domains.
+per solve.  One run loop and one 2SBDF start serve both domains: ceil(4/dt)
+fine IMEX Euler substeps up to t = dt, with the run's operators `retimed`.
 """
 
 from __future__ import annotations
@@ -183,20 +183,29 @@ class RectOperators:
     load_phi: np.ndarray | float
     load_c: np.ndarray | float
 
+    def retimed(self, order: str, dt: float) -> "RectOperators":
+        """These operators for scheme `order` and step `dt`: new solvers, same loads."""
+        cfg = replace(self.cfg, order=order, dt=dt)
+        phi, c = _shifted_solvers(self.grid, cfg, self.params)
+        return replace(self, phi=phi, c=c, cfg=cfg)
 
-def build_rect_operators(grid, cfg: SchemeConfig, params: CorrosionParameters,
-                         bdata: BoundaryData = BoundaryData()) -> RectOperators:
-    """Shift the grid's factorizations (computed once per grid) for one scheme,
-    and assemble the Dirichlet loads of `bdata`.
-    """
+
+def _shifted_solvers(grid, cfg: SchemeConfig, params: CorrosionParameters):
+    """The phi and c solvers of one scheme, shifted from the grid's factorizations."""
     coef = COEFFICIENTS[cfg.order]
 
     def operator(D, w):
         alpha, beta = coef.shifts(cfg.dt, w, D)
         return SylvesterOperator(beta, -alpha, grid.factorizations)
 
+    return operator(params.D_phi, cfg.w), operator(params.D_c, 0.0)
+
+
+def build_rect_operators(grid, cfg: SchemeConfig, params: CorrosionParameters,
+                         bdata: BoundaryData = BoundaryData()) -> RectOperators:
+    """The solvers of one scheme and the Dirichlet loads of `bdata`."""
     return RectOperators(
-        operator(params.D_phi, cfg.w), operator(params.D_c, 0.0), grid, params, cfg,
+        *_shifted_solvers(grid, cfg, params), grid, params, cfg,
         load_phi=boundary_contribution(grid, bdata, "phi"),
         load_c=boundary_contribution(grid, bdata, "c")
         + boundary_contribution(grid, bdata, "F2", params),
@@ -223,7 +232,7 @@ def matvec(A, U: np.ndarray) -> np.ndarray:
     return (A @ U.ravel(order="F")).reshape(U.shape, order="F")
 
 
-def imex_step(levels, ops: RectOperators, hole=None, budget_frac: float = 1.0):
+def imex_step(levels, ops: RectOperators, hole=None):
     """One step of `ops.cfg.order` from `levels`, newest first.
 
     Returns (state, loops), with loops the (iterations, last residual) of the
@@ -231,7 +240,8 @@ def imex_step(levels, ops: RectOperators, hole=None, budget_frac: float = 1.0):
     A `holes.HoleOperators` as `hole` confines the explicit terms to the
     physical region (`chi`), subtracts the known-level correction `G` on the
     extrapolated levels and `N12` from the Laplacian of F2, and solves each
-    field by its inner loop under the Theta budget fraction `budget_frac`.
+    field by its inner loop; the loop reads its Theta budget from `hole` and
+    the step's target time.
     """
     cfg, p, grid = ops.cfg, ops.params, ops.grid
     coef = COEFFICIENTS[cfg.order]
@@ -255,7 +265,7 @@ def imex_step(levels, ops: RectOperators, hole=None, budget_frac: float = 1.0):
     def solve(op, base, D, field, warm):
         if hole is None:
             return op.solve(base), (1, 0.0)
-        return hole.iterate(field, op.solve, base, sdt * D, warm, budget_frac)
+        return hole.iterate(field, op.solve, base, sdt * D, warm, t)
 
     def explicit_terms():
         for e, u in zip(coef.extrap, levels):
@@ -300,39 +310,30 @@ def bootstrap_substeps(dt: float):
     return count, dt / count
 
 
-def start_2sbdf(state0: FieldPair, dt: float, substep_for) -> FieldPair:
-    """The second 2SBDF level, at t0 + dt, from fine Euler substeps.
+def bootstrap_2sbdf(state0: FieldPair, ops, substep) -> FieldPair:
+    """The second 2SBDF level, at t0 + dt, from ceil(4/dt) fine IMEX Euler substeps.
 
-    `substep_for(sub_dt)` returns the function advancing one substep.
+    `ops` are a 2SBDF run's `RectOperators` or `holes.HoleOperators`, and
+    `substep(state, ops.retimed("euler", dt / count))` advances one substep.
     """
-    count, sub_dt = bootstrap_substeps(dt)
-    substep = substep_for(sub_dt)
+    count, sub_dt = bootstrap_substeps(ops.cfg.dt)
+    sub_ops = ops.retimed(EULER, sub_dt)
     state = state0
     for _ in range(count):
-        state = substep(state)
-    return replace(state, t=state0.t + dt, step_index=state0.step_index + 1)
+        state = substep(state, sub_ops)
+    return replace(state, t=state0.t + ops.cfg.dt, step_index=state0.step_index + 1)
 
 
-def bootstrap_2sbdf(state0: FieldPair, cfg: SchemeConfig,
-                    params: CorrosionParameters, grid,
-                    bdata: BoundaryData):
-    """Produce the second 2SBDF starting value by fine IMEX Euler substeps."""
-
-    def substep_for(sub_dt):
-        sub_ops = build_rect_operators(grid, SchemeConfig(EULER, sub_dt, cfg.w), params, bdata)
-        return lambda state: step_imex_euler_rect(state, sub_ops)
-
-    return state0, start_2sbdf(state0, cfg.dt, substep_for)
-
-
-def run_loop(state0: FieldPair, cfg, horizon: float, hooks, euler, two_step, start):
+def run_loop(state0: FieldPair, ops, horizon: float, hooks, euler, two_step,
+             substep=None):
     """Advance `state0` by `horizon`, a multiple of dt, on any domain.
 
-    `euler(state, budget_frac)` and `two_step(prev, curr, budget_frac)` return
-    the next level; `start(budget)` returns the second 2SBDF level, where
-    budget(t) = t / (t0 + horizon) is the Theta budget fraction at time t.
-    `hooks` are called with each completed level, the initial one included.
+    `euler(state, ops)` and `two_step(prev, curr, ops)` return the next level
+    under the run's operators `ops`.  A 2SBDF run takes its second level from
+    `bootstrap_2sbdf` with `substep` (default `euler`).  `hooks` are called
+    with each completed level, the initial one included.
     """
+    cfg = ops.cfg
     n_steps = round(horizon / cfg.dt)
     if abs(n_steps * cfg.dt - horizon) > 1e-12 * max(1.0, horizon):
         raise ValueError("horizon must be an integer multiple of dt")
@@ -340,18 +341,14 @@ def run_loop(state0: FieldPair, cfg, horizon: float, hooks, euler, two_step, sta
     for hook in hooks:
         hook(state0)
 
-    def budget(t):
-        return t / (state0.t + horizon)
-
     prev, curr = None, state0
     for _ in range(n_steps):
-        frac = budget(curr.t + cfg.dt)
         if cfg.order == EULER:
-            nxt = euler(curr, frac)
+            nxt = euler(curr, ops)
         elif prev is None:
-            nxt = start(budget)
+            nxt = bootstrap_2sbdf(curr, ops, substep or euler)
         else:
-            nxt = two_step(prev, curr, frac)
+            nxt = two_step(prev, curr, ops)
         prev, curr = curr, nxt
         for hook in hooks:
             hook(curr)
@@ -361,10 +358,10 @@ def run_loop(state0: FieldPair, cfg, horizon: float, hooks, euler, two_step, sta
 def run_rect(state0: FieldPair, cfg: SchemeConfig, params: CorrosionParameters,
              grid, bdata: BoundaryData, horizon: float, hooks=()):
     """Advance a rectangle to `horizon` (a step multiple); see `run_loop`."""
-    ops = build_rect_operators(grid, cfg, params, bdata)
+    # The steppers are looked up by name on each call, so that a rebound
+    # module attribute (as the benchmark installs) is the one called.
     return run_loop(
-        state0, cfg, horizon, hooks,
-        euler=lambda state, _: step_imex_euler_rect(state, ops),
-        two_step=lambda prev, curr, _: step_imex_2sbdf_rect(prev, curr, ops),
-        start=lambda _: bootstrap_2sbdf(state0, cfg, params, grid, bdata)[1],
+        state0, build_rect_operators(grid, cfg, params, bdata), horizon, hooks,
+        euler=lambda state, ops: step_imex_euler_rect(state, ops),
+        two_step=lambda prev, curr, ops: step_imex_2sbdf_rect(prev, curr, ops),
     )

@@ -228,8 +228,8 @@ def test_criterion_06_spectral_radius_validation(capfd):
     corr = build_correction_matrices(g, mask)
     alpha, beta = iteration_shifts("euler", "c", 1e-5, W, PARAMS)
 
-    actual_i = actual_spectral_radius(alpha, beta, g.laplacians, corr.N12)
-    actual_e = actual_spectral_radius(alpha, beta, g.laplacians, corr.N1)
+    actual_i = actual_spectral_radius(alpha, beta, g, corr.N12)
+    actual_e = actual_spectral_radius(alpha, beta, g, corr.N1)
 
     def q(variant, dt, h, geometry="generic"):
         return BoundQuery(variant=variant, order="euler", bc_outer="neumann",
@@ -266,7 +266,7 @@ def test_criterion_06_spectral_radius_validation(capfd):
                 if bound is INADMISSIBLE:
                     continue
                 a, b = iteration_shifts("euler", "c", float(dt), W, PARAMS)
-                actual = actual_spectral_radius(a, b, gs.laplacians, N)
+                actual = actual_spectral_radius(a, b, gs, N)
                 checked += 1
                 if actual > bound + 1e-12:
                     dominance_ok = False

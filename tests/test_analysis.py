@@ -20,7 +20,7 @@ from pitcorr.grid import (
     build_grid,
     rasterize_mask,
 )
-from pitcorr.linalg import kronecker_sum
+from pitcorr.linalg import factorization_count, kronecker_sum
 from pitcorr.model import CorrosionParameters
 from pitcorr.rect import FieldPair
 
@@ -129,14 +129,14 @@ class TestActualSpectralRadius:
     def test_zero_correction(self, params):
         g = build_grid(GridSpec((5e-6, 5e-6), (6, 6), (NN, NN)))
         N = sp.csr_matrix((36, 36))
-        assert actual_spectral_radius(1e-8, 1.0, g.laplacians, N) == 0.0
+        assert actual_spectral_radius(1e-8, 1.0, g, N) == 0.0
 
     def test_matches_dense_eigendecomposition(self, params):
         g = build_grid(GridSpec((9e-6, 9e-6), (10, 10), (NN, NN)))
         mask = rasterize_mask(g, (Circle((4e-6, 4e-6), 1.5e-6),))
         corr = build_correction_matrices(g, mask)
         alpha, beta = iteration_shifts("euler", "c", 1e-5, W, params)
-        rho = actual_spectral_radius(alpha, beta, g.laplacians, corr.N12)
+        rho = actual_spectral_radius(alpha, beta, g, corr.N12)
 
         M = kronecker_sum(g.laplacians).toarray()
         Sigma = -alpha * np.linalg.solve(
@@ -144,6 +144,17 @@ class TestActualSpectralRadius:
         )
         rho_dense = np.max(np.abs(np.linalg.eigvals(Sigma)))
         assert rho == pytest.approx(rho_dense, abs=1e-8)
+
+    def test_shares_the_grid_factorizations(self, params):
+        # The solver and the analysis shift the same factorization per axis.
+        g = build_grid(GridSpec((9e-6, 9e-6), (10, 10), (NN, NN)))
+        mask = rasterize_mask(g, (Circle((4e-6, 4e-6), 1.5e-6),))
+        corr = build_correction_matrices(g, mask)
+        alpha, beta = iteration_shifts("euler", "c", 1e-5, W, params)
+        before = factorization_count()
+        actual_spectral_radius(alpha, beta, g, corr.N12)
+        actual_spectral_radius(alpha, beta, g, corr.N1)
+        assert factorization_count() - before <= g.ndim
 
     @pytest.fixture
     def pit_grid(self):
@@ -154,7 +165,7 @@ class TestActualSpectralRadius:
     def test_implicit_anchor(self, params, pit_grid):
         g, corr = pit_grid
         alpha, beta = iteration_shifts("euler", "c", 1e-5, W, params)
-        rho = actual_spectral_radius(alpha, beta, g.laplacians, corr.N12)
+        rho = actual_spectral_radius(alpha, beta, g, corr.N12)
         assert rho == pytest.approx(5.59e-2, rel=0.05)
         bound = bound_spectral_radius(query())
         assert rho <= bound
@@ -162,7 +173,7 @@ class TestActualSpectralRadius:
     def test_explicit_anchor(self, params, pit_grid):
         g, corr = pit_grid
         alpha, beta = iteration_shifts("euler", "c", 1e-5, W, params)
-        rho = actual_spectral_radius(alpha, beta, g.laplacians, corr.N1)
+        rho = actual_spectral_radius(alpha, beta, g, corr.N1)
         assert rho == pytest.approx(1.3538e-4, rel=0.05)
         bound = bound_spectral_radius(query(variant="imex-e", geometry="circle"))
         assert rho <= bound

@@ -25,6 +25,8 @@ from pitcorr.rect import (
     BoundaryData,
     FieldPair,
     SchemeConfig,
+    bootstrap_2sbdf,
+    bootstrap_substeps,
     boundary_contribution,
     build_rect_operators,
     run_rect,
@@ -301,6 +303,33 @@ class TestFailureModes:
         with pytest.raises(ConvergenceError) as exc:
             step_iter_euler(state, ops)
         assert exc.value.last_residual is not None
+
+
+class TestBootstrap:
+    def test_bootstrap_matches_manual_substeps(self, params):
+        # A 10 um grid is coarse enough for the c loop to converge at dt = 0.5,
+        # where the start takes 8 substeps.
+        g = build_grid(GridSpec((100e-6, 100e-6), (11, 11), (NN, NN)))
+        mask = rasterize_mask(g, (Circle((50e-6, 50e-6), 15e-6),))
+        corr = build_correction_matrices(g, mask)
+        cfg = iter_cfg(variant="imex-e", order="2sbdf", dt=0.5)
+        ops = build_hole_operators(g, cfg, params, mask, corr, BoundaryData.homogeneous(2))
+        state0 = pit_state(g, mask)
+
+        curr = bootstrap_2sbdf(state0, ops, lambda state, sub: step_iter_euler(state, sub)[0])
+        assert curr.t == pytest.approx(cfg.dt)
+        assert curr.step_index == 1
+
+        count, sub = bootstrap_substeps(cfg.dt)
+        sub_ops = ops.retimed("euler", sub)
+        assert sub_ops.cfg.order == sub_ops.rect.cfg.order == "euler"
+        assert sub_ops.cfg.dt == sub_ops.rect.cfg.dt == sub
+        assert sub_ops.N is ops.N and sub_ops.chi is ops.chi and sub_ops.mask is ops.mask
+        manual = state0
+        for _ in range(count):
+            manual = step_iter_euler(manual, sub_ops)[0]
+        np.testing.assert_array_equal(curr.Phi, manual.Phi)
+        np.testing.assert_array_equal(curr.C, manual.C)
 
 
 class TestRunHoles:

@@ -4,8 +4,9 @@ from hypothesis import given, strategies as st
 
 from pitcorr.model import (
     CorrosionParameters,
-    eval_g_family,
-    eval_h_family,
+    double_well_slope,
+    interpolant,
+    interpolant_slope,
     reaction_f1,
     reaction_f2,
 )
@@ -16,40 +17,36 @@ def params():
     return CorrosionParameters()
 
 
+def double_well(x):
+    return x * x * (1.0 - x) ** 2
+
+
 class TestInterpolationFamilies:
     def test_h_endpoints(self):
         for x, (h, hp) in [(0.0, (0.0, 0.0)), (1.0, (1.0, 0.0)), (0.5, (0.5, 1.5))]:
-            val, der, _ = eval_h_family(np.array(x))
-            assert val == pytest.approx(h)
-            assert der == pytest.approx(hp)
+            assert interpolant(np.array(x)) == pytest.approx(h)
+            assert interpolant_slope(np.array(x)) == pytest.approx(hp)
 
     def test_g_endpoints(self):
         for x, (g, gp) in [(0.0, (0.0, 0.0)), (1.0, (0.0, 0.0)), (0.5, (0.0625, 0.0))]:
-            val, der, _ = eval_g_family(np.array(x))
-            assert val == pytest.approx(g)
-            assert der == pytest.approx(gp)
+            assert double_well(x) == pytest.approx(g)
+            assert double_well_slope(np.array(x)) == pytest.approx(gp)
 
     @given(st.floats(-0.5, 1.5))
     def test_h_derivatives_consistent(self, x):
         eps = 1e-6
-        _, der, second = eval_h_family(np.array(x))
-        lo, _, _ = eval_h_family(np.array(x - eps))
-        hi, _, _ = eval_h_family(np.array(x + eps))
+        der = interpolant_slope(np.array(x))
+        lo = interpolant(np.array(x - eps))
+        hi = interpolant(np.array(x + eps))
         assert der == pytest.approx((hi - lo) / (2 * eps), abs=1e-6)
-        _, dlo, _ = eval_h_family(np.array(x - eps))
-        _, dhi, _ = eval_h_family(np.array(x + eps))
-        assert second == pytest.approx((dhi - dlo) / (2 * eps), abs=1e-5)
 
     @given(st.floats(-0.5, 1.5))
     def test_g_derivatives_consistent(self, x):
         eps = 1e-6
-        _, der, second = eval_g_family(np.array(x))
-        lo, _, _ = eval_g_family(np.array(x - eps))
-        hi, _, _ = eval_g_family(np.array(x + eps))
+        der = double_well_slope(np.array(x))
+        lo = double_well(x - eps)
+        hi = double_well(x + eps)
         assert der == pytest.approx((hi - lo) / (2 * eps), abs=1e-6)
-        _, dlo, _ = eval_g_family(np.array(x - eps))
-        _, dhi, _ = eval_g_family(np.array(x + eps))
-        assert second == pytest.approx((dhi - dlo) / (2 * eps), abs=1e-5)
 
 
 class TestReactions:
@@ -68,8 +65,8 @@ class TestReactions:
     def test_f1_matches_definition(self, params):
         phi = np.linspace(0.1, 0.9, 7)
         c = np.linspace(0.2, 1.0, 7)
-        h, hp, _ = eval_h_family(phi)
-        _, gp, _ = eval_g_family(phi)
+        h, hp = interpolant(phi), interpolant_slope(phi)
+        gp = double_well_slope(phi)
         p = params
         expected = (
             2.0 * p.A * p.L * (1.0 - p.c_L)
