@@ -9,8 +9,8 @@ correction.  This module provides
   (implicit N1+N2 vs explicit N1), outer boundary kind and equation,
 * the sufficient step-size conditions guaranteeing contraction,
 * the exact spectral radius, computed on the structural column support of N
-  (the nonzero spectrum of Sigma equals that of a small dense matrix built
-  from one Sylvester solve per support column),
+  (the nonzero spectrum of Sigma equals that of -alpha*K, with K the
+  capacitance (A^{-1} N_S)_S that the exact cavity solve factorizes),
 * front-position probing and relative error norms for the benchmark runs.
 
 With (s, gamma) = (1, 1) for Euler and (2, 3/2) for 2SBDF, read from the
@@ -29,7 +29,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .holes import IMEX_E, IMEX_I
-from .linalg import SylvesterOperator
+from .linalg import SylvesterOperator, support_images, support_inverse
 from .model import CorrosionParameters
 from .rect import COEFFICIENTS
 
@@ -195,23 +195,15 @@ def actual_spectral_radius(alpha: float, beta: float, grid,
     """Exact rho(-alpha * (beta*I - alpha*M)^{-1} * N) on `grid`.
 
     Sigma acts through the columns of N only, so its nonzero spectrum equals
-    that of the small matrix T[p, q] = Sigma[support_p, support_q] over the
-    structural column support; each column of T costs one solve on the grid's
-    factorizations, which the time steppers share.
+    that of the small matrix T = Sigma[S, S] = -alpha*K over the structural
+    column support S, with K = `linalg.support_inverse`, the capacitance of
+    the exact cavity solve, built on the grid's factorizations.
     """
-    N = N.tocsc()
-    N.eliminate_zeros()
-    if N.nnz == 0:
+    images = support_images(grid.factorizations, N)
+    if images.support.size == 0:
         return 0.0
-    support = np.flatnonzero(np.diff(N.indptr) > 0)
-    op = SylvesterOperator(beta, -alpha, grid.factorizations)
-    shape = op.shape
-    T = np.empty((support.size, support.size))
-    for col, j in enumerate(support):
-        ncol = N[:, [j]].toarray().ravel()
-        w = op.solve((-alpha * ncol).reshape(shape, order="F"))
-        T[:, col] = w.ravel(order="F")[support]
-    return float(np.max(np.abs(np.linalg.eigvals(T))))
+    K = support_inverse(SylvesterOperator(beta, -alpha, grid.factorizations), images)
+    return float(np.max(np.abs(np.linalg.eigvals(-alpha * K))))
 
 
 def front_position(state, grid, axis: int, threshold: float = 0.5) -> float:

@@ -16,6 +16,13 @@ the time-proportional budget eps2 * t/T (T is `HoleOperators.t_end`) or
 have stagnated below eps3.  The reduced mode performs a single phi iteration
 and stops the c loop on the global change only.  With an empty Theta the
 step is the rectangle step, and a run starts 2SBDF as a rectangle does.
+
+The exact stop mode solves each field's system (A + alpha*N) u = base, the
+loop's limit, directly: `HoleOperators.cap_phi` and `cap_c` hold the
+capacitance of N for the phi and the c solver (`linalg.Capacitance`), built
+with the operators, and each field takes one solve with it per step.  It
+needs no tolerances and leaves Theta at round-off, but its set-up grows with
+the support of N; the paper's loop stays the reference method.
 """
 
 from __future__ import annotations
@@ -25,6 +32,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .linalg import Capacitance, support_images
 from .model import CorrosionParameters
 from .rect import (
     BoundaryData,
@@ -54,12 +62,17 @@ IMEX_I = "imex-i"
 IMEX_E = "imex-e"
 FULL = "full"
 REDUCED = "reduced"
+EXACT = "exact"
 
 
 class ConvergenceError(RuntimeError):
-    def __init__(self, message, last_residual=None):
+    """An inner loop of `field` ran out of iterations in the step to time `t`."""
+
+    def __init__(self, message, last_residual=None, field=None, t=None):
         super().__init__(message)
         self.last_residual = last_residual
+        self.field = field
+        self.t = t
 
 
 @dataclass(frozen=True)
@@ -71,14 +84,14 @@ class IterSchemeConfig:
     eps1: float = 1e-4
     eps2: float = 1e-3
     eps3: float = 1e-8
-    stop_mode: str = FULL  # 'full' | 'reduced'
+    stop_mode: str = FULL  # 'full' | 'reduced' | 'exact'
     max_iters: int = 500
 
     def __post_init__(self):
         SchemeConfig(self.order, self.dt, self.w)  # reuse validation
         if self.variant not in (IMEX_I, IMEX_E):
             raise ValueError(f"unknown variant {self.variant!r}")
-        if self.stop_mode not in (FULL, REDUCED):
+        if self.stop_mode not in (FULL, REDUCED, EXACT):
             raise ValueError(f"unknown stop mode {self.stop_mode!r}")
         if min(self.eps1, self.eps2, self.eps3) <= 0.0:
             raise ValueError("tolerances must be positive")
@@ -107,7 +120,8 @@ class HoleOperators:
     """Shared per-run machinery: Sylvester solvers, mask and sparse corrections.
 
     `t_end` is the time T of the Theta budget eps2 * t/T; with None (the
-    default) the budget is eps2 on every step.
+    default) the budget is eps2 on every step.  `cap_phi` and `cap_c` are
+    the capacitances of N for the exact stop mode, None otherwise.
     """
 
     rect: object
@@ -118,19 +132,30 @@ class HoleOperators:
     N12: object  # N1 + N2, for the masked Laplacian action
     chi: np.ndarray  # indicator of the physical region
     t_end: float | None = None
+    cap_phi: Capacitance | None = None
+    cap_c: Capacitance | None = None
 
     @property
     def trivial(self) -> bool:
         return self.N.nnz == 0 and (self.G is None or self.G.nnz == 0)
 
     def retimed(self, order: str, dt: float) -> "HoleOperators":
-        """These operators for scheme `order` and step `dt`; see `RectOperators.retimed`."""
-        return replace(self, rect=self.rect.retimed(order, dt),
-                       cfg=replace(self.cfg, order=order, dt=dt))
+        """These operators for scheme `order` and step `dt`; see `RectOperators.retimed`.
+
+        The capacitances are rebuilt for the new solvers from the same images of N.
+        """
+        rect = self.rect.retimed(order, dt)
+        images = self.cap_phi.images if self.cap_phi is not None else None
+        return replace(self, rect=rect, cfg=replace(self.cfg, order=order, dt=dt),
+                       **_capacitances(rect, images))
 
     def iterate(self, field, solve, base, scale, warm, t):
         """Solve u = solve(base - scale * N u) from `warm` by fixed-point iteration
         in the step to time `t`; returns (solution, (iterations, last residual)).
+
+        In the exact stop mode `solve` applies the field's capacitance once and
+        returns the limit itself, reported as (1, 0.0); `scale` is then the
+        capacitance's alpha.
 
         The time-proportional Theta-level budget applies to the c loop only.
         The phi iteration contracts fast enough to always run to Theta
@@ -140,6 +165,8 @@ class HoleOperators:
         holes carry.
         """
         cfg = self.cfg
+        if cfg.stop_mode == EXACT:
+            return solve(base, self.cap_phi if field == "phi" else self.cap_c), (1, 0.0)
         frac = 1.0 if self.t_end is None else t / self.t_end
         eps2_budget = cfg.eps2 * frac if field == "c" else 0.0
         u = warm
@@ -157,27 +184,45 @@ class HoleOperators:
                     return u_next, (k, resid)
             u = u_next
         raise ConvergenceError(
-            f"{field} iteration exceeded max_iters={cfg.max_iters} "
-            f"(last residual {resid:.3e})",
+            f"{field} iteration exceeded max_iters={cfg.max_iters} in the step "
+            f"to t={t:.6g} s (last residual {resid:.3e})",
             last_residual=resid,
+            field=field,
+            t=t,
         )
+
+
+def _capacitances(rect, images) -> dict:
+    """`cap_phi` and `cap_c` of `rect`'s solvers for N's images (None: no capacitance)."""
+    if images is None:
+        return dict(cap_phi=None, cap_c=None)
+    return dict(cap_phi=Capacitance(rect.phi, images), cap_c=Capacitance(rect.c, images))
 
 
 def build_hole_operators(grid, cfg: IterSchemeConfig, params: CorrosionParameters,
                          mask, correction, bdata=BoundaryData()) -> HoleOperators:
+    """The operators of a cavity run; the exact stop mode also builds the
+    capacitances of N here, so that no step pays for them."""
     N12 = correction.N12
     if cfg.variant == IMEX_I:
         N, G = N12, None
     else:
         N, G = correction.N1, correction.N2
+    rect = build_rect_operators(grid, cfg.scheme(), params, bdata)
+    images = None
+    if cfg.stop_mode == EXACT:
+        images = support_images(grid.factorizations, N)
+        if images.support.size == 0:
+            images = None  # N is zero: the plain solve is exact
     return HoleOperators(
-        rect=build_rect_operators(grid, cfg.scheme(), params, bdata),
+        rect=rect,
         cfg=cfg,
         mask=mask,
         N=N,
         G=G,
         N12=N12,
         chi=(~mask.theta).astype(float),
+        **_capacitances(rect, images),
     )
 
 

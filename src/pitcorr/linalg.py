@@ -20,6 +20,24 @@ with o the Hadamard product.  In 3D the right-hand side is additionally
 transformed along the third axis, each slice j carrying the scalar shift
 a + b*lz_j; this is implemented as one dense reciprocal table over all
 eigenvalue triplets.
+
+A sparse correction N of the Laplacian, (a*I + b*(M - N)) X = Y, is solved
+exactly by the capacitance-matrix method (Buzbee, Dorr, George & Golub,
+SIAM J. Numer. Anal. 8, 1971; Proskurowski & Widlund, Math. Comp. 30,
+1976).  With A = a*I + b*M, alpha = -b and S the s columns that N touches,
+Sherman-Morrison-Woodbury gives
+
+    y = A^{-1} Y,   (I + alpha*K) x_S = y_S,   X = A^{-1} (Y - alpha*N_S x_S),
+
+with the capacitance K = (A^{-1} N_S)_S, an s x s matrix.  K is formed in
+the eigenbasis: the unit vector at each nonzero row r of N_S has a rank-one
+spectral image, the outer product over the axes of the Gamma^{-1} columns
+at r's coordinates, and a value at a point of S is read with one row of
+each Gamma.  K thus costs s * (rows of N_S) * nodes products and no solve
+(`support_images`, `support_inverse`); phi and c share the images.  `SylvesterOperator.solve`
+with a `Capacitance` applies all three formulas inside the one forward and
+one backward transform of a plain solve: y_S is read off the transformed
+right-hand side, and alpha*N_S x_S is subtracted as its spectral image.
 """
 
 from __future__ import annotations
@@ -34,6 +52,10 @@ __all__ = [
     "Laplacian1D",
     "SpectralFactorization",
     "SylvesterOperator",
+    "SupportImages",
+    "Capacitance",
+    "support_images",
+    "support_inverse",
     "laplacian_1d",
     "spectral_factorize",
     "build_operator",
@@ -190,16 +212,22 @@ class SylvesterOperator:
     def shape(self):
         return tuple(f.lam.size for f in self.facts)
 
-    def solve(self, Y: np.ndarray) -> np.ndarray:
+    def solve(self, Y: np.ndarray, capacitance=None) -> np.ndarray:
+        """X with (a*I + b*M) X = Y, or (a*I + b*(M - N)) X = Y given the
+        `Capacitance` of N built for this operator."""
         if Y.shape != self.shape:
             raise ValueError(f"right-hand side shape {Y.shape} != {self.shape}")
         self.solve_count += 1
         if len(self.facts) == 2:
             fx, fy = self.facts
             W = fx.GammaInv @ Y @ fy.GammaInv.T
+            if capacitance is not None:
+                W = capacitance.corrected(W, self)
             return fx.Gamma @ (self.Upsilon * W) @ fy.Gamma.T
         fx, fy, fz = self.facts
         W = _mode_products(fx.GammaInv, fy.GammaInv, fz.GammaInv, Y)
+        if capacitance is not None:
+            W = capacitance.corrected(W, self)
         W *= self.Upsilon
         return _mode_products(fx.Gamma, fy.Gamma, fz.Gamma, W)
 
@@ -209,6 +237,110 @@ def _mode_products(Ax, Ay, Az, Y: np.ndarray) -> np.ndarray:
     W = np.tensordot(Ax, Y, axes=(1, 0))
     W = np.tensordot(Ay, W, axes=(1, 1)).transpose(1, 0, 2)
     return np.tensordot(Az, W, axes=(1, 2)).transpose(1, 2, 0)
+
+
+@dataclass(frozen=True)
+class SupportImages:
+    """A sparse correction N seen from the eigenbasis of its factorizations.
+
+    `support` holds the flat (column-stacked) indices S of N's nonzero
+    columns and `rows` those of the nonzero rows of N_S; `block` is the dense
+    N[rows, S].  Per axis, `at_support` holds the rows of Gamma at the
+    coordinates of S (s x m) and `images` the columns of Gamma^{-1} at the
+    coordinates of `rows` (m x R): the spectral image of the unit vector at
+    rows[r] is the outer product of the images' r-th columns.
+    """
+
+    support: np.ndarray
+    rows: np.ndarray
+    block: np.ndarray
+    at_support: tuple
+    images: tuple
+
+
+def support_images(facts, N: sp.spmatrix) -> SupportImages:
+    """The `SupportImages` of N, without its explicitly stored zeros."""
+    facts = tuple(facts)
+    shape = tuple(f.lam.size for f in facts)
+    N = sp.csc_matrix(N, copy=True)
+    N.eliminate_zeros()
+    support = np.flatnonzero(np.diff(N.indptr) > 0)
+    N_S = N[:, support]
+    rows = np.unique(N_S.indices)
+    at_support = np.unravel_index(support, shape, order="F")
+    at_rows = np.unravel_index(rows, shape, order="F")
+    return SupportImages(
+        support=support,
+        rows=rows,
+        block=N_S[rows].toarray(),
+        at_support=tuple(f.Gamma[i] for f, i in zip(facts, at_support)),
+        images=tuple(f.GammaInv[:, i] for f, i in zip(facts, at_rows)),
+    )
+
+
+def support_inverse(op: SylvesterOperator, images: SupportImages) -> np.ndarray:
+    """The capacitance K = (A^{-1} N_S)_S of `op` = A, with no solve.
+
+    K = sum_r (A^{-1} e_rows[r])_S N[rows[r], S], and each (A^{-1} e_r)_S
+    contracts Upsilon with the images of e_r and the Gamma rows at S.
+    """
+    s, R = images.support.size, images.rows.size
+    # Per axis, (s*R, m): the Gamma row at S times the image of each row.
+    pairs = [
+        (P[:, None, :] * I.T[None, :, :]).reshape(s * R, -1)
+        for P, I in zip(images.at_support, images.images)
+    ]
+    T = np.tensordot(op.Upsilon, pairs[-1], axes=(-1, 1))
+    for U in reversed(pairs[:-1]):
+        T = np.einsum("...pk,kp->...k", T, U)
+    return T.reshape(s, R) @ images.block
+
+
+class Capacitance:
+    """The exact solve of (a*I + b*(M - N)) X = Y for one `SylvesterOperator`.
+
+    Holds N's `SupportImages` and the LU factors of I + alpha*K, with
+    alpha = -b and K = `support_inverse(op, images)`.  A numerically
+    singular I + alpha*K (condition number 1e12 or more) raises
+    ArithmeticError here, as a singular shift does in `SylvesterOperator`.
+    Immutable after construction.
+    """
+
+    def __init__(self, op: SylvesterOperator, images: SupportImages):
+        self.images = images
+        self.alpha = -op.b
+        C = np.eye(images.support.size) + self.alpha * support_inverse(op, images)
+        if not np.linalg.cond(C) < 1e12:
+            raise ArithmeticError("singular capacitance: I + alpha*K is not invertible")
+        self.lu = spla.lu_factor(C)
+
+    def corrected(self, W: np.ndarray, op: SylvesterOperator) -> np.ndarray:
+        """The transformed right-hand side W of `op`, the operator this was
+        built for, minus the spectral image of alpha*N_S x_S."""
+        images = self.images
+        y_S = _at_points(images.at_support, op.Upsilon * W)
+        # Unchecked, so that a non-finite right-hand side reaches the step's
+        # finiteness check as it does without a capacitance.
+        x_S = spla.lu_solve(self.lu, y_S, check_finite=False)
+        weights = -self.alpha * (images.block @ x_S)
+        return W + _outer_sum(images.images, weights)
+
+
+def _at_points(rows, V: np.ndarray) -> np.ndarray:
+    """Values at s points of the field with spectral coefficients V, given the
+    per-axis Gamma rows (s x m) at the points' coordinates."""
+    T = (rows[0] @ V.reshape(V.shape[0], -1)).reshape(-1, *V.shape[1:])
+    for P in rows[1:]:
+        T = np.einsum("kp...,kp->k...", T, P)
+    return T
+
+
+def _outer_sum(factors, weights: np.ndarray) -> np.ndarray:
+    """sum_r weights_r * (x)_axis factors[axis][:, r]."""
+    head = factors[0] * weights
+    for f in factors[1:-1]:
+        head = head[..., None, :] * f
+    return head @ factors[-1].T
 
 
 def build_operator(a: float, b: float, laplacians) -> SylvesterOperator:

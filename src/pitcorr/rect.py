@@ -27,7 +27,7 @@ loads are built once with the operators (`RectOperators.load_phi`,
 
 A rectangle is the case without correction: one direct solve per field.  A
 cavity domain (`pitcorr.holes`) adds sparse corrections and an inner loop
-per solve.  One run loop and one 2SBDF start serve both domains: ceil(4/dt)
+per solve, or in its exact stop mode one capacitance-corrected solve.  One run loop and one 2SBDF start serve both domains: ceil(4/dt)
 fine IMEX Euler substeps up to t = dt, with the run's operators `retimed`.
 """
 

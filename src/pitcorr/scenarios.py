@@ -100,6 +100,7 @@ def builtin_scenarios() -> dict:
                 "dt": 2.0e-3,
                 "w": DEFAULT_FIXED_W,
                 "eps": [1.0e-4, 1.0e-3, 1.0e-8],
+                "stop_mode": "exact",
             },
             "horizon": 100.0,
             "snapshot_times": [0.0, 20.0, 70.0, 100.0],

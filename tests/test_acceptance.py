@@ -206,7 +206,10 @@ def test_criterion_04_sqrt_t_front_law(capfd):
 
 @pytest.mark.slow
 def test_criterion_05_theta_error_control(capfd):
-    cfg = parse_config(_raw("circular_pit"))
+    # The paper's inner loop; the builtin scenario solves each step exactly.
+    raw = _raw("circular_pit")
+    raw["scheme"]["stop_mode"] = "full"
+    cfg = parse_config(raw)
     artifacts = run_scenario(cfg)
     reports = artifacts.reports
     final = reports[-1]
@@ -283,7 +286,7 @@ def test_criterion_07_iteration_count_behavior(capfd):
     # Long run: second-order explicit-variant c-iterations settle below 15.
     raw = _raw("circular_pit")
     raw["scheme"].update(order="2sbdf", dt=6e-3, variant="imex-e",
-                         eps=[1e-4, 1e-3, 3e-8])
+                         eps=[1e-4, 1e-3, 3e-8], stop_mode="full")
     raw["horizon"] = 16666 * 6e-3
     raw["snapshot_times"] = [0.0]
     artifacts = run_scenario(parse_config(raw))
@@ -295,7 +298,7 @@ def test_criterion_07_iteration_count_behavior(capfd):
     for variant in ("imex-e", "imex-i"):
         raw = _raw("circular_pit")
         raw["scheme"].update(order="2sbdf", dt=6e-3, variant=variant,
-                             eps=[1e-4, 1e-3, 3e-8])
+                             eps=[1e-4, 1e-3, 3e-8], stop_mode="full")
         raw["horizon"] = 3.0
         raw["snapshot_times"] = [0.0]
         art = run_scenario(parse_config(raw))

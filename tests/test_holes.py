@@ -4,6 +4,7 @@ import scipy.sparse as sp
 
 from pitcorr.grid import (
     Circle,
+    CylinderSegment,
     DomainMask,
     GridSpec,
     build_correction_matrices,
@@ -19,7 +20,7 @@ from pitcorr.holes import (
     step_iter_2sbdf,
     step_iter_euler,
 )
-from pitcorr.linalg import factorization_count, kronecker_sum
+from pitcorr.linalg import Capacitance, factorization_count, kronecker_sum
 from pitcorr.model import CorrosionParameters, reaction_f1, reaction_f2
 from pitcorr.rect import (
     BoundaryData,
@@ -32,7 +33,7 @@ from pitcorr.rect import (
     run_rect,
     step_imex_euler_rect,
 )
-from pitcorr.scenarios import load_config
+from pitcorr.scenarios import builtin_scenarios, load_config, parse_config, run_scenario
 
 NN = ("neumann", "neumann")
 W = 4.43e8
@@ -76,6 +77,9 @@ class TestConfigValidation:
             iter_cfg(stop_mode="lenient")
         with pytest.raises(ValueError):
             iter_cfg(max_iters=0)
+
+    def test_accepts_exact(self):
+        assert iter_cfg(stop_mode="exact").stop_mode == "exact"
 
 
 class TestStopCriteria:
@@ -134,6 +138,25 @@ class TestOperators:
         run_holes(pit_state(g, mask), cfg, params, g, mask, corr,
                   BoundaryData.homogeneous(2), 3 * cfg.dt)
         assert factorization_count() - before == g.ndim
+
+    def test_exact_builds_capacitances_with_the_operators(self, pit_setup, params):
+        g, mask, corr = pit_setup
+        loop = build_hole_operators(g, iter_cfg(variant="imex-e"), params, mask, corr)
+        assert loop.cap_phi is None and loop.cap_c is None
+
+        cfg = iter_cfg(variant="imex-e", order="2sbdf", dt=6e-3, stop_mode="exact")
+        ops = build_hole_operators(g, cfg, params, mask, corr)
+        assert isinstance(ops.cap_phi, Capacitance) and isinstance(ops.cap_c, Capacitance)
+        assert ops.cap_phi.alpha == -ops.rect.phi.b
+        assert ops.cap_c.alpha == -ops.rect.c.b
+        # Phi and c share the images of N; only the shifts differ.
+        assert ops.cap_c.images is ops.cap_phi.images
+        before = factorization_count()
+        sub = ops.retimed("euler", 1e-3)
+        assert factorization_count() == before
+        assert sub.cap_phi.images is ops.cap_phi.images
+        assert sub.cap_phi.alpha == -sub.rect.phi.b != ops.cap_phi.alpha
+        assert sub.cap_c.alpha == -sub.rect.c.b != ops.cap_c.alpha
 
 
 class TestTrivialMask:
@@ -210,13 +233,15 @@ def converged_dense_euler(state, g, mask, corr, cfg, params, bdata):
 
 
 class TestIterativeStepsMatchDense:
+    stop_mode = "full"
+
     @pytest.mark.parametrize("variant", ["imex-i", "imex-e"])
     def test_euler_converges_to_masked_update(self, pit_setup, params, variant):
         g, mask, corr = pit_setup
         bdata = BoundaryData.homogeneous(2)
         state = pit_state(g, mask)
         cfg = iter_cfg(variant=variant, eps1=1e-13, eps2=1e-30, eps3=1e-14,
-                       max_iters=500)
+                       max_iters=500, stop_mode=self.stop_mode)
         ops = build_hole_operators(g, cfg, params, mask, corr, bdata)
         out, rep = step_iter_euler(state, ops)
         phi_ref, c_ref = converged_dense_euler(
@@ -235,7 +260,7 @@ class TestIterativeStepsMatchDense:
         curr_fields = pit_state(g, mask, rng)
         curr = FieldPair(curr_fields.Phi, curr_fields.C, t=dt, step_index=1)
         cfg = iter_cfg(variant="imex-e", order="2sbdf", dt=dt,
-                       eps1=1e-13, eps2=1e-30, eps3=1e-14)
+                       eps1=1e-13, eps2=1e-30, eps3=1e-14, stop_mode=self.stop_mode)
         ops = build_hole_operators(g, cfg, params, mask, corr, bdata)
         out, _ = step_iter_2sbdf(prev, curr, ops)
 
@@ -283,6 +308,56 @@ class TestIterativeStepsMatchDense:
         assert np.abs(out.C - c_ref).max() / np.abs(c_ref).max() < 1e-10
 
 
+class TestExactStepsMatchDense(TestIterativeStepsMatchDense):
+    """The same steps solved by the capacitance in one solve per field."""
+
+    stop_mode = "exact"
+
+
+class TestCavity3D:
+    @pytest.mark.parametrize("stop_mode", ["full", "exact"])
+    @pytest.mark.parametrize("variant", ["imex-i", "imex-e"])
+    def test_euler_matches_masked_update(self, params, stop_mode, variant):
+        g = build_grid(GridSpec((8e-6, 6e-6, 8e-6), (9, 7, 9), (NN, NN, NN)))
+        mask = rasterize_mask(g, (CylinderSegment(1, (4e-6, 4e-6), 1.5e-6),))
+        assert mask.theta.any()
+        corr = build_correction_matrices(g, mask)
+        bdata = BoundaryData.homogeneous(3)
+        state = pit_state(g, mask)
+        cfg = iter_cfg(variant=variant, eps1=1e-13, eps2=1e-30, eps3=1e-14,
+                       stop_mode=stop_mode)
+        ops = build_hole_operators(g, cfg, params, mask, corr, bdata)
+        out, rep = step_iter_euler(state, ops)
+        phi_ref, c_ref = converged_dense_euler(state, g, mask, corr, cfg, params, bdata)
+        assert np.abs(out.Phi - phi_ref).max() / np.abs(phi_ref).max() < 1e-10
+        assert np.abs(out.C - c_ref).max() / np.abs(c_ref).max() < 1e-10
+        if stop_mode == "exact":
+            assert (rep.k_phi, rep.k_c, rep.resid_phi, rep.resid_c) == (1, 1, 0.0, 0.0)
+
+
+class TestBuiltinPitExact:
+    def test_matches_tight_loop_and_holds_theta_control(self):
+        # The builtin pit runs the exact solve; criterion 05's bounds hold on
+        # every step, and the run is the limit of the paper's loop.
+        cfg = load_config("circular_pit")
+        assert cfg.scheme.stop_mode == "exact"
+        exact = run_scenario(cfg, horizon_scale=0.01)
+        horizon = exact.timing["horizon_s"]
+        eps2 = cfg.scheme.eps2
+        assert len(exact.reports) == 500
+        for r in exact.reports:
+            assert (r.k_phi, r.k_c) == (1, 1)
+            assert r.max_phi_theta <= 1e-10
+            assert r.max_c_theta <= 1.5 * eps2 * r.t / horizon
+        assert exact.reports[-1].max_c_theta <= 1e-3
+
+        raw = builtin_scenarios()["circular_pit"]
+        raw["scheme"].update(stop_mode="full", eps=[1e-12, 1e-3, 1e-14])
+        loop = run_scenario(parse_config(raw), horizon_scale=0.01)
+        assert np.abs(exact.final_state.Phi - loop.final_state.Phi).max() <= 1e-9
+        assert np.abs(exact.final_state.C - loop.final_state.C).max() <= 1e-9
+
+
 class TestReducedMode:
     def test_single_phi_iteration(self, pit_setup, params):
         g, mask, corr = pit_setup
@@ -303,16 +378,22 @@ class TestFailureModes:
         with pytest.raises(ConvergenceError) as exc:
             step_iter_euler(state, ops)
         assert exc.value.last_residual is not None
+        # The phi loop runs first, in the step from t = 0 to dt.
+        assert exc.value.field == "phi"
+        assert exc.value.t == pytest.approx(cfg.dt)
+        assert "phi iteration" in str(exc.value) and "t=0.002 s" in str(exc.value)
 
 
 class TestBootstrap:
+    stop_mode = "full"
+
     def test_bootstrap_matches_manual_substeps(self, params):
         # A 10 um grid is coarse enough for the c loop to converge at dt = 0.5,
         # where the start takes 8 substeps.
         g = build_grid(GridSpec((100e-6, 100e-6), (11, 11), (NN, NN)))
         mask = rasterize_mask(g, (Circle((50e-6, 50e-6), 15e-6),))
         corr = build_correction_matrices(g, mask)
-        cfg = iter_cfg(variant="imex-e", order="2sbdf", dt=0.5)
+        cfg = iter_cfg(variant="imex-e", order="2sbdf", dt=0.5, stop_mode=self.stop_mode)
         ops = build_hole_operators(g, cfg, params, mask, corr, BoundaryData.homogeneous(2))
         state0 = pit_state(g, mask)
 
@@ -330,6 +411,12 @@ class TestBootstrap:
             manual = step_iter_euler(manual, sub_ops)[0]
         np.testing.assert_array_equal(curr.Phi, manual.Phi)
         np.testing.assert_array_equal(curr.C, manual.C)
+
+
+class TestExactBootstrap(TestBootstrap):
+    """The same start with the capacitances rebuilt by `retimed`."""
+
+    stop_mode = "exact"
 
 
 class TestRunHoles:

@@ -6,12 +6,15 @@ from hypothesis import given, settings, strategies as st
 from pitcorr.linalg import (
     DIRICHLET,
     NEUMANN,
+    Capacitance,
     apply_laplacian,
     build_operator,
     factorization_count,
     kronecker_sum,
     laplacian_1d,
     spectral_factorize,
+    support_images,
+    support_inverse,
 )
 
 
@@ -161,6 +164,75 @@ class TestSylvesterSolve:
         X = rng.standard_normal((mx, my))
         Y = a * X + b * apply_laplacian(laps, X)
         np.testing.assert_allclose(op.solve(Y), X, atol=1e-9)
+
+
+def _random_correction(rng, shape, n_cols=5, per_col=3):
+    """A sparse N on a few random columns, with a stored zero that must not count."""
+    n = int(np.prod(shape))
+    cols = rng.choice(n, size=n_cols + 1, replace=False)
+    cols, zero_col = np.sort(cols[:-1]), cols[-1]
+    rows = rng.integers(0, n, size=(n_cols, per_col))
+    vals = rng.standard_normal((n_cols, per_col)) * 1e3
+    N = sp.csc_matrix(
+        (np.append(vals.ravel(), 0.0),
+         (np.append(rows.ravel(), 0), np.append(np.repeat(cols, per_col), zero_col))),
+        shape=(n, n),
+    )
+    return N, cols
+
+
+SHAPES_AND_KINDS = [
+    ((7, 5), (NEUMANN, (DIRICHLET, NEUMANN))),
+    ((5, 4, 6), (NEUMANN, DIRICHLET, (NEUMANN, DIRICHLET))),
+]
+
+
+class TestCapacitance:
+    @pytest.mark.parametrize("shape,kinds", SHAPES_AND_KINDS)
+    def test_support_inverse_matches_per_column_solves(self, shape, kinds):
+        rng = np.random.default_rng(len(shape))
+        a, b, laps = _random_operator(rng, shape, kinds)
+        op = build_operator(a, b, laps)
+        N, cols = _random_correction(rng, shape)
+        before = factorization_count()
+        images = support_images(op.facts, N)
+        np.testing.assert_array_equal(images.support, cols)
+        K = support_inverse(op, images)
+        assert factorization_count() == before
+        # The construction it replaces: one solve per support column.
+        ref = np.empty_like(K)
+        for col, j in enumerate(cols):
+            w = op.solve(N[:, [j]].toarray().reshape(shape, order="F"))
+            ref[:, col] = w.ravel(order="F")[cols]
+        assert np.abs(K - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("shape,kinds", SHAPES_AND_KINDS)
+    def test_solve_matches_dense(self, shape, kinds):
+        rng = np.random.default_rng(10 + len(shape))
+        a, b, laps = _random_operator(rng, shape, kinds)
+        op = build_operator(a, b, laps)
+        N, _ = _random_correction(rng, shape)
+        N = N * (0.1 / (abs(b) * np.abs(N).max()))  # keep I + alpha*K well conditioned
+        cap = Capacitance(op, support_images(op.facts, N))
+        Y = rng.standard_normal(shape)
+        before = op.solve_count
+        X = op.solve(Y, cap)
+        assert op.solve_count == before + 1
+        n = int(np.prod(shape))
+        A = a * sp.identity(n) + b * (kronecker_sum(laps) - N)
+        Xd = np.linalg.solve(A.toarray(), Y.ravel(order="F")).reshape(shape, order="F")
+        assert np.abs(X - Xd).max() / np.abs(Xd).max() < 1e-10
+
+    def test_singular_capacitance_raises(self):
+        lap = laplacian_1d(NEUMANN, 6, 0.2)
+        op = build_operator(2.0, -0.3, (lap, lap))
+        r = 14
+        unit = sp.csc_matrix(([1.0], ([r], [r])), shape=(36, 36))
+        k = support_inverse(op, support_images(op.facts, unit))[0, 0]
+        # 1 + alpha * c * k = 1 - b * c * k vanishes for c = 1 / (b * k).
+        with pytest.raises(ArithmeticError):
+            Capacitance(op, support_images(op.facts, unit / (op.b * k)))
+        Capacitance(op, support_images(op.facts, unit))
 
 
 class TestKroneckerSum:

@@ -85,6 +85,9 @@ class TestConfigParsing:
         assert pit.has_holes
         assert isinstance(pit.scheme, IterSchemeConfig)
         assert pit.scheme.variant == "imex-e"
+        assert pit.scheme.stop_mode == "exact"
+        for name in ("electropolish", "semicylinder3d"):
+            assert load_config(name).scheme.stop_mode == "full"
 
     def test_micron_conversion(self):
         cfg = load_config(tiny_pit_config())
@@ -306,7 +309,9 @@ class TestCli:
         path = tmp_path / "scenario.yaml"
         path.write_text(yaml.safe_dump(raw))
         assert main(["run", str(path), "--output", str(tmp_path / "out")]) == 4
-        assert "did not converge" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "did not converge" in err
+        assert "phi iteration" in err and "t=0.002 s" in err
 
     def test_instability_exit_code(self, tmp_path, capsys):
         raw = {
