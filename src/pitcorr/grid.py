@@ -25,7 +25,7 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
-from .linalg import DIRICHLET, NEUMANN, kronecker_sum, laplacian_1d, spectral_factorize
+from .linalg import DIRICHLET, NEUMANN, laplacian_1d, spectral_factorize
 
 __all__ = [
     "GridSpec",
@@ -213,9 +213,8 @@ class RoughEdgeProfile:
     def contains(self, grid: Grid) -> np.ndarray:
         if grid.ndim != 2:
             raise ValueError("rough-edge primitives apply to 2D grids")
-        X, Y = grid.coordinate_arrays()
         prof = self.heights(grid.axes[0])
-        return Y >= prof[:, None] * (1.0 - 1e-12)
+        return grid.axes[1][None, :] >= prof[:, None] * (1.0 - 1e-12)
 
     def snapped(self, grid: Grid) -> "RoughEdgeProfile":
         return self
@@ -261,17 +260,49 @@ class CorrectionOperators:
 
 
 def build_correction_matrices(grid: Grid, mask: DomainMask) -> CorrectionOperators:
+    """N1 and N2 from the Laplacian's stencil around the Theta nodes.
+
+    Only the entries of M in Theta rows or columns are formed: the diagonal
+    of each Theta node and its +-stride neighbours along every axis.  The
+    diagonal is summed over the axes in axis order, as in `kronecker_sum`.
+    """
     if mask.theta.shape != tuple(grid.counts):
         raise ValueError("mask shape does not match the grid")
-    M = kronecker_sum(grid.laplacians)
     theta = mask.theta_flat()
-    d_theta = sp.diags(theta.astype(float), format="csr")
-    d_omega = sp.diags((~theta).astype(float), format="csr")
-    N1 = (d_theta @ M @ d_omega).tocsr()
-    N2 = (M @ d_theta).tocsr()
-    N1.eliminate_zeros()
-    N2.eliminate_zeros()
-    return CorrectionOperators(N1, N2)
+    nodes = np.flatnonzero(theta)
+    coords = np.unravel_index(nodes, grid.counts, order="F")
+    diag = sum(M.main[i] for M, i in zip(grid.laplacians, coords))
+    n2 = [(nodes, nodes, diag)]  # (rows, columns, values) with Theta columns
+    n1 = []  # Theta rows, Omega columns
+    stride = 1
+    for M, i in zip(grid.laplacians, coords):
+        # Up: M[t, t + stride] = upper[i] and M[t + stride, t] = lower[i];
+        # down: M[t, t - stride] = lower[i - 1] and M[t - stride, t] = upper[i - 1].
+        for has, offset, j, into_t, out_of_t in (
+            (i < M.m - 1, stride, i, M.lower, M.upper),
+            (i > 0, -stride, i - 1, M.upper, M.lower),
+        ):
+            t, j = nodes[has], j[has]
+            n = t + offset
+            n2.append((n, t, into_t[j]))
+            omega = ~theta[n]
+            n1.append((t[omega], n[omega], out_of_t[j[omega]]))
+        stride *= M.m
+    # N2's rows list their columns in descending order, the order that sparse
+    # products with `kronecker_sum` give, so that mat-vecs sum in that order.
+    return CorrectionOperators(_csr(n1, grid.n_nodes),
+                               _csr(n2, grid.n_nodes, descending=True))
+
+
+def _csr(triplets, n: int, descending: bool = False) -> sp.csr_matrix:
+    """The n x n CSR matrix of (rows, columns, values) pieces without zero
+    values, its columns in ascending (or descending) order within a row."""
+    rows, cols, vals = (np.concatenate(part) for part in zip(*triplets))
+    keep = vals != 0.0
+    rows, cols, vals = rows[keep], cols[keep], vals[keep]
+    order = np.argsort(rows * n + (n - 1 - cols if descending else cols))
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
+    return sp.csr_matrix((vals[order], cols[order], indptr), shape=(n, n))
 
 
 def mask_norm_bounds(N: sp.spmatrix):

@@ -30,14 +30,30 @@ Sherman-Morrison-Woodbury gives
     y = A^{-1} Y,   (I + alpha*K) x_S = y_S,   X = A^{-1} (Y - alpha*N_S x_S),
 
 with the capacitance K = (A^{-1} N_S)_S, an s x s matrix.  K is formed in
-the eigenbasis: the unit vector at each nonzero row r of N_S has a rank-one
-spectral image, the outer product over the axes of the Gamma^{-1} columns
-at r's coordinates, and a value at a point of S is read with one row of
-each Gamma.  K thus costs s * (rows of N_S) * nodes products and no solve
-(`support_images`, `support_inverse`); phi and c share the images.  `SylvesterOperator.solve`
-with a `Capacitance` applies all three formulas inside the one forward and
-one backward transform of a plain solve: y_S is read off the transformed
-right-hand side, and alpha*N_S x_S is subtracted as its spectral image.
+the eigenbasis with no solve.  The unit vector at each of the R nonzero
+rows r of N_S has a rank-one spectral image, the outer product over the
+axes of the Gamma^{-1} columns at r's coordinates, and a value at a point
+k of S is read with one row of each Gamma.  Splitting the axes into the
+head (all but the last) and the last axis z, as the Fourier-analysis step
+of FACR does (Hockney, J. ACM 12, 1965),
+
+    (A^{-1})[k, r] = sum_h P[k, h] I[h, r] G_h(z_k, z_r),
+    G_h(z, z') = sum_q Gz[z, q] Upsilon[h, q] Gz^{-1}[q, z'],
+
+with P and I the head products of the Gamma rows at S and of the Gamma^{-1}
+columns at the rows, and G_h the inverse of the tridiagonal last-axis
+system of head mode h.  G is needed only on the W levels that S and the
+rows span, and there only on its diagonal and first off-diagonals: one
+GEMM of their "lift" Gz[z, q] Gz^{-1}[q, z'] with Upsilon.  G_h is
+semiseparable, so those entries give all others as products of ratios, and
+each triangle of (A^{-1})[S, rows] becomes one GEMM over the H = nodes / m_z
+head modes.  K thus costs 2 * s * R * nodes / m_z products plus the lift
+GEMM, (3W - 2) * nodes.  The grid-only parts (`support_images`) are shared
+by phi, c and every shift; `support_inverse` does the per-operator part.
+`SylvesterOperator.solve` with a `Capacitance` applies all three formulas
+inside the one forward and one backward transform of a plain solve: y_S is
+read off the transformed right-hand side, and alpha*N_S x_S is subtracted as
+its spectral image.
 """
 
 from __future__ import annotations
@@ -177,10 +193,19 @@ def spectral_factorize(M: Laplacian1D) -> SpectralFactorization:
         GammaInv = V.T / d[None, :]
         fact = SpectralFactorization(Gamma, GammaInv, lam)
 
-    resid = np.linalg.norm(
-        fact.Gamma @ np.diag(fact.lam) @ fact.GammaInv - M.dense(), np.inf
-    )
-    scale = np.linalg.norm(M.dense(), np.inf)
+    # The inf-norms of Gamma diag(lam) Gamma^{-1} - M and of M, with no dense
+    # copy of M: its diagonals are subtracted in place and its row sums taken
+    # from them.  Gamma diag(lam) needs no GEMM; C order keeps the bits.
+    R = np.multiply(fact.Gamma, fact.lam, order="C") @ fact.GammaInv
+    flat = R.ravel()
+    flat[:: m + 1] -= M.main
+    flat[m :: m + 1] -= M.lower
+    flat[1 :: m + 1] -= M.upper
+    resid = np.abs(R, out=R).sum(axis=1).max()
+    rows = np.abs(M.main)
+    rows[1:] += np.abs(M.lower)
+    rows[:-1] += np.abs(M.upper)
+    scale = rows.max()
     if resid > 1e-10 * scale:
         raise ArithmeticError(
             f"eigendecomposition residual {resid:.3e} exceeds tolerance"
@@ -201,11 +226,15 @@ class SylvesterOperator:
         self.facts = tuple(facts)
         if len(self.facts) not in (2, 3):
             raise ValueError("expected two or three factorized axes")
-        grids = np.meshgrid(*[f.lam for f in self.facts], indexing="ij")
-        denom = self.a + self.b * sum(grids)
-        if np.any(np.abs(denom) <= 0.0):
+        # a + b*(lx_i + ly_j [+ lz_k]), summed in axis order, formed in place.
+        denom = self.facts[0].lam
+        for f in self.facts[1:]:
+            denom = np.add.outer(denom, f.lam)
+        denom *= self.b
+        denom += self.a
+        if not np.all(denom):
             raise ArithmeticError("singular shift: zero denominator in Upsilon")
-        self.Upsilon = 1.0 / denom
+        self.Upsilon = np.reciprocal(denom, out=denom)
         self.solve_count = 0
 
     @property
@@ -244,86 +273,239 @@ class SupportImages:
     """A sparse correction N seen from the eigenbasis of its factorizations.
 
     `support` holds the flat (column-stacked) indices S of N's nonzero
-    columns and `rows` those of the nonzero rows of N_S; `block` is the dense
-    N[rows, S].  Per axis, `at_support` holds the rows of Gamma at the
-    coordinates of S (s x m) and `images` the columns of Gamma^{-1} at the
-    coordinates of `rows` (m x R): the spectral image of the unit vector at
-    rows[r] is the outer product of the images' r-th columns.
+    columns and `rows` those of the nonzero rows of N_S; `block` is
+    N[rows, S], sparse.  Per axis, `at_support` holds the rows of Gamma at
+    the coordinates of S (s x m) and `images` the columns of Gamma^{-1} at
+    the coordinates of `rows` (m x R): the spectral image of the unit vector
+    at rows[r] is the outer product of the images' r-th columns.
+
+    For `support_inverse`: `head_support` (s x H) and `head_rows` (R x H)
+    are the products of the same factors over the head axes (all but the
+    last, H modes in C order).  `level_support` and `level_rows` are the
+    last-axis coordinates less their smallest, so that the W levels
+    0..W-1 span S and the rows, and `below` (R x s) marks the pairs with
+    level_rows < level_support.  `lift` holds Gz[z, q] * Gz^{-1}[q, z'] for
+    the pairs (z, z) of the W levels, then (z, z + 1) and (z + 1, z) of the
+    W - 1 lower ones ((3W - 2) x m_z).  `work` holds the arrays that
+    `support_inverse` overwrites on each call: R x H, s x H and two R x s.
+    Reusing them spares each capacitance the page faults of fresh memory,
+    so calls that share one `SupportImages` must not run concurrently.
     """
 
     support: np.ndarray
     rows: np.ndarray
-    block: np.ndarray
+    block: sp.csr_matrix
     at_support: tuple
     images: tuple
+    head_support: np.ndarray
+    head_rows: np.ndarray
+    level_support: np.ndarray
+    level_rows: np.ndarray
+    below: np.ndarray
+    lift: np.ndarray
+    work: tuple
 
 
 def support_images(facts, N: sp.spmatrix) -> SupportImages:
     """The `SupportImages` of N, without its explicitly stored zeros."""
     facts = tuple(facts)
     shape = tuple(f.lam.size for f in facts)
-    N = sp.csc_matrix(N, copy=True)
-    N.eliminate_zeros()
-    support = np.flatnonzero(np.diff(N.indptr) > 0)
-    N_S = N[:, support]
-    rows = np.unique(N_S.indices)
+    N = sp.csr_matrix(N)
+    if not N.data.all():
+        N = N.copy()
+        N.eliminate_zeros()
+    rows = np.flatnonzero(np.diff(N.indptr))
+    support, col_index = np.unique(N.indices, return_inverse=True)
     at_support = np.unravel_index(support, shape, order="F")
     at_rows = np.unravel_index(rows, shape, order="F")
+    gamma_rows = tuple(f.Gamma[i] for f, i in zip(facts, at_support))
+    # Fortran order, so that the head product of a 2D grid is a view.
+    images = tuple(f.GammaInv.T[i].T for f, i in zip(facts, at_rows))
+    z = np.concatenate((at_support[-1], at_rows[-1]))
+    low = z.min() if z.size else 0
+    levels = np.arange(low, z.max() + 1 if z.size else 1)
+    last = facts[-1]
+    heads = int(np.prod(shape[:-1]))
+    pairs = (np.concatenate((levels, levels[:-1], levels[1:])),
+             np.concatenate((levels, levels[1:], levels[:-1])))
     return SupportImages(
         support=support,
         rows=rows,
-        block=N_S[rows].toarray(),
-        at_support=tuple(f.Gamma[i] for f, i in zip(facts, at_support)),
-        images=tuple(f.GammaInv[:, i] for f, i in zip(facts, at_rows)),
+        block=sp.csr_matrix((N.data, col_index, np.append(0, N.indptr[rows + 1])),
+                            shape=(rows.size, support.size)),
+        at_support=gamma_rows,
+        images=images,
+        head_support=_head_product(gamma_rows[:-1]),
+        head_rows=_head_product([I.T for I in images[:-1]]),
+        level_support=at_support[-1] - low,
+        level_rows=at_rows[-1] - low,
+        below=at_rows[-1][:, None] < at_support[-1][None, :],
+        lift=last.Gamma[pairs[0]] * last.GammaInv[:, pairs[1]].T,
+        work=(np.empty((rows.size, heads)), np.empty((support.size, heads)),
+              np.empty((rows.size, support.size)), np.empty((rows.size, support.size))),
     )
+
+
+def _head_product(factors) -> np.ndarray:
+    """Row-wise outer products over the axes, flattened in C order:
+    out[n, (i, j, ...)] = factors[0][n, i] * factors[1][n, j] * ..."""
+    out = np.ascontiguousarray(factors[0])
+    for f in factors[1:]:
+        out = (out[:, :, None] * f[:, None, :]).reshape(out.shape[0], -1)
+    return out
+
+
+# log2 of the largest factor by which the decay products may grow within a
+# chunk of S levels, far from float64 overflow.
+_CHUNK_RANGE_BITS = 500.0
 
 
 def support_inverse(op: SylvesterOperator, images: SupportImages) -> np.ndarray:
     """The capacitance K = (A^{-1} N_S)_S of `op` = A, with no solve.
 
-    K = sum_r (A^{-1} e_rows[r])_S N[rows[r], S], and each (A^{-1} e_r)_S
-    contracts Upsilon with the images of e_r and the Gamma rows at S.
+    K = (A^{-1})[S, rows] N[rows, S], and (A^{-1})[k, r] sums, over the head
+    modes h, P[k, h] I[h, r] G_h(z_k, z_r), with G_h the inverse of the
+    tridiagonal last-axis system of mode h.  That inverse is semiseparable:
+    along a column, G_h(z, z') falls from its diagonal by the same ratio per
+    level whatever z' is, one ratio set above the diagonal and one below.
+    So, with D the products of those ratios from an origin level,
+
+        G_h(z, z') = G_h(z', z') D_h(z') / D_h(z),
+
+    and each triangle (z_r >= z_k, z_r < z_k) of (A^{-1})[S, rows] is one
+    GEMM over the head modes.  The ratios come from one GEMM of `lift` with
+    Upsilon.  S is sorted by level (flat order); it is cut into chunks of
+    consecutive points where D would leave 2**500 within one, so that no
+    factor overflows, which takes levels far apart under a strong decay.
+    Raises ArithmeticError when K is not finite.
     """
-    s, R = images.support.size, images.rows.size
-    # Per axis, (s*R, m): the Gamma row at S times the image of each row.
-    pairs = [
-        (P[:, None, :] * I.T[None, :, :]).reshape(s * R, -1)
-        for P, I in zip(images.at_support, images.images)
-    ]
-    T = np.tensordot(op.Upsilon, pairs[-1], axes=(-1, 1))
-    for U in reversed(pairs[:-1]):
-        T = np.einsum("...pk,kp->...k", T, U)
-    return T.reshape(s, R) @ images.block
+    if images.support.size == 0:
+        return np.zeros((0, 0))
+    W = (images.lift.shape[0] + 2) // 3
+    m_z = op.Upsilon.shape[-1]
+    G = images.lift @ op.Upsilon.reshape(-1, m_z).T
+    diagonal = G[:W]
+    rise = G[W:2 * W - 1] / diagonal[1:]  # G(z, z+1) / G(z+1, z+1)
+    fall = G[2 * W - 1:] / diagonal[:-1]  # G(z+1, z) / G(z, z)
+    right, left_work, inverse_t, lower = images.work
+    zs, zr = images.level_support, images.level_rows
+    for a, b in _chunks(zs, rise, fall):
+        left = left_work[: b - a]
+        for D, out in ((_decay(rise, zs[a], upward=True), inverse_t[:, a:b]),
+                       (_decay(fall, zs[b - 1], upward=False), lower[:, a:b])):
+            np.take(D * diagonal, zr, axis=0, out=right)
+            right *= images.head_rows
+            np.take(D, zs[a:b], axis=0, out=left)
+            np.divide(images.head_support[a:b], left, out=left)
+            np.matmul(right, left.T, out=out)
+        np.copyto(inverse_t[:, a:b], lower[:, a:b], where=images.below[:, a:b])
+    K = (images.block.T @ inverse_t).T
+    if not np.isfinite(K).all():
+        raise ArithmeticError("capacitance is not finite for this shift")
+    return K
+
+
+def _chunks(levels, rise, fall):
+    """[a, b) ranges of the points with the sorted `levels`, cut where the
+    decay products, up or down, would leave 2**_CHUNK_RANGE_BITS within a
+    range for some mode; one range unless the levels are far apart."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        bits = np.maximum((-np.log2(np.abs(rise))).max(axis=1, initial=0.0),
+                          (-np.log2(np.abs(fall))).max(axis=1, initial=0.0))
+    reach = np.concatenate(([0.0], np.cumsum(bits)))[levels]
+    cuts = [0]
+    if not reach[-1] - reach[0] <= _CHUNK_RANGE_BITS:
+        for k in range(1, levels.size):
+            if not reach[k] - reach[cuts[-1]] <= _CHUNK_RANGE_BITS:
+                cuts.append(k)
+    return list(zip(cuts, cuts[1:] + [levels.size]))
+
+
+def _decay(ratios, origin, upward):
+    """The product of `ratios` between `origin` and each of the len(ratios) + 1
+    levels, 1 at the origin and 0 on the side a triangle does not use."""
+    out = np.zeros((ratios.shape[0] + 1, ratios.shape[1]))
+    out[origin] = 1.0
+    if upward:  # levels above the origin
+        np.cumprod(ratios[origin:], axis=0, out=out[origin + 1:])
+    elif origin > 0:  # levels below it, by the ratios read downward
+        np.cumprod(ratios[origin - 1::-1], axis=0, out=out[origin - 1::-1])
+    return out
+
+
+# Most Neumann-series terms a capacitance solve may take in place of an LU.
+_SERIES_TERMS = 8
 
 
 class Capacitance:
     """The exact solve of (a*I + b*(M - N)) X = Y for one `SylvesterOperator`.
 
-    Holds N's `SupportImages` and the LU factors of I + alpha*K, with
-    alpha = -b and K = `support_inverse(op, images)`.  A numerically
-    singular I + alpha*K (condition number 1e12 or more) raises
-    ArithmeticError here, as a singular shift does in `SylvesterOperator`.
+    Holds N's `SupportImages` and a solver for I + alpha*K, with alpha = -b
+    and K = `support_inverse(op, images)`.  The norm bound
+    b = min(|alpha*K|_F, sqrt(|alpha*K|_1 |alpha*K|_inf)) >= |alpha*K|_2
+    chooses it:
+
+    * when the Neumann series sum_n (-alpha*K)^n y reaches round-off within
+      _SERIES_TERMS terms (its remainder b^(n+1) / (1 - b) is at most 2^-53),
+      each solve sums that series, and no LU is formed.  This spares the
+      set-up an s^3 factorization for strongly shifted operators, such as
+      phi's and a 2SBDF start's, at a few s^2 products per solve;
+    * otherwise it holds the LU factors of I + alpha*K.  A numerically
+      singular I + alpha*K (condition number 1e12 or more) raises
+      ArithmeticError here, as a singular shift does in `SylvesterOperator`.
+      The condition number needs no SVD when b < 1 certifies it:
+      cond_2(I + alpha*K) <= (1 + b) / (1 - b).
+
     Immutable after construction.
     """
 
     def __init__(self, op: SylvesterOperator, images: SupportImages):
         self.images = images
         self.alpha = -op.b
-        C = np.eye(images.support.size) + self.alpha * support_inverse(op, images)
-        if not np.linalg.cond(C) < 1e12:
+        C = support_inverse(op, images)
+        C *= self.alpha
+        b = np.linalg.norm(C)  # Frobenius
+        if _series_terms(b) is None:
+            magnitude = np.abs(C)
+            b = min(b, np.sqrt(magnitude.sum(axis=0).max() * magnitude.sum(axis=1).max()))
+        self.terms = _series_terms(b)
+        if self.terms is not None:
+            self.lu, self.alpha_K = None, C
+            return
+        C.flat[:: C.shape[0] + 1] += 1.0  # I + alpha*K
+        certified = b < 1.0 and (1.0 + b) / (1.0 - b) < 1e12
+        if not certified and not np.linalg.cond(C) < 1e12:
             raise ArithmeticError("singular capacitance: I + alpha*K is not invertible")
-        self.lu = spla.lu_factor(C)
+        self.lu = spla.lu_factor(C, overwrite_a=True, check_finite=False)
 
     def corrected(self, W: np.ndarray, op: SylvesterOperator) -> np.ndarray:
         """The transformed right-hand side W of `op`, the operator this was
         built for, minus the spectral image of alpha*N_S x_S."""
         images = self.images
         y_S = _at_points(images.at_support, op.Upsilon * W)
-        # Unchecked, so that a non-finite right-hand side reaches the step's
-        # finiteness check as it does without a capacitance.
-        x_S = spla.lu_solve(self.lu, y_S, check_finite=False)
-        weights = -self.alpha * (images.block @ x_S)
+        weights = -self.alpha * (images.block @ self._solve(y_S))
         return W + _outer_sum(images.images, weights)
+
+    def _solve(self, y: np.ndarray) -> np.ndarray:
+        """x with (I + alpha*K) x = y."""
+        if self.lu is not None:
+            # Unchecked, so that a non-finite right-hand side reaches the
+            # step's finiteness check as it does without a capacitance.
+            return spla.lu_solve(self.lu, y, check_finite=False)
+        x, term = y.copy(), y
+        for _ in range(self.terms):
+            term = -(self.alpha_K @ term)
+            x += term
+        return x
+
+
+def _series_terms(b: float) -> int | None:
+    """The fewest terms n after the first with b^(n+1) / (1 - b) <= 2^-53,
+    or None when that takes more than _SERIES_TERMS."""
+    for n in range(_SERIES_TERMS + 1):
+        if b ** (n + 1) <= 2.0 ** -53 * (1.0 - b):
+            return n
+    return None
 
 
 def _at_points(rows, V: np.ndarray) -> np.ndarray:

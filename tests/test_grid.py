@@ -195,6 +195,30 @@ class TestCorrectionOperators:
         with pytest.raises(ValueError):
             build_correction_matrices(g, bad)
 
+    @pytest.mark.parametrize("counts,bc", [
+        ((7, 6), (DN, NN)),
+        ((5, 4, 6), (NN, ("neumann", "dirichlet"), DD)),
+    ])
+    def test_matches_kronecker_sum_construction(self, counts, bc):
+        # The stencil build against chi_Theta M chi_Omega and M chi_Theta on
+        # the assembled Laplacian, stored alike, with Theta on the boundary.
+        extents = tuple(1e-6 * (m + 1) for m in counts)
+        grid = build_grid(GridSpec(extents, counts, bc))
+        rng = np.random.default_rng(len(counts))
+        theta = rng.random(counts) < 0.3
+        theta[0] = True
+        theta[(-1,) * len(counts)] = True
+        corr = build_correction_matrices(grid, DomainMask(theta))
+        M = kronecker_sum(grid.laplacians)
+        flat = theta.ravel(order="F").astype(float)
+        N1 = sp.diags(flat, format="csr") @ M @ sp.diags(1.0 - flat, format="csr")
+        N2 = M @ sp.diags(flat, format="csr")
+        for got, ref in ((corr.N1, N1.tocsr()), (corr.N2, N2.tocsr())):
+            ref.eliminate_zeros()
+            np.testing.assert_array_equal(got.indptr, ref.indptr)
+            np.testing.assert_array_equal(got.indices, ref.indices)
+            np.testing.assert_array_equal(got.data, ref.data)
+
     def test_deterministic(self, pit):
         g, mask, corr = pit
         corr2 = build_correction_matrices(g, mask)

@@ -358,6 +358,50 @@ class TestBuiltinPitExact:
         assert np.abs(exact.final_state.C - loop.final_state.C).max() <= 1e-9
 
 
+class TestBuiltinPolishExact:
+    def test_matches_tight_loop_and_holds_theta_control(self):
+        # electropolish (s = 207) under 2SBDF: the start and the main loop take
+        # one solve per field, c keeps within criterion 05's budget on every
+        # step, where the paper's loop overruns it, and the run is the loop's limit.
+        cfg = load_config("electropolish")
+        assert cfg.scheme.stop_mode == "exact"
+        exact = run_scenario(cfg, horizon_scale=0.0025)
+        horizon = exact.timing["horizon_s"]
+        assert len(exact.reports) == 9  # 10 steps, the first one by the start
+        for r in exact.reports:
+            assert (r.k_phi, r.k_c) == (1, 1)
+            assert r.max_c_theta <= 1.5 * cfg.scheme.eps2 * r.t / horizon
+
+        raw = builtin_scenarios()["electropolish"]
+        raw["scheme"].update(stop_mode="full", eps=[1e-12, 1e-3, 1e-14])
+        loop = run_scenario(parse_config(raw), horizon_scale=0.0025)
+        assert np.abs(exact.final_state.Phi - loop.final_state.Phi).max() <= 1e-9
+        assert np.abs(exact.final_state.C - loop.final_state.C).max() <= 1e-9
+
+
+class TestSemicylinderExact:
+    @staticmethod
+    def _config(**scheme):
+        # semicylinder3d's boundary conditions and half-cylinder on the top
+        # surface, on a 21 x 7 x 11 grid in place of 201 x 26 x 101.
+        raw = builtin_scenarios()["semicylinder3d"]
+        raw["grid"]["extents_um"] = [20.0, 6.0, 10.0]
+        raw["geometry"][0]["cylinder"].update(center_um=[10.0, 10.0], half_limit_um=10.0)
+        raw["scheme"].update(scheme)
+        return parse_config(raw)
+
+    def test_matches_tight_loop(self):
+        exact_cfg = self._config()
+        assert exact_cfg.scheme.stop_mode == "exact"
+        exact = run_scenario(exact_cfg, horizon_scale=1.4e-4)
+        assert exact.final_state.Phi.shape == (21, 7, 11)
+        assert [(r.k_phi, r.k_c) for r in exact.reports] == [(1, 1)] * 4  # after the start
+        loop = run_scenario(self._config(stop_mode="full", eps=[1e-12, 1e-3, 1e-14]),
+                            horizon_scale=1.4e-4)
+        assert np.abs(exact.final_state.Phi - loop.final_state.Phi).max() <= 1e-9
+        assert np.abs(exact.final_state.C - loop.final_state.C).max() <= 1e-9
+
+
 class TestReducedMode:
     def test_single_phi_iteration(self, pit_setup, params):
         g, mask, corr = pit_setup

@@ -3,6 +3,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
+from pitcorr import linalg
 from pitcorr.linalg import (
     DIRICHLET,
     NEUMANN,
@@ -16,6 +17,9 @@ from pitcorr.linalg import (
     support_images,
     support_inverse,
 )
+from pitcorr.grid import build_correction_matrices, build_grid, rasterize_mask
+from pitcorr.rect import build_rect_operators
+from pitcorr.scenarios import load_config
 
 
 class TestLaplacian1D:
@@ -222,6 +226,105 @@ class TestCapacitance:
         A = a * sp.identity(n) + b * (kronecker_sum(laps) - N)
         Xd = np.linalg.solve(A.toarray(), Y.ravel(order="F")).reshape(shape, order="F")
         assert np.abs(X - Xd).max() / np.abs(Xd).max() < 1e-10
+
+    @pytest.mark.parametrize("shape,kinds", SHAPES_AND_KINDS)
+    def test_support_inverse_in_chunks(self, shape, kinds, monkeypatch):
+        # A range limit of a few bits splits S into many level chunks; the
+        # chunked K matches the single-chunk one and the per-column solves.
+        rng = np.random.default_rng(20 + len(shape))
+        a, b, laps = _random_operator(rng, shape, kinds)
+        op = build_operator(a, b, laps)
+        N, cols = _random_correction(rng, shape, n_cols=8)
+        images = support_images(op.facts, N)
+        whole = support_inverse(op, images)
+        monkeypatch.setattr(linalg, "_CHUNK_RANGE_BITS", 2.0)
+        chunked = support_inverse(op, images)
+        assert np.abs(chunked - whole).max() <= 1e-13 * np.abs(whole).max()
+        ref = np.empty_like(whole)
+        for col, j in enumerate(cols):
+            w = op.solve(N[:, [j]].toarray().reshape(shape, order="F"))
+            ref[:, col] = w.ravel(order="F")[cols]
+        assert np.abs(chunked - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_support_inverse_under_strong_decay(self):
+        # A small shift b makes the last-axis Green's functions fall by about
+        # 1e-6 per level, so that the levels of S span more than 2**500 and S
+        # is split into chunks.  K still matches the per-column solves to
+        # their round-off, which is relative to each solved field's maximum.
+        rng = np.random.default_rng(7)
+        shape = (5, 40)
+        laps = (laplacian_1d(NEUMANN, 5, 0.3), laplacian_1d((DIRICHLET, NEUMANN), 40, 0.3))
+        op = build_operator(1.0, -1e-7, laps)
+        cols = np.sort(rng.choice(200, size=12, replace=False))
+        rows = rng.integers(0, 200, size=(12, 3))
+        N = sp.csc_matrix((rng.standard_normal(36), (rows.ravel(), np.repeat(cols, 3))),
+                          shape=(200, 200))
+        images = support_images(op.facts, N)
+        K = support_inverse(op, images)
+        ref = np.empty_like(K)
+        scale = 0.0
+        for col, j in enumerate(images.support):
+            w = op.solve(N[:, [j]].toarray().reshape(shape, order="F"))
+            ref[:, col] = w.ravel(order="F")[images.support]
+            scale = max(scale, np.abs(w).max())
+        assert np.abs(K - ref).max() <= 1e-12 * scale
+
+    def test_support_inverse_on_electropolish_support(self):
+        # The builtin's rough edge: s = R = 207 on 15 distinct y of a 201 x 101
+        # grid, so every group and the lift take part.
+        cfg = load_config("electropolish")
+        grid = build_grid(cfg.grid_spec)
+        mask = rasterize_mask(grid, [shape.snapped(grid) for shape in cfg.shapes])
+        N = build_correction_matrices(grid, mask).N1
+        op = build_rect_operators(grid, cfg.scheme.scheme(), cfg.params).c
+        images = support_images(grid.factorizations, N)
+        assert images.support.size == images.rows.size == 207
+        K = support_inverse(op, images)
+        ref = np.empty_like(K)
+        for col, j in enumerate(images.support):
+            w = op.solve(N[:, [j]].toarray().reshape(grid.counts, order="F"))
+            ref[:, col] = w.ravel(order="F")[images.support]
+        assert np.abs(K - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_uncertified_capacitance_falls_back_to_cond(self, monkeypatch):
+        lap = laplacian_1d(NEUMANN, 6, 0.2)
+        op = build_operator(2.0, -0.3, (lap, lap))
+        r = 14
+        unit = sp.csc_matrix(([1.0], ([r], [r])), shape=(36, 36))
+        k = support_inverse(op, support_images(op.facts, unit))[0, 0]
+        calls = []
+        cond = np.linalg.cond
+        monkeypatch.setattr(np.linalg, "cond", lambda C: calls.append(C) or cond(C))
+        # |alpha*K| = 0.3 k < 1 certifies I + alpha*K without an SVD.
+        Capacitance(op, support_images(op.facts, unit))
+        assert calls == []
+        # 1 - b*c*k = -2 for c = 3 / (b*k): |alpha*K| = 3 fails the
+        # certificate, but I + alpha*K is well conditioned and accepted.
+        N = unit * (3.0 / (op.b * k))
+        cap = Capacitance(op, support_images(op.facts, N))
+        assert len(calls) == 1
+        Y = np.random.default_rng(5).standard_normal((6, 6))
+        A = op.a * sp.identity(36) + op.b * (kronecker_sum((lap, lap)) - N)
+        Xd = np.linalg.solve(A.toarray(), Y.ravel(order="F")).reshape(6, 6, order="F")
+        assert np.abs(op.solve(Y, cap) - Xd).max() / np.abs(Xd).max() < 1e-10
+
+    @pytest.mark.parametrize("shape,kinds", SHAPES_AND_KINDS)
+    @pytest.mark.parametrize("size", [1.0, 1e-4])
+    def test_lu_and_series_solves_match_dense(self, shape, kinds, size):
+        # Size 1 solves I + alpha*K by LU; 1e-4 makes alpha*K small enough
+        # for the Neumann series, which forms no LU.
+        rng = np.random.default_rng(30 + len(shape))
+        a, b, laps = _random_operator(rng, shape, kinds)
+        op = build_operator(a, b, laps)
+        N, _ = _random_correction(rng, shape)
+        N = N * (size / (abs(b) * np.abs(N).max()))
+        cap = Capacitance(op, support_images(op.facts, N))
+        assert (cap.lu is None) == (size < 1.0)
+        Y = rng.standard_normal(shape)
+        n = int(np.prod(shape))
+        A = a * sp.identity(n) + b * (kronecker_sum(laps) - N)
+        Xd = np.linalg.solve(A.toarray(), Y.ravel(order="F")).reshape(shape, order="F")
+        assert np.abs(op.solve(Y, cap) - Xd).max() / np.abs(Xd).max() < 1e-10
 
     def test_singular_capacitance_raises(self):
         lap = laplacian_1d(NEUMANN, 6, 0.2)

@@ -85,9 +85,10 @@ class TestConfigParsing:
         assert pit.has_holes
         assert isinstance(pit.scheme, IterSchemeConfig)
         assert pit.scheme.variant == "imex-e"
-        assert pit.scheme.stop_mode == "exact"
-        for name in ("electropolish", "semicylinder3d"):
-            assert load_config(name).scheme.stop_mode == "full"
+        for name in ("circular_pit", "electropolish", "semicylinder3d"):
+            raw = builtin_scenarios()[name]
+            assert load_config(name).scheme.stop_mode == "exact"
+            assert "eps" not in raw["scheme"] and "max_iters" not in raw["scheme"]
 
     def test_micron_conversion(self):
         cfg = load_config(tiny_pit_config())
@@ -105,6 +106,27 @@ class TestConfigParsing:
         path.write_text("grid: [unclosed")
         with pytest.raises(ConfigError):
             load_config(str(path))
+
+    @pytest.mark.parametrize("name", sorted(builtin_scenarios()))
+    def test_yaml_file_matches_builtin(self, tmp_path, name):
+        path = tmp_path / f"{name}.yaml"
+        path.write_text(yaml.safe_dump(builtin_scenarios()[name], sort_keys=False))
+        assert load_config(str(path)) == load_config(name)
+
+    @pytest.mark.parametrize("key,value", [("eps", [1e-4, 1e-3, 1e-8]), ("max_iters", 500)])
+    def test_exact_rejects_loop_settings(self, tmp_path, key, value):
+        # Under stop_mode exact no step reads the loop's tolerances or
+        # iteration cap, so setting them is an error, not a silent no-op.
+        raw = tiny_pit_config()
+        raw["scheme"].pop("eps")
+        raw["scheme"].update({"stop_mode": "exact", key: value})
+        with pytest.raises(ConfigError, match=key):
+            load_config(raw)
+        path = tmp_path / "exact.yaml"
+        path.write_text(yaml.safe_dump(raw))
+        assert main(["run", str(path), "--output", str(tmp_path / "out")]) == 2
+        raw["scheme"].pop(key)
+        assert load_config(raw).scheme.stop_mode == "exact"
 
     def test_unknown_source(self):
         with pytest.raises(ConfigError):
