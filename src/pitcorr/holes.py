@@ -32,7 +32,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .linalg import Capacitance, support_images
+from .linalg import Capacitance, support_images, support_work
 from .model import CorrosionParameters
 from .rect import (
     BoundaryData,
@@ -122,6 +122,11 @@ class HoleOperators:
     `t_end` is the time T of the Theta budget eps2 * t/T; with None (the
     default) the budget is eps2 on every step.  `cap_phi` and `cap_c` are
     the capacitances of N for the exact stop mode, None otherwise.
+    `cap_work` holds the scratch arrays (`linalg.support_work`) that every
+    capacitance build of the run overwrites, `cap_phi`, `cap_c` and those of
+    `retimed`; reusing them spares each build the page faults of fresh
+    memory, so `retimed` calls on one run's operators must not run
+    concurrently.
     """
 
     rect: object
@@ -134,6 +139,7 @@ class HoleOperators:
     t_end: float | None = None
     cap_phi: Capacitance | None = None
     cap_c: Capacitance | None = None
+    cap_work: tuple | None = None
 
     @property
     def trivial(self) -> bool:
@@ -147,7 +153,7 @@ class HoleOperators:
         rect = self.rect.retimed(order, dt)
         images = self.cap_phi.images if self.cap_phi is not None else None
         return replace(self, rect=rect, cfg=replace(self.cfg, order=order, dt=dt),
-                       **_capacitances(rect, images))
+                       **_capacitances(rect, images, self.cap_work))
 
     def iterate(self, field, solve, base, scale, warm, t):
         """Solve u = solve(base - scale * N u) from `warm` by fixed-point iteration
@@ -192,11 +198,13 @@ class HoleOperators:
         )
 
 
-def _capacitances(rect, images) -> dict:
-    """`cap_phi` and `cap_c` of `rect`'s solvers for N's images (None: no capacitance)."""
+def _capacitances(rect, images, work) -> dict:
+    """`cap_phi` and `cap_c` of `rect`'s solvers for N's images (None: no
+    capacitance), built in the scratch arrays `work`."""
     if images is None:
         return dict(cap_phi=None, cap_c=None)
-    return dict(cap_phi=Capacitance(rect.phi, images), cap_c=Capacitance(rect.c, images))
+    return dict(cap_phi=Capacitance(rect.phi, images, work),
+                cap_c=Capacitance(rect.c, images, work))
 
 
 def build_hole_operators(grid, cfg: IterSchemeConfig, params: CorrosionParameters,
@@ -209,11 +217,13 @@ def build_hole_operators(grid, cfg: IterSchemeConfig, params: CorrosionParameter
     else:
         N, G = correction.N1, correction.N2
     rect = build_rect_operators(grid, cfg.scheme(), params, bdata)
-    images = None
+    images = work = None
     if cfg.stop_mode == EXACT:
         images = support_images(grid.factorizations, N)
         if images.support.size == 0:
             images = None  # N is zero: the plain solve is exact
+        else:
+            work = support_work(images)
     return HoleOperators(
         rect=rect,
         cfg=cfg,
@@ -222,7 +232,8 @@ def build_hole_operators(grid, cfg: IterSchemeConfig, params: CorrosionParameter
         G=G,
         N12=N12,
         chi=(~mask.theta).astype(float),
-        **_capacitances(rect, images),
+        cap_work=work,
+        **_capacitances(rect, images, work),
     )
 
 

@@ -72,6 +72,7 @@ __all__ = [
     "Capacitance",
     "support_images",
     "support_inverse",
+    "support_work",
     "laplacian_1d",
     "spectral_factorize",
     "build_operator",
@@ -193,9 +194,8 @@ def spectral_factorize(M: Laplacian1D) -> SpectralFactorization:
         GammaInv = V.T / d[None, :]
         fact = SpectralFactorization(Gamma, GammaInv, lam)
 
-    # The inf-norms of Gamma diag(lam) Gamma^{-1} - M and of M, with no dense
-    # copy of M: its diagonals are subtracted in place and its row sums taken
-    # from them.  Gamma diag(lam) needs no GEMM; C order keeps the bits.
+    # The inf-norms of Gamma diag(lam) Gamma^{-1} - M and of M, from M's
+    # three diagonals.
     R = np.multiply(fact.Gamma, fact.lam, order="C") @ fact.GammaInv
     flat = R.ravel()
     flat[:: m + 1] -= M.main
@@ -226,7 +226,7 @@ class SylvesterOperator:
         self.facts = tuple(facts)
         if len(self.facts) not in (2, 3):
             raise ValueError("expected two or three factorized axes")
-        # a + b*(lx_i + ly_j [+ lz_k]), summed in axis order, formed in place.
+        # a + b*(lx_i + ly_j [+ lz_k]), summed in axis order.
         denom = self.facts[0].lam
         for f in self.facts[1:]:
             denom = np.add.outer(denom, f.lam)
@@ -286,10 +286,7 @@ class SupportImages:
     0..W-1 span S and the rows, and `below` (R x s) marks the pairs with
     level_rows < level_support.  `lift` holds Gz[z, q] * Gz^{-1}[q, z'] for
     the pairs (z, z) of the W levels, then (z, z + 1) and (z + 1, z) of the
-    W - 1 lower ones ((3W - 2) x m_z).  `work` holds the arrays that
-    `support_inverse` overwrites on each call: R x H, s x H and two R x s.
-    Reusing them spares each capacitance the page faults of fresh memory,
-    so calls that share one `SupportImages` must not run concurrently.
+    W - 1 lower ones ((3W - 2) x m_z).
     """
 
     support: np.ndarray
@@ -303,7 +300,6 @@ class SupportImages:
     level_rows: np.ndarray
     below: np.ndarray
     lift: np.ndarray
-    work: tuple
 
 
 def support_images(facts, N: sp.spmatrix) -> SupportImages:
@@ -325,7 +321,6 @@ def support_images(facts, N: sp.spmatrix) -> SupportImages:
     low = z.min() if z.size else 0
     levels = np.arange(low, z.max() + 1 if z.size else 1)
     last = facts[-1]
-    heads = int(np.prod(shape[:-1]))
     pairs = (np.concatenate((levels, levels[:-1], levels[1:])),
              np.concatenate((levels, levels[1:], levels[:-1])))
     return SupportImages(
@@ -341,8 +336,6 @@ def support_images(facts, N: sp.spmatrix) -> SupportImages:
         level_rows=at_rows[-1] - low,
         below=at_rows[-1][:, None] < at_support[-1][None, :],
         lift=last.Gamma[pairs[0]] * last.GammaInv[:, pairs[1]].T,
-        work=(np.empty((rows.size, heads)), np.empty((support.size, heads)),
-              np.empty((rows.size, support.size)), np.empty((rows.size, support.size))),
     )
 
 
@@ -360,7 +353,17 @@ def _head_product(factors) -> np.ndarray:
 _CHUNK_RANGE_BITS = 500.0
 
 
-def support_inverse(op: SylvesterOperator, images: SupportImages) -> np.ndarray:
+def support_work(images: SupportImages) -> tuple:
+    """Scratch arrays for `support_inverse` on `images`: R x H, s x H and two
+    R x s.  Builds that share them spare the page faults of fresh memory and
+    must not run concurrently."""
+    s, R = images.support.size, images.rows.size
+    H = images.head_rows.shape[1]
+    return np.empty((R, H)), np.empty((s, H)), np.empty((R, s)), np.empty((R, s))
+
+
+def support_inverse(op: SylvesterOperator, images: SupportImages,
+                    work: tuple | None = None) -> np.ndarray:
     """The capacitance K = (A^{-1} N_S)_S of `op` = A, with no solve.
 
     K = (A^{-1})[S, rows] N[rows, S], and (A^{-1})[k, r] sums, over the head
@@ -377,6 +380,7 @@ def support_inverse(op: SylvesterOperator, images: SupportImages) -> np.ndarray:
     Upsilon.  S is sorted by level (flat order); it is cut into chunks of
     consecutive points where D would leave 2**500 within one, so that no
     factor overflows, which takes levels far apart under a strong decay.
+    `work`, from `support_work(images)`, is overwritten; None allocates it.
     Raises ArithmeticError when K is not finite.
     """
     if images.support.size == 0:
@@ -387,7 +391,7 @@ def support_inverse(op: SylvesterOperator, images: SupportImages) -> np.ndarray:
     diagonal = G[:W]
     rise = G[W:2 * W - 1] / diagonal[1:]  # G(z, z+1) / G(z+1, z+1)
     fall = G[2 * W - 1:] / diagonal[:-1]  # G(z+1, z) / G(z, z)
-    right, left_work, inverse_t, lower = images.work
+    right, left_work, inverse_t, lower = support_work(images) if work is None else work
     zs, zr = images.level_support, images.level_rows
     for a, b in _chunks(zs, rise, fall):
         left = left_work[: b - a]
@@ -456,13 +460,14 @@ class Capacitance:
       The condition number needs no SVD when b < 1 certifies it:
       cond_2(I + alpha*K) <= (1 + b) / (1 - b).
 
-    Immutable after construction.
+    `work` is passed to `support_inverse`.  Immutable after construction.
     """
 
-    def __init__(self, op: SylvesterOperator, images: SupportImages):
+    def __init__(self, op: SylvesterOperator, images: SupportImages,
+                 work: tuple | None = None):
         self.images = images
         self.alpha = -op.b
-        C = support_inverse(op, images)
+        C = support_inverse(op, images, work)
         C *= self.alpha
         b = np.linalg.norm(C)  # Frobenius
         if _series_terms(b) is None:
@@ -472,8 +477,8 @@ class Capacitance:
         if self.terms is not None:
             self.lu, self.alpha_K = None, C
             return
-        C.flat[:: C.shape[0] + 1] += 1.0  # I + alpha*K
         certified = b < 1.0 and (1.0 + b) / (1.0 - b) < 1e12
+        C.flat[:: C.shape[0] + 1] += 1.0  # I + alpha*K
         if not certified and not np.linalg.cond(C) < 1e12:
             raise ArithmeticError("singular capacitance: I + alpha*K is not invertible")
         self.lu = spla.lu_factor(C, overwrite_a=True, check_finite=False)

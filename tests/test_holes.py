@@ -151,10 +151,16 @@ class TestOperators:
         assert ops.cap_c.alpha == -ops.rect.c.b
         # Phi and c share the images of N; only the shifts differ.
         assert ops.cap_c.images is ops.cap_phi.images
+        Y = np.random.default_rng(2).standard_normal(g.counts)
+        X = ops.rect.c.solve(Y, ops.cap_c)
         before = factorization_count()
         sub = ops.retimed("euler", 1e-3)
         assert factorization_count() == before
         assert sub.cap_phi.images is ops.cap_phi.images
+        # The start's builds overwrite the run's scratch arrays, and leave
+        # the capacitances built before them as they were.
+        assert sub.cap_work is ops.cap_work is not None
+        np.testing.assert_array_equal(ops.rect.c.solve(Y, ops.cap_c), X)
         assert sub.cap_phi.alpha == -sub.rect.phi.b != ops.cap_phi.alpha
         assert sub.cap_c.alpha == -sub.rect.c.b != ops.cap_c.alpha
 
