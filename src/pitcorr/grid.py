@@ -254,8 +254,9 @@ class CorrectionOperators:
     N1: sp.csr_matrix
     N2: sp.csr_matrix
 
-    @property
+    @cached_property
     def N12(self) -> sp.csr_matrix:
+        """N1 + N2, summed once per correction."""
         return (self.N1 + self.N2).tocsr()
 
 

@@ -18,11 +18,11 @@ and stops the c loop on the global change only.  With an empty Theta the
 step is the rectangle step, and a run starts 2SBDF as a rectangle does.
 
 The exact stop mode solves each field's system (A + alpha*N) u = base, the
-loop's limit, directly: `HoleOperators.cap_phi` and `cap_c` hold the
-capacitance of N for the phi and the c solver (`linalg.Capacitance`), built
-with the operators, and each field takes one solve with it per step.  It
-needs no tolerances and leaves Theta at round-off, but its set-up grows with
-the support of N; the paper's loop stays the reference method.
+loop's limit, directly: `build_hole_operators` replaces every solver of the
+run, the 2SBDF start's included, by its `corrected` copy, which holds the
+capacitance of N (`linalg.Capacitance`), and each field takes one solve per
+step.  It needs no tolerances and leaves Theta at round-off, but its set-up
+grows with the support of N; the paper's loop stays the reference method.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .linalg import Capacitance, support_images, support_work
+from .linalg import support_images, support_work
 from .model import CorrosionParameters
 from .rect import (
     BoundaryData,
@@ -120,13 +120,8 @@ class HoleOperators:
     """Shared per-run machinery: Sylvester solvers, mask and sparse corrections.
 
     `t_end` is the time T of the Theta budget eps2 * t/T; with None (the
-    default) the budget is eps2 on every step.  `cap_phi` and `cap_c` are
-    the capacitances of N for the exact stop mode, None otherwise.
-    `cap_work` holds the scratch arrays (`linalg.support_work`) that every
-    capacitance build of the run overwrites, `cap_phi`, `cap_c` and those of
-    `retimed`; reusing them spares each build the page faults of fresh
-    memory, so `retimed` calls on one run's operators must not run
-    concurrently.
+    default) the budget is eps2 on every step.  In the exact stop mode the
+    solvers of `rect` are corrected for N.
     """
 
     rect: object
@@ -137,31 +132,24 @@ class HoleOperators:
     N12: object  # N1 + N2, for the masked Laplacian action
     chi: np.ndarray  # indicator of the physical region
     t_end: float | None = None
-    cap_phi: Capacitance | None = None
-    cap_c: Capacitance | None = None
-    cap_work: tuple | None = None
 
     @property
     def trivial(self) -> bool:
         return self.N.nnz == 0 and (self.G is None or self.G.nnz == 0)
 
-    def retimed(self, order: str, dt: float) -> "HoleOperators":
-        """These operators for scheme `order` and step `dt`; see `RectOperators.retimed`.
-
-        The capacitances are rebuilt for the new solvers from the same images of N.
-        """
-        rect = self.rect.retimed(order, dt)
-        images = self.cap_phi.images if self.cap_phi is not None else None
-        return replace(self, rect=rect, cfg=replace(self.cfg, order=order, dt=dt),
-                       **_capacitances(rect, images, self.cap_work))
+    @property
+    def start(self) -> "HoleOperators":
+        """A 2SBDF run's start operators: these, on `rect.start` and its scheme."""
+        start = self.rect.start
+        return replace(self, rect=start,
+                       cfg=replace(self.cfg, order=start.cfg.order, dt=start.cfg.dt))
 
     def iterate(self, field, solve, base, scale, warm, t):
         """Solve u = solve(base - scale * N u) from `warm` by fixed-point iteration
         in the step to time `t`; returns (solution, (iterations, last residual)).
 
-        In the exact stop mode `solve` applies the field's capacitance once and
-        returns the limit itself, reported as (1, 0.0); `scale` is then the
-        capacitance's alpha.
+        In the exact stop mode `solve` is the field's corrected solver, and
+        one solve returns the limit itself, reported as (1, 0.0).
 
         The time-proportional Theta-level budget applies to the c loop only.
         The phi iteration contracts fast enough to always run to Theta
@@ -172,7 +160,7 @@ class HoleOperators:
         """
         cfg = self.cfg
         if cfg.stop_mode == EXACT:
-            return solve(base, self.cap_phi if field == "phi" else self.cap_c), (1, 0.0)
+            return solve(base), (1, 0.0)
         frac = 1.0 if self.t_end is None else t / self.t_end
         eps2_budget = cfg.eps2 * frac if field == "c" else 0.0
         u = warm
@@ -198,32 +186,28 @@ class HoleOperators:
         )
 
 
-def _capacitances(rect, images, work) -> dict:
-    """`cap_phi` and `cap_c` of `rect`'s solvers for N's images (None: no
-    capacitance), built in the scratch arrays `work`."""
-    if images is None:
-        return dict(cap_phi=None, cap_c=None)
-    return dict(cap_phi=Capacitance(rect.phi, images, work),
-                cap_c=Capacitance(rect.c, images, work))
-
-
 def build_hole_operators(grid, cfg: IterSchemeConfig, params: CorrosionParameters,
                          mask, correction, bdata=BoundaryData()) -> HoleOperators:
-    """The operators of a cavity run; the exact stop mode also builds the
-    capacitances of N here, so that no step pays for them."""
+    """The operators of a cavity run; the exact stop mode also corrects every
+    solver of the run for N here, the 2SBDF start's included, so that no
+    step pays for it."""
     N12 = correction.N12
     if cfg.variant == IMEX_I:
         N, G = N12, None
     else:
         N, G = correction.N1, correction.N2
     rect = build_rect_operators(grid, cfg.scheme(), params, bdata)
-    images = work = None
-    if cfg.stop_mode == EXACT:
-        images = support_images(grid.factorizations, N)
-        if images.support.size == 0:
-            images = None  # N is zero: the plain solve is exact
-        else:
-            work = support_work(images)
+    images = support_images(grid.factorizations, N) if cfg.stop_mode == EXACT else None
+    if images is not None and images.support.size:  # else the plain solve is exact
+        # Scratch arrays that every capacitance build overwrites; they go
+        # with the set-up.
+        work = support_work(images)
+
+        def corrected(ops):
+            return replace(ops, phi=ops.phi.corrected(images, work),
+                           c=ops.c.corrected(images, work))
+
+        rect = replace(corrected(rect), start=rect.start and corrected(rect.start))
     return HoleOperators(
         rect=rect,
         cfg=cfg,
@@ -232,8 +216,6 @@ def build_hole_operators(grid, cfg: IterSchemeConfig, params: CorrosionParameter
         G=G,
         N12=N12,
         chi=(~mask.theta).astype(float),
-        cap_work=work,
-        **_capacitances(rect, images, work),
     )
 
 

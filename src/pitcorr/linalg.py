@@ -50,14 +50,15 @@ each triangle of (A^{-1})[S, rows] becomes one GEMM over the H = nodes / m_z
 head modes.  K thus costs 2 * s * R * nodes / m_z products plus the lift
 GEMM, (3W - 2) * nodes.  The grid-only parts (`support_images`) are shared
 by phi, c and every shift; `support_inverse` does the per-operator part.
-`SylvesterOperator.solve` with a `Capacitance` applies all three formulas
-inside the one forward and one backward transform of a plain solve: y_S is
-read off the transformed right-hand side, and alpha*N_S x_S is subtracted as
-its spectral image.
+The `corrected` copy of a `SylvesterOperator` holds the `Capacitance` of N,
+and its `solve` applies all three formulas inside the one forward and one
+backward transform of a plain solve: y_S is read off the transformed
+right-hand side, and alpha*N_S x_S is subtracted as its spectral image.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -235,28 +236,37 @@ class SylvesterOperator:
         if not np.all(denom):
             raise ArithmeticError("singular shift: zero denominator in Upsilon")
         self.Upsilon = np.reciprocal(denom, out=denom)
+        self.capacitance = None
         self.solve_count = 0
 
     @property
     def shape(self):
         return tuple(f.lam.size for f in self.facts)
 
-    def solve(self, Y: np.ndarray, capacitance=None) -> np.ndarray:
-        """X with (a*I + b*M) X = Y, or (a*I + b*(M - N)) X = Y given the
-        `Capacitance` of N built for this operator."""
+    def corrected(self, images: SupportImages, work: tuple | None = None) -> "SylvesterOperator":
+        """The solver of (a*I + b*(M - N)) for the N of `images`: a copy on the
+        same `facts` and `Upsilon` that holds the `Capacitance` of N (`work`)."""
+        out = copy.copy(self)
+        out.capacitance = Capacitance(self, images, work)
+        out.solve_count = 0
+        return out
+
+    def solve(self, Y: np.ndarray) -> np.ndarray:
+        """X with (a*I + b*M) X = Y, or (a*I + b*(M - N)) X = Y for a
+        `corrected` operator."""
         if Y.shape != self.shape:
             raise ValueError(f"right-hand side shape {Y.shape} != {self.shape}")
         self.solve_count += 1
         if len(self.facts) == 2:
             fx, fy = self.facts
             W = fx.GammaInv @ Y @ fy.GammaInv.T
-            if capacitance is not None:
-                W = capacitance.corrected(W, self)
+            if self.capacitance is not None:
+                W = self.capacitance.corrected(W)
             return fx.Gamma @ (self.Upsilon * W) @ fy.Gamma.T
         fx, fy, fz = self.facts
         W = _mode_products(fx.GammaInv, fy.GammaInv, fz.GammaInv, Y)
-        if capacitance is not None:
-            W = capacitance.corrected(W, self)
+        if self.capacitance is not None:
+            W = self.capacitance.corrected(W)
         W *= self.Upsilon
         return _mode_products(fx.Gamma, fy.Gamma, fz.Gamma, W)
 
@@ -444,10 +454,10 @@ _SERIES_TERMS = 8
 class Capacitance:
     """The exact solve of (a*I + b*(M - N)) X = Y for one `SylvesterOperator`.
 
-    Holds N's `SupportImages` and a solver for I + alpha*K, with alpha = -b
-    and K = `support_inverse(op, images)`.  The norm bound
-    b = min(|alpha*K|_F, sqrt(|alpha*K|_1 |alpha*K|_inf)) >= |alpha*K|_2
-    chooses it:
+    Holds N's `SupportImages`, the operator's Upsilon and a solver for
+    I + alpha*K, with alpha = -b and K = `support_inverse(op, images)`.  The
+    norm bound b = min(|alpha*K|_F, sqrt(|alpha*K|_1 |alpha*K|_inf)) >=
+    |alpha*K|_2 chooses it:
 
     * when the Neumann series sum_n (-alpha*K)^n y reaches round-off within
       _SERIES_TERMS terms (its remainder b^(n+1) / (1 - b) is at most 2^-53),
@@ -466,6 +476,7 @@ class Capacitance:
     def __init__(self, op: SylvesterOperator, images: SupportImages,
                  work: tuple | None = None):
         self.images = images
+        self.Upsilon = op.Upsilon
         self.alpha = -op.b
         C = support_inverse(op, images, work)
         C *= self.alpha
@@ -483,11 +494,11 @@ class Capacitance:
             raise ArithmeticError("singular capacitance: I + alpha*K is not invertible")
         self.lu = spla.lu_factor(C, overwrite_a=True, check_finite=False)
 
-    def corrected(self, W: np.ndarray, op: SylvesterOperator) -> np.ndarray:
-        """The transformed right-hand side W of `op`, the operator this was
-        built for, minus the spectral image of alpha*N_S x_S."""
+    def corrected(self, W: np.ndarray) -> np.ndarray:
+        """The transformed right-hand side W of the operator this was built
+        for, minus the spectral image of alpha*N_S x_S."""
         images = self.images
-        y_S = _at_points(images.at_support, op.Upsilon * W)
+        y_S = _at_points(images.at_support, self.Upsilon * W)
         weights = -self.alpha * (images.block @ self._solve(y_S))
         return W + _outer_sum(images.images, weights)
 

@@ -27,8 +27,10 @@ loads are built once with the operators (`RectOperators.load_phi`,
 
 A rectangle is the case without correction: one direct solve per field.  A
 cavity domain (`pitcorr.holes`) adds sparse corrections and an inner loop
-per solve, or in its exact stop mode one capacitance-corrected solve.  One run loop and one 2SBDF start serve both domains: ceil(4/dt)
-fine IMEX Euler substeps up to t = dt, with the run's operators `retimed`.
+per solve, or in its exact stop mode one capacitance-corrected solve.  One
+run loop and one 2SBDF start serve both domains: ceil(4/dt) fine IMEX Euler
+substeps up to t = dt, under the operators' `start`, which set-up builds with
+the run's own, so that no step builds a solver.
 """
 
 from __future__ import annotations
@@ -84,7 +86,12 @@ COEFFICIENTS = {
 
 
 class InstabilityError(RuntimeError):
-    """The solution left the representable range (NaN/Inf): dt too large or w too small."""
+    """`field` left the representable range (NaN/Inf) at time `t`, step
+    `step_index`: dt too large or w too small."""
+
+    def __init__(self, message, field=None, t=None, step_index=None):
+        super().__init__(message)
+        self.field, self.t, self.step_index = field, t, step_index
 
 
 @dataclass(frozen=True)
@@ -99,10 +106,10 @@ class FieldPair:
     def validate(self):
         if self.Phi.shape != self.C.shape:
             raise ValueError("Phi and C must share dimensions")
-        if not (np.isfinite(self.Phi).all() and np.isfinite(self.C).all()):
-            raise InstabilityError(
-                f"non-finite field values at t={self.t:.6g}s (step {self.step_index})"
-            )
+        for field, u in (("phi", self.Phi), ("c", self.C)):
+            if not np.isfinite(u).all():
+                raise InstabilityError(f"non-finite {field} values at t={self.t:.6g}s "
+                                       f"(step {self.step_index})", field, self.t, self.step_index)
 
 
 @dataclass(frozen=True)
@@ -172,7 +179,8 @@ class RectOperators:
     """What every step of a run shares: the two shifted Sylvester solvers and
     the constant Dirichlet loads Psi_phi and Psi_c + Psi_F2.
 
-    A load that is zero everywhere is the scalar 0.0, not an array.
+    A load that is zero everywhere is the scalar 0.0, not an array.  `start`
+    holds a 2SBDF run's start: the Euler solvers at dt / ceil(4/dt), same loads.
     """
 
     phi: SylvesterOperator
@@ -182,12 +190,7 @@ class RectOperators:
     cfg: SchemeConfig
     load_phi: np.ndarray | float
     load_c: np.ndarray | float
-
-    def retimed(self, order: str, dt: float) -> "RectOperators":
-        """These operators for scheme `order` and step `dt`: new solvers, same loads."""
-        cfg = replace(self.cfg, order=order, dt=dt)
-        phi, c = _shifted_solvers(self.grid, cfg, self.params)
-        return replace(self, phi=phi, c=c, cfg=cfg)
+    start: "RectOperators | None" = None
 
 
 def _shifted_solvers(grid, cfg: SchemeConfig, params: CorrosionParameters):
@@ -198,18 +201,22 @@ def _shifted_solvers(grid, cfg: SchemeConfig, params: CorrosionParameters):
         alpha, beta = coef.shifts(cfg.dt, w, D)
         return SylvesterOperator(beta, -alpha, grid.factorizations)
 
-    return operator(params.D_phi, cfg.w), operator(params.D_c, 0.0)
+    return dict(phi=operator(params.D_phi, cfg.w), c=operator(params.D_c, 0.0))
 
 
 def build_rect_operators(grid, cfg: SchemeConfig, params: CorrosionParameters,
                          bdata: BoundaryData = BoundaryData()) -> RectOperators:
-    """The solvers of one scheme and the Dirichlet loads of `bdata`."""
-    return RectOperators(
-        *_shifted_solvers(grid, cfg, params), grid, params, cfg,
+    """The solvers of one scheme, with a 2SBDF run's `start`, and the loads of `bdata`."""
+    ops = RectOperators(
+        grid=grid, params=params, cfg=cfg, **_shifted_solvers(grid, cfg, params),
         load_phi=boundary_contribution(grid, bdata, "phi"),
         load_c=boundary_contribution(grid, bdata, "c")
         + boundary_contribution(grid, bdata, "F2", params),
     )
+    if cfg.order == EULER:
+        return ops
+    sub = replace(cfg, order=EULER, dt=bootstrap_substeps(cfg.dt)[1])
+    return replace(ops, start=replace(ops, cfg=sub, **_shifted_solvers(grid, sub, params)))
 
 
 def _combine(terms):
@@ -314,13 +321,11 @@ def bootstrap_2sbdf(state0: FieldPair, ops, substep) -> FieldPair:
     """The second 2SBDF level, at t0 + dt, from ceil(4/dt) fine IMEX Euler substeps.
 
     `ops` are a 2SBDF run's `RectOperators` or `holes.HoleOperators`, and
-    `substep(state, ops.retimed("euler", dt / count))` advances one substep.
+    `substep(state, ops.start)` advances one substep.
     """
-    count, sub_dt = bootstrap_substeps(ops.cfg.dt)
-    sub_ops = ops.retimed(EULER, sub_dt)
-    state = state0
-    for _ in range(count):
-        state = substep(state, sub_ops)
+    start, state = ops.start, state0
+    for _ in range(bootstrap_substeps(ops.cfg.dt)[0]):
+        state = substep(state, start)
     return replace(state, t=state0.t + ops.cfg.dt, step_index=state0.step_index + 1)
 
 

@@ -621,10 +621,11 @@ def _write_artifacts(artifacts: RunArtifacts, grid, output_root: str) -> str:
 
     if artifacts.reports:
         with open(os.path.join(out_dir, "iterations.csv"), "w", encoding="utf-8") as fh:
-            fh.write("step,t,k_phi,k_c,maxPhiTheta,maxCTheta,wall_ms\n")
+            fh.write("step,t,k_phi,k_c,resid_phi,resid_c,maxPhiTheta,maxCTheta,wall_ms\n")
             for r in artifacts.reports:
                 fh.write(
                     f"{r.step_index},{r.t:.17g},{r.k_phi},{r.k_c},"
+                    f"{r.resid_phi:.17g},{r.resid_c:.17g},"
                     f"{r.max_phi_theta:.17g},{r.max_c_theta:.17g},{r.wall_ms:.3f}\n"
                 )
 

@@ -147,6 +147,11 @@ class TestCorrectionOperators:
         mask = rasterize_mask(g, (Circle((10e-6, 10e-6), 2e-6),))
         return g, mask, build_correction_matrices(g, mask)
 
+    def test_n12_is_summed_once(self, pit):
+        _, _, corr = pit
+        assert corr.N12 is corr.N12
+        assert abs(corr.N12 - (corr.N1 + corr.N2)).sum() == 0.0
+
     def test_n1_nilpotent(self, pit):
         _, _, corr = pit
         prod = (corr.N1 @ corr.N1)

@@ -1,3 +1,6 @@
+import collections
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -20,7 +23,7 @@ from pitcorr.holes import (
     step_iter_2sbdf,
     step_iter_euler,
 )
-from pitcorr.linalg import Capacitance, factorization_count, kronecker_sum
+from pitcorr.linalg import Capacitance, SylvesterOperator, factorization_count, kronecker_sum
 from pitcorr.model import CorrosionParameters, reaction_f1, reaction_f2
 from pitcorr.rect import (
     BoundaryData,
@@ -141,28 +144,28 @@ class TestOperators:
 
     def test_exact_builds_capacitances_with_the_operators(self, pit_setup, params):
         g, mask, corr = pit_setup
-        loop = build_hole_operators(g, iter_cfg(variant="imex-e"), params, mask, corr)
-        assert loop.cap_phi is None and loop.cap_c is None
+        loop_cfg = iter_cfg(variant="imex-e", order="2sbdf", dt=6e-3)
+        loop = build_hole_operators(g, loop_cfg, params, mask, corr)
+        solvers = [loop.rect.phi, loop.rect.c, loop.start.rect.phi, loop.start.rect.c]
+        assert all(op.capacitance is None for op in solvers)
 
-        cfg = iter_cfg(variant="imex-e", order="2sbdf", dt=6e-3, stop_mode="exact")
-        ops = build_hole_operators(g, cfg, params, mask, corr)
-        assert isinstance(ops.cap_phi, Capacitance) and isinstance(ops.cap_c, Capacitance)
-        assert ops.cap_phi.alpha == -ops.rect.phi.b
-        assert ops.cap_c.alpha == -ops.rect.c.b
-        # Phi and c share the images of N; only the shifts differ.
-        assert ops.cap_c.images is ops.cap_phi.images
-        Y = np.random.default_rng(2).standard_normal(g.counts)
-        X = ops.rect.c.solve(Y, ops.cap_c)
         before = factorization_count()
-        sub = ops.retimed("euler", 1e-3)
+        ops = build_hole_operators(g, replace(loop_cfg, stop_mode="exact"), params, mask, corr)
         assert factorization_count() == before
-        assert sub.cap_phi.images is ops.cap_phi.images
-        # The start's builds overwrite the run's scratch arrays, and leave
-        # the capacitances built before them as they were.
-        assert sub.cap_work is ops.cap_work is not None
-        np.testing.assert_array_equal(ops.rect.c.solve(Y, ops.cap_c), X)
-        assert sub.cap_phi.alpha == -sub.rect.phi.b != ops.cap_phi.alpha
-        assert sub.cap_c.alpha == -sub.rect.c.b != ops.cap_c.alpha
+        solvers = [ops.rect.phi, ops.rect.c, ops.start.rect.phi, ops.start.rect.c]
+        caps = [op.capacitance for op in solvers]
+        assert all(isinstance(cap, Capacitance) for cap in caps)
+        # Each solver holds the capacitance of its own shift, and all four
+        # share the images of N.
+        for op in solvers:
+            assert op.capacitance.alpha == -op.b and op.capacitance.Upsilon is op.Upsilon
+        assert len({cap.alpha for cap in caps}) == 4
+        assert all(cap.images is caps[0].images for cap in caps)
+        # The builds share scratch arrays; the later ones leave the earlier
+        # capacitances as a build of their own makes them.
+        Y = np.random.default_rng(2).standard_normal(g.counts)
+        alone = loop.rect.c.corrected(caps[0].images)
+        np.testing.assert_array_equal(ops.rect.c.solve(Y), alone.solve(Y))
 
 
 class TestTrivialMask:
@@ -452,7 +455,7 @@ class TestBootstrap:
         assert curr.step_index == 1
 
         count, sub = bootstrap_substeps(cfg.dt)
-        sub_ops = ops.retimed("euler", sub)
+        sub_ops = ops.start
         assert sub_ops.cfg.order == sub_ops.rect.cfg.order == "euler"
         assert sub_ops.cfg.dt == sub_ops.rect.cfg.dt == sub
         assert sub_ops.N is ops.N and sub_ops.chi is ops.chi and sub_ops.mask is ops.mask
@@ -464,9 +467,51 @@ class TestBootstrap:
 
 
 class TestExactBootstrap(TestBootstrap):
-    """The same start with the capacitances rebuilt by `retimed`."""
+    """The same start on the start's corrected solvers."""
 
     stop_mode = "exact"
+
+
+@pytest.mark.parametrize("domain", ["rect", "holes"])
+def test_2sbdf_run_builds_every_solver_in_set_up(domain, params, monkeypatch):
+    # From the hook call on the initial state on, which precedes the start,
+    # a 2SBDF run constructs no solver and no capacitance.
+    built = collections.Counter()
+
+    def count(cls, attr):
+        original = getattr(cls, attr)
+
+        def counting(*args, **kwargs):
+            built[f"{cls.__name__}.{attr}"] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cls, attr, counting)
+
+    count(SylvesterOperator, "__init__")
+    count(SylvesterOperator, "corrected")  # copies a solver without `__init__`
+    count(Capacitance, "__init__")
+    at_loop = []
+
+    def hook(state):
+        if not at_loop:
+            at_loop.append(built.copy())
+
+    g = build_grid(GridSpec((100e-6, 100e-6), (11, 11), (NN, NN)))
+    mask = rasterize_mask(g, (Circle((50e-6, 50e-6), 15e-6),))
+    bdata = BoundaryData.homogeneous(2)
+    if domain == "rect":
+        run_rect(pit_state(g, mask), SchemeConfig("2sbdf", 0.5, W), params, g, bdata,
+                 3 * 0.5, hooks=(hook,))
+        expected = {"SylvesterOperator.__init__": 4}
+    else:
+        cfg = iter_cfg(variant="imex-e", order="2sbdf", dt=0.5, stop_mode="exact")
+        run_holes(pit_state(g, mask), cfg, params, g, mask,
+                  build_correction_matrices(g, mask), bdata, 3 * cfg.dt, hooks=(hook,))
+        # The main and start pairs, their corrected copies and capacitances.
+        expected = {"SylvesterOperator.__init__": 4, "SylvesterOperator.corrected": 4,
+                    "Capacitance.__init__": 4}
+    assert at_loop == [expected]
+    assert built == expected
 
 
 class TestRunHoles:

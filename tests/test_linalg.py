@@ -217,11 +217,13 @@ class TestCapacitance:
         op = build_operator(a, b, laps)
         N, _ = _random_correction(rng, shape)
         N = N * (0.1 / (abs(b) * np.abs(N).max()))  # keep I + alpha*K well conditioned
-        cap = Capacitance(op, support_images(op.facts, N))
+        corrected = op.corrected(support_images(op.facts, N))
+        # A copy that shares the plain solver's tables and leaves it plain.
+        assert corrected.facts is op.facts and corrected.Upsilon is op.Upsilon
+        assert isinstance(corrected.capacitance, Capacitance) and op.capacitance is None
         Y = rng.standard_normal(shape)
-        before = op.solve_count
-        X = op.solve(Y, cap)
-        assert op.solve_count == before + 1
+        X = corrected.solve(Y)
+        assert corrected.solve_count == 1 and op.solve_count == 0
         n = int(np.prod(shape))
         A = a * sp.identity(n) + b * (kronecker_sum(laps) - N)
         Xd = np.linalg.solve(A.toarray(), Y.ravel(order="F")).reshape(shape, order="F")
@@ -301,12 +303,12 @@ class TestCapacitance:
         # 1 - b*c*k = -2 for c = 3 / (b*k): |alpha*K| = 3 fails the
         # certificate, but I + alpha*K is well conditioned and accepted.
         N = unit * (3.0 / (op.b * k))
-        cap = Capacitance(op, support_images(op.facts, N))
+        corrected = op.corrected(support_images(op.facts, N))
         assert len(calls) == 1
         Y = np.random.default_rng(5).standard_normal((6, 6))
         A = op.a * sp.identity(36) + op.b * (kronecker_sum((lap, lap)) - N)
         Xd = np.linalg.solve(A.toarray(), Y.ravel(order="F")).reshape(6, 6, order="F")
-        assert np.abs(op.solve(Y, cap) - Xd).max() / np.abs(Xd).max() < 1e-10
+        assert np.abs(corrected.solve(Y) - Xd).max() / np.abs(Xd).max() < 1e-10
 
     @pytest.mark.parametrize("shape,kinds", SHAPES_AND_KINDS)
     @pytest.mark.parametrize("size", [1.0, 1e-4])
@@ -318,13 +320,13 @@ class TestCapacitance:
         op = build_operator(a, b, laps)
         N, _ = _random_correction(rng, shape)
         N = N * (size / (abs(b) * np.abs(N).max()))
-        cap = Capacitance(op, support_images(op.facts, N))
-        assert (cap.lu is None) == (size < 1.0)
+        corrected = op.corrected(support_images(op.facts, N))
+        assert (corrected.capacitance.lu is None) == (size < 1.0)
         Y = rng.standard_normal(shape)
         n = int(np.prod(shape))
         A = a * sp.identity(n) + b * (kronecker_sum(laps) - N)
         Xd = np.linalg.solve(A.toarray(), Y.ravel(order="F")).reshape(shape, order="F")
-        assert np.abs(op.solve(Y, cap) - Xd).max() / np.abs(Xd).max() < 1e-10
+        assert np.abs(corrected.solve(Y) - Xd).max() / np.abs(Xd).max() < 1e-10
 
     def test_singular_capacitance_raises(self):
         lap = laplacian_1d(NEUMANN, 6, 0.2)

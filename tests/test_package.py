@@ -1,5 +1,9 @@
+import importlib
+import pkgutil
 import tomllib
 from pathlib import Path
+
+import pytest
 
 import pitcorr
 
@@ -8,3 +12,13 @@ def test_version_matches_pyproject():
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
     with open(pyproject, "rb") as fh:
         assert pitcorr.__version__ == tomllib.load(fh)["project"]["version"]
+
+
+MODULES = ("pitcorr",) + tuple(f"pitcorr.{m.name}" for m in pkgutil.iter_modules(pitcorr.__path__))
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_exported_name_exists(name):
+    module = importlib.import_module(name)
+    missing = [attr for attr in getattr(module, "__all__", ()) if not hasattr(module, attr)]
+    assert missing == []

@@ -276,11 +276,14 @@ class TestRunValidation:
     def test_nonfinite_state_raises(self, params):
         g = small_grid(counts=(4, 4), extents=(4e-6, 5e-6))
         cfg = SchemeConfig("euler", 1e-3, 4.43e8)
-        bad = np.ones(g.counts)
-        bad[1, 1] = np.nan
-        state = FieldPair(bad, np.ones(g.counts))
-        with pytest.raises(InstabilityError):
-            run_rect(state, cfg, params, g, BoundaryData.homogeneous(2), 1e-3)
+        for field, name in (("phi", "Phi"), ("c", "C")):
+            levels = {"Phi": np.ones(g.counts), "C": np.ones(g.counts)}
+            levels[name][1, 1] = np.nan
+            state = FieldPair(**levels, t=0.5, step_index=7)
+            with pytest.raises(InstabilityError) as exc:
+                run_rect(state, cfg, params, g, BoundaryData.homogeneous(2), 1e-3)
+            assert (exc.value.field, exc.value.t, exc.value.step_index) == (field, 0.5, 7)
+            assert f"non-finite {field} values at t=0.5s (step 7)" in str(exc.value)
 
     def test_scheme_config_validation(self):
         with pytest.raises(ValueError):

@@ -235,7 +235,7 @@ class TestRunScenario:
         assert os.path.isfile(os.path.join(out, "snapshot_t0.f64"))
         with open(os.path.join(out, "iterations.csv")) as fh:
             header = fh.readline().strip()
-        assert header == "step,t,k_phi,k_c,maxPhiTheta,maxCTheta,wall_ms"
+        assert header == "step,t,k_phi,k_c,resid_phi,resid_c,maxPhiTheta,maxCTheta,wall_ms"
 
     def test_initial_state_zeroed_on_holes(self):
         cfg = load_config(tiny_pit_config(n_steps=1))

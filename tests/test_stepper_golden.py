@@ -1,10 +1,12 @@
-"""Golden regression: six short runs must reproduce stored results to round-off.
+"""Golden regression: eight short runs must reproduce stored results to round-off.
 
 `tests/data/stepper_golden.npz` holds the final (Phi, C) and the per-step
-inner-iteration counts (k_phi, k_c) of each run in RUNS, written by the
-separate rectangle and cavity-domain steppers that preceded the shared IMEX
-step.  A refactor of the stepper must keep the counts identical and the
-fields within 1e-12 max-abs.
+inner-iteration counts (k_phi, k_c) of each run in RUNS.  The six loop runs
+were written by the separate rectangle and cavity-domain steppers that
+preceded the shared IMEX step; the two `pit_exact_*` runs by the capacitance
+solve with its capacitances kept beside the solvers, before each corrected
+solver became one operator.  A refactor of the stepper must keep the counts
+identical and the fields within 1e-12 max-abs.
 
 Regenerate the file only from a version whose results are trusted:
 
@@ -51,11 +53,11 @@ def _rect_2sbdf_3d():
     return run_rect(_solid(grid), cfg, PARAMS, grid, bdata, 6 * cfg.dt), []
 
 
-def _pit(variant, order, dt, n_steps):
+def _pit(variant, order, dt, n_steps, stop_mode="full"):
     grid = build_grid(GridSpec((40e-6, 40e-6), (41, 41), (NN, NN)))
     mask = rasterize_mask(grid, (Circle((20e-6, 20e-6), 1.5e-6),))
     correction = build_correction_matrices(grid, mask)
-    cfg = IterSchemeConfig(variant, order, dt, DEFAULT_FIXED_W)
+    cfg = IterSchemeConfig(variant, order, dt, DEFAULT_FIXED_W, stop_mode=stop_mode)
     return run_holes(_solid(grid, mask.theta), cfg, PARAMS, grid, mask, correction,
                      BoundaryData.homogeneous(2), n_steps * dt)
 
@@ -67,6 +69,8 @@ RUNS = {
     "pit_imex_e_2sbdf": lambda: _pit("imex-e", "2sbdf", 6e-3, 8),
     "pit_imex_i_euler": lambda: _pit("imex-i", "euler", 2e-3, 20),
     "pit_imex_i_2sbdf": lambda: _pit("imex-i", "2sbdf", 6e-3, 8),
+    "pit_exact_euler": lambda: _pit("imex-e", "euler", 2e-3, 20, "exact"),
+    "pit_exact_2sbdf": lambda: _pit("imex-e", "2sbdf", 6e-3, 8, "exact"),
 }
 
 
