@@ -144,6 +144,10 @@ class HoleOperators:
         return replace(self, rect=start,
                        cfg=replace(self.cfg, order=start.cfg.order, dt=start.cfg.dt))
 
+    def without_start(self) -> "HoleOperators":
+        """These operators with `rect.start` dropped, once the run has started."""
+        return replace(self, rect=self.rect.without_start())
+
     def iterate(self, field, solve, base, scale, warm, t):
         """Solve u = solve(base - scale * N u) from `warm` by fixed-point iteration
         in the step to time `t`; returns (solution, (iterations, last residual)).
@@ -274,8 +278,6 @@ def run_holes(state0: FieldPair, cfg: IterSchemeConfig,
     operators' `t_end` is t0 + horizon: the Theta budget grows as
     eps2 * t / (t0 + horizon), and the final step is held to eps2 exactly.
     """
-    ops = replace(build_hole_operators(grid, cfg, params, mask, correction, bdata),
-                  t_end=state0.t + horizon)
     reports = []
 
     def record(out):
@@ -283,8 +285,12 @@ def run_holes(state0: FieldPair, cfg: IterSchemeConfig,
         return out[0]
 
     # The steppers are looked up by name on each call, as in `rect.run_rect`.
+    # No name here holds the operators, so that `run_loop` can drop the start.
     final = run_loop(
-        state0, ops, horizon, hooks,
+        state0,
+        replace(build_hole_operators(grid, cfg, params, mask, correction, bdata),
+                t_end=state0.t + horizon),
+        horizon, hooks,
         euler=lambda state, ops: record(step_iter_euler(state, ops)),
         two_step=lambda prev, curr, ops: record(step_iter_2sbdf(prev, curr, ops)),
         substep=lambda state, ops: step_iter_euler(state, ops)[0],

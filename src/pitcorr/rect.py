@@ -192,6 +192,10 @@ class RectOperators:
     load_c: np.ndarray | float
     start: "RectOperators | None" = None
 
+    def without_start(self) -> "RectOperators":
+        """These operators with the start dropped, once the run has started."""
+        return replace(self, start=None)
+
 
 def _shifted_solvers(grid, cfg: SchemeConfig, params: CorrosionParameters):
     """The phi and c solvers of one scheme, shifted from the grid's factorizations."""
@@ -335,8 +339,8 @@ def run_loop(state0: FieldPair, ops, horizon: float, hooks, euler, two_step,
 
     `euler(state, ops)` and `two_step(prev, curr, ops)` return the next level
     under the run's operators `ops`.  A 2SBDF run takes its second level from
-    `bootstrap_2sbdf` with `substep` (default `euler`).  `hooks` are called
-    with each completed level, the initial one included.
+    `bootstrap_2sbdf` with `substep` (default `euler`), then drops `ops.start`.
+    `hooks` are called with each completed level, the initial one included.
     """
     cfg = ops.cfg
     n_steps = round(horizon / cfg.dt)
@@ -352,6 +356,7 @@ def run_loop(state0: FieldPair, ops, horizon: float, hooks, euler, two_step,
             nxt = euler(curr, ops)
         elif prev is None:
             nxt = bootstrap_2sbdf(curr, ops, substep or euler)
+            ops = ops.without_start()  # frees the start's solvers
         else:
             nxt = two_step(prev, curr, ops)
         prev, curr = curr, nxt

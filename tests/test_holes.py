@@ -1,10 +1,13 @@
 import collections
+import gc
+import weakref
 from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from pitcorr import rect as rect_module
 from pitcorr.grid import (
     Circle,
     CylinderSegment,
@@ -512,6 +515,39 @@ def test_2sbdf_run_builds_every_solver_in_set_up(domain, params, monkeypatch):
                     "Capacitance.__init__": 4}
     assert at_loop == [expected]
     assert built == expected
+
+
+@pytest.mark.parametrize("domain", ["rect", "holes"])
+def test_2sbdf_start_freed_after_start(domain, params, monkeypatch):
+    # Once the start has returned, nothing of the run holds the start's solvers.
+    start_phi = []
+
+    def bootstrap(state0, ops, substep):
+        start = ops.start
+        start_phi.append(weakref.ref(start.phi if domain == "rect" else start.rect.phi))
+        del start
+        return bootstrap_2sbdf(state0, ops, substep)
+
+    monkeypatch.setattr(rect_module, "bootstrap_2sbdf", bootstrap)
+    alive_at_step_2 = []
+
+    def hook(state):
+        if state.step_index == 2:
+            gc.collect()
+            alive_at_step_2.append(start_phi[0]() is not None)
+
+    g = build_grid(GridSpec((100e-6, 100e-6), (11, 11), (NN, NN)))
+    mask = rasterize_mask(g, (Circle((50e-6, 50e-6), 15e-6),))
+    bdata = BoundaryData.homogeneous(2)
+    if domain == "rect":
+        run_rect(pit_state(g, mask), SchemeConfig("2sbdf", 0.5, W), params, g, bdata,
+                 3 * 0.5, hooks=(hook,))
+    else:
+        cfg = iter_cfg(variant="imex-e", order="2sbdf", dt=0.5, stop_mode="exact")
+        run_holes(pit_state(g, mask), cfg, params, g, mask,
+                  build_correction_matrices(g, mask), bdata, 3 * cfg.dt, hooks=(hook,))
+    assert len(start_phi) == 1
+    assert alive_at_step_2 == [False]
 
 
 class TestRunHoles:

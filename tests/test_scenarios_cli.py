@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 import yaml
 
+from pitcorr import scenarios
 from pitcorr.cli import main
-from pitcorr.grid import build_grid
+from pitcorr.grid import GridSpec, build_grid
 from pitcorr.holes import IterSchemeConfig
 from pitcorr.rect import FieldPair, SchemeConfig
 from pitcorr.scenarios import (
@@ -203,6 +204,41 @@ class TestSnapshotFormats:
         # x varies fastest down the rows
         assert table[1, 0] != table[0, 0]
         assert table[1, 1] == table[0, 1]
+
+    # Mixed Dirichlet/Neumann ends in 2D and 3D; (30, 50) ends in a partial
+    # block at the default block size and (1500, 3) has x-lines longer than
+    # one block; a block of 4 rows does both to every grid.
+    @pytest.mark.parametrize("block_rows", [None, 4])
+    @pytest.mark.parametrize("counts", [(7, 5), (3, 2, 5), (30, 50), (1500, 3)])
+    def test_csv_bytes_match_savetxt(self, tmp_path, monkeypatch, counts, block_rows):
+        if block_rows is not None:
+            monkeypatch.setattr(scenarios, "_CSV_BLOCK_ROWS", block_rows)
+        D, N = "dirichlet", "neumann"
+        bc = ((D, N), (N, N), (N, D))[: len(counts)]
+        grid = build_grid(GridSpec(tuple(1e-6 * m for m in counts), counts, bc))
+        rng = np.random.default_rng(len(counts))
+        phi = rng.standard_normal(counts) * 10.0 ** rng.integers(-300, 300, counts)
+        c = rng.uniform(0.0, 1.0, counts)
+        special = [np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -2.5e-310,
+                   1e300, -1e-300, 3.0, -7.0, 1e22]
+        n = len(special)  # the first rows of phi and the last rows of c
+        phi[np.unravel_index(np.arange(n), counts, order="F")] = special
+        c[np.unravel_index(np.arange(phi.size - n, phi.size), counts, order="F")] = special[::-1]
+        state = FieldPair(phi, c, t=0.5, step_index=2)
+
+        path = export_snapshot(state, grid, str(tmp_path / "snap"), "csv")
+        reference = tmp_path / "reference.csv"
+        columns = [x.ravel(order="F") for x in np.meshgrid(*grid.axes, indexing="ij")]
+        columns += [phi.ravel(order="F"), c.ravel(order="F")]
+        header = ",".join(["x", "y", "z"][: len(counts)] + ["phi", "c"])
+        np.savetxt(reference, np.column_stack(columns), fmt="%.17g", delimiter=",",
+                   header=header, comments="")
+        with open(path, "rb") as fh:
+            written = fh.read()
+        assert written == reference.read_bytes()
+        for text in (b",nan,", b",-inf,", b",-0,", b",4.9406564584124654e-324,",
+                     b",1.0000000000000001e+300,"):
+            assert text in written
 
     def test_raw_round_trip_bit_exact(self, tmp_path, grid_state):
         grid, state = grid_state
