@@ -82,10 +82,6 @@ class Grid:
     def n_nodes(self):
         return int(np.prod(self.spec.counts))
 
-    def coordinate_arrays(self):
-        """Meshgrid ('ij') coordinate arrays of all unknown nodes."""
-        return np.meshgrid(*self.axes, indexing="ij")
-
     @cached_property
     def factorizations(self) -> tuple:
         """Spectral factorization of each 1D Laplacian, computed once per grid.
@@ -136,9 +132,9 @@ class Circle:
     def contains(self, grid: Grid) -> np.ndarray:
         if grid.ndim != 2:
             raise ValueError("circle primitives apply to 2D grids")
-        X, Y = grid.coordinate_arrays()
+        x, y = grid.axes
         cx, cy = self.center
-        return (X - cx) ** 2 + (Y - cy) ** 2 <= self.radius**2 * (1.0 + 1e-12)
+        return (x[:, None] - cx) ** 2 + (y[None, :] - cy) ** 2 <= self.radius**2 * (1.0 + 1e-12)
 
     def snapped(self, grid: Grid) -> "Circle":
         cx = _nearest(grid.axes[0], self.center[0])
@@ -166,12 +162,12 @@ class CylinderSegment:
     def contains(self, grid: Grid) -> np.ndarray:
         if grid.ndim != 3:
             raise ValueError("cylinder primitives apply to 3D grids")
-        coords = grid.coordinate_arrays()
+        coords = np.ix_(*grid.axes)  # each axis along its own dimension
         perp = [i for i in range(3) if i != self.axis]
         r2 = (coords[perp[0]] - self.center[0]) ** 2 + (
             coords[perp[1]] - self.center[1]
         ) ** 2
-        inside = r2 <= self.radius**2 * (1.0 + 1e-12)
+        inside = np.broadcast_to(r2 <= self.radius**2 * (1.0 + 1e-12), grid.counts).copy()
         if self.span is not None:
             lo, hi = self.span
             inside &= (coords[self.axis] >= lo) & (coords[self.axis] <= hi)

@@ -1,9 +1,10 @@
 """Cavity domains: the IMEX step of `pitcorr.rect` with sparse corrections.
 
 The holes Theta are kept inside the rectangular grid; the masked Laplacian
-M - N1 - N2 decouples them, but is not a Kronecker sum.  The step therefore
-keeps the Kronecker-sum solve of `rect.imex_step`, with the same coefficient
-table, and lags the sparse corrections:
+M - N1 - N2 decouples them, but is not a Kronecker sum.  A cavity run
+therefore keeps the rectangle's operators and step (`rect.RectOperators`,
+`rect.imex_step`), with the same coefficient table, and adds to them a
+`HoleOperators` as `RectOperators.hole`, which lags the sparse corrections:
 
     variant 'imex-i':  N = N1 + N2 applied to the previous iterate, no G,
     variant 'imex-e':  N = N1 applied to the previous iterate, G = N2
@@ -14,8 +15,9 @@ c loop consumes the converged phi.  Iterations stop when the change over the
 physical region drops below eps1 and the values on Theta are either below
 the time-proportional budget eps2 * t/T (T is `HoleOperators.t_end`) or
 have stagnated below eps3.  The reduced mode performs a single phi iteration
-and stops the c loop on the global change only.  With an empty Theta the
-step is the rectangle step, and a run starts 2SBDF as a rectangle does.
+and stops the c loop on the global change only.  With an empty Theta there
+is no hole: the step is the rectangle step, and a run starts 2SBDF as a
+rectangle does.
 
 The exact stop mode solves each field's system (A + alpha*N) u = base, the
 loop's limit, directly: `build_hole_operators` replaces every solver of the
@@ -37,6 +39,7 @@ from .model import CorrosionParameters
 from .rect import (
     BoundaryData,
     FieldPair,
+    RectOperators,
     SchemeConfig,
     build_rect_operators,
     imex_step,
@@ -117,14 +120,15 @@ class IterationReport:
 
 @dataclass(frozen=True)
 class HoleOperators:
-    """Shared per-run machinery: Sylvester solvers, mask and sparse corrections.
+    """A cavity's part of its run's operators (`RectOperators.hole`): the
+    mask, the sparse corrections and the inner loop's stop rule.
 
-    `t_end` is the time T of the Theta budget eps2 * t/T; with None (the
-    default) the budget is eps2 on every step.  In the exact stop mode the
-    solvers of `rect` are corrected for N.
+    The main and the start operators share it: `cfg` sets the stop rule,
+    and the step's scheme is the operators' own.  `t_end` is the time T of
+    the Theta budget eps2 * t/T; with None (the default) the budget is eps2
+    on every step.
     """
 
-    rect: object
     cfg: IterSchemeConfig
     mask: object
     N: object  # lagged on the running iterate
@@ -132,21 +136,6 @@ class HoleOperators:
     N12: object  # N1 + N2, for the masked Laplacian action
     chi: np.ndarray  # indicator of the physical region
     t_end: float | None = None
-
-    @property
-    def trivial(self) -> bool:
-        return self.N.nnz == 0 and (self.G is None or self.G.nnz == 0)
-
-    @property
-    def start(self) -> "HoleOperators":
-        """A 2SBDF run's start operators: these, on `rect.start` and its scheme."""
-        start = self.rect.start
-        return replace(self, rect=start,
-                       cfg=replace(self.cfg, order=start.cfg.order, dt=start.cfg.dt))
-
-    def without_start(self) -> "HoleOperators":
-        """These operators with `rect.start` dropped, once the run has started."""
-        return replace(self, rect=self.rect.without_start())
 
     def iterate(self, field, solve, base, scale, warm, t):
         """Solve u = solve(base - scale * N u) from `warm` by fixed-point iteration
@@ -191,36 +180,36 @@ class HoleOperators:
 
 
 def build_hole_operators(grid, cfg: IterSchemeConfig, params: CorrosionParameters,
-                         mask, correction, bdata=BoundaryData()) -> HoleOperators:
-    """The operators of a cavity run; the exact stop mode also corrects every
-    solver of the run for N here, the 2SBDF start's included, so that no
-    step pays for it."""
+                         mask, correction, bdata=BoundaryData(),
+                         t_end: float | None = None) -> RectOperators:
+    """The operators of a cavity run: the rectangle's, with the `hole` of
+    `mask` (None on an empty Theta) and its Theta budget `t_end`.
+
+    The exact stop mode also corrects every solver of the run for N here,
+    the 2SBDF start's included, so that no step pays for it.
+    """
+    ops = build_rect_operators(grid, cfg.scheme(), params, bdata)
+    if not mask.theta.any():
+        return ops
     N12 = correction.N12
     if cfg.variant == IMEX_I:
         N, G = N12, None
     else:
         N, G = correction.N1, correction.N2
-    rect = build_rect_operators(grid, cfg.scheme(), params, bdata)
+    hole = HoleOperators(cfg=cfg, mask=mask, N=N, G=G, N12=N12,
+                         chi=(~mask.theta).astype(float), t_end=t_end)
     images = support_images(grid.factorizations, N) if cfg.stop_mode == EXACT else None
-    if images is not None and images.support.size:  # else the plain solve is exact
-        # Scratch arrays that every capacitance build overwrites; they go
-        # with the set-up.
-        work = support_work(images)
+    # Scratch arrays that every capacitance build overwrites; they go with the
+    # set-up.  Without a support the plain solve is exact.
+    work = support_work(images) if images is not None and images.support.size else None
 
-        def corrected(ops):
-            return replace(ops, phi=ops.phi.corrected(images, work),
-                           c=ops.c.corrected(images, work))
+    def with_hole(ops):
+        if work is None:
+            return replace(ops, hole=hole)
+        return replace(ops, phi=ops.phi.corrected(images, work),
+                       c=ops.c.corrected(images, work), hole=hole)
 
-        rect = replace(corrected(rect), start=rect.start and corrected(rect.start))
-    return HoleOperators(
-        rect=rect,
-        cfg=cfg,
-        mask=mask,
-        N=N,
-        G=G,
-        N12=N12,
-        chi=(~mask.theta).astype(float),
-    )
+    return replace(with_hole(ops), start=ops.start and with_hole(ops.start))
 
 
 def _masked_max(delta: np.ndarray, region: np.ndarray) -> float:
@@ -241,10 +230,13 @@ def check_stop_criteria(u_prev: np.ndarray, u_next: np.ndarray, mask,
     return (theta_level < eps2_budget or theta_delta < eps3), resid
 
 
-def _step(levels, ops: HoleOperators):
+def _theta_max(u: np.ndarray, hole) -> float:
+    return 0.0 if hole is None else _masked_max(u, hole.mask.theta)
+
+
+def _step(levels, ops: RectOperators):
     tic = time.perf_counter()
-    hole = None if ops.trivial else ops
-    out, ((k_phi, r_phi), (k_c, r_c)) = imex_step(levels, ops.rect, hole)
+    out, ((k_phi, r_phi), (k_c, r_c)) = imex_step(levels, ops)
     report = IterationReport(
         step_index=out.step_index,
         t=out.t,
@@ -252,19 +244,19 @@ def _step(levels, ops: HoleOperators):
         k_c=k_c,
         resid_phi=r_phi,
         resid_c=r_c,
-        max_phi_theta=_masked_max(out.Phi, ops.mask.theta),
-        max_c_theta=_masked_max(out.C, ops.mask.theta),
+        max_phi_theta=_theta_max(out.Phi, ops.hole),
+        max_c_theta=_theta_max(out.C, ops.hole),
         wall_ms=(time.perf_counter() - tic) * 1e3,
     )
     return out, report
 
 
-def step_iter_euler(state: FieldPair, ops: HoleOperators):
+def step_iter_euler(state: FieldPair, ops: RectOperators):
     """One iterative IMEX Euler step; returns (state, IterationReport)."""
     return _step((state,), ops)
 
 
-def step_iter_2sbdf(prev: FieldPair, curr: FieldPair, ops: HoleOperators):
+def step_iter_2sbdf(prev: FieldPair, curr: FieldPair, ops: RectOperators):
     """One iterative IMEX 2SBDF step; returns (state, IterationReport)."""
     return _step((curr, prev), ops)
 
@@ -275,7 +267,7 @@ def run_holes(state0: FieldPair, cfg: IterSchemeConfig,
     """Advance a masked-domain run; returns (final state, iteration reports).
 
     Reports cover the main-loop steps, not the 2SBDF start substeps.  The
-    operators' `t_end` is t0 + horizon: the Theta budget grows as
+    hole's `t_end` is t0 + horizon: the Theta budget grows as
     eps2 * t / (t0 + horizon), and the final step is held to eps2 exactly.
     """
     reports = []
@@ -288,8 +280,8 @@ def run_holes(state0: FieldPair, cfg: IterSchemeConfig,
     # No name here holds the operators, so that `run_loop` can drop the start.
     final = run_loop(
         state0,
-        replace(build_hole_operators(grid, cfg, params, mask, correction, bdata),
-                t_end=state0.t + horizon),
+        build_hole_operators(grid, cfg, params, mask, correction, bdata,
+                             t_end=state0.t + horizon),
         horizon, hooks,
         euler=lambda state, ops: record(step_iter_euler(state, ops)),
         two_step=lambda prev, curr, ops: record(step_iter_2sbdf(prev, curr, ops)),

@@ -26,11 +26,12 @@ loads are built once with the operators (`RectOperators.load_phi`,
 `load_c`) and a step reads only its time levels and the operators.
 
 A rectangle is the case without correction: one direct solve per field.  A
-cavity domain (`pitcorr.holes`) adds sparse corrections and an inner loop
-per solve, or in its exact stop mode one capacitance-corrected solve.  One
-run loop and one 2SBDF start serve both domains: ceil(4/dt) fine IMEX Euler
-substeps up to t = dt, under the operators' `start`, which set-up builds with
-the run's own, so that no step builds a solver.
+cavity domain (`pitcorr.holes`) is the same `RectOperators` with a `hole`:
+sparse corrections and an inner loop per solve, or in its exact stop mode one
+capacitance-corrected solve.  One run loop and one 2SBDF start serve both
+domains: ceil(4/dt) fine IMEX Euler substeps up to t = dt, under the
+operators' `start`, which set-up builds with the run's own, so that no step
+builds a solver.
 """
 
 from __future__ import annotations
@@ -181,6 +182,8 @@ class RectOperators:
 
     A load that is zero everywhere is the scalar 0.0, not an array.  `start`
     holds a 2SBDF run's start: the Euler solvers at dt / ceil(4/dt), same loads.
+    `hole` holds a cavity's corrections and stop rule (`holes.HoleOperators`),
+    shared with `start`; None on a rectangle or an empty Theta.
     """
 
     phi: SylvesterOperator
@@ -191,10 +194,7 @@ class RectOperators:
     load_phi: np.ndarray | float
     load_c: np.ndarray | float
     start: "RectOperators | None" = None
-
-    def without_start(self) -> "RectOperators":
-        """These operators with the start dropped, once the run has started."""
-        return replace(self, start=None)
+    hole: object = None
 
 
 def _shifted_solvers(grid, cfg: SchemeConfig, params: CorrosionParameters):
@@ -243,18 +243,18 @@ def matvec(A, U: np.ndarray) -> np.ndarray:
     return (A @ U.ravel(order="F")).reshape(U.shape, order="F")
 
 
-def imex_step(levels, ops: RectOperators, hole=None):
+def imex_step(levels, ops: RectOperators):
     """One step of `ops.cfg.order` from `levels`, newest first.
 
     Returns (state, loops), with loops the (iterations, last residual) of the
-    phi and the c solve.  Without `hole` each field takes one direct solve.
-    A `holes.HoleOperators` as `hole` confines the explicit terms to the
-    physical region (`chi`), subtracts the known-level correction `G` on the
+    phi and the c solve.  Without `ops.hole` each field takes one direct
+    solve.  With it the step confines the explicit terms to the physical
+    region (`chi`), subtracts the known-level correction `G` on the
     extrapolated levels and `N12` from the Laplacian of F2, and solves each
-    field by its inner loop; the loop reads its Theta budget from `hole` and
-    the step's target time.
+    field by the hole's inner loop, which reads its Theta budget from the
+    hole and the step's target time.
     """
-    cfg, p, grid = ops.cfg, ops.params, ops.grid
+    cfg, p, grid, hole = ops.cfg, ops.params, ops.grid, ops.hole
     coef = COEFFICIENTS[cfg.order]
     if len(levels) != len(coef.history):
         raise ValueError(f"{cfg.order} steps from {len(coef.history)} time levels")
@@ -324,8 +324,8 @@ def bootstrap_substeps(dt: float):
 def bootstrap_2sbdf(state0: FieldPair, ops, substep) -> FieldPair:
     """The second 2SBDF level, at t0 + dt, from ceil(4/dt) fine IMEX Euler substeps.
 
-    `ops` are a 2SBDF run's `RectOperators` or `holes.HoleOperators`, and
-    `substep(state, ops.start)` advances one substep.
+    `ops` are a 2SBDF run's operators, and `substep(state, ops.start)`
+    advances one substep.
     """
     start, state = ops.start, state0
     for _ in range(bootstrap_substeps(ops.cfg.dt)[0]):
@@ -356,7 +356,7 @@ def run_loop(state0: FieldPair, ops, horizon: float, hooks, euler, two_step,
             nxt = euler(curr, ops)
         elif prev is None:
             nxt = bootstrap_2sbdf(curr, ops, substep or euler)
-            ops = ops.without_start()  # frees the start's solvers
+            ops = replace(ops, start=None)  # frees the start's solvers
         else:
             nxt = two_step(prev, curr, ops)
         prev, curr = curr, nxt

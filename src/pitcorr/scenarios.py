@@ -340,19 +340,26 @@ def _parse_shapes(raw_geometry, ndim):
     return tuple(shapes)
 
 
+def _reject_unused(raw_scheme, keys, where: str):
+    """A scheme key that no step reads is an error, not a silent no-op."""
+    for key in keys:
+        if key in raw_scheme:
+            raise ConfigError(f"scheme.{key} has no effect {where}")
+
+
 def _parse_scheme(raw_scheme, has_holes: bool):
     order = str(_require(raw_scheme, "order", "scheme")).lower()
     dt = float(_require(raw_scheme, "dt", "scheme"))
     w = float(raw_scheme.get("w", DEFAULT_FIXED_W))
     try:
         if not has_holes:
+            _reject_unused(raw_scheme, ("variant", "stop_mode", "eps", "max_iters"),
+                           "without geometry")
             return SchemeConfig(order, dt, w)
         variant = str(raw_scheme.get("variant", "imex-e")).lower()
         stop_mode = str(raw_scheme.get("stop_mode", "full")).lower()
         if stop_mode == "exact":
-            for key in ("eps", "max_iters"):
-                if key in raw_scheme:
-                    raise ConfigError(f"scheme.{key} has no effect under stop_mode: exact")
+            _reject_unused(raw_scheme, ("eps", "max_iters"), "under stop_mode: exact")
         eps = raw_scheme.get("eps", [1e-4, 1e-3, 1e-8])
         if len(eps) != 3:
             raise ConfigError("scheme.eps must list (eps1, eps2, eps3)")
@@ -453,7 +460,9 @@ def _write_csv(fh, state: FieldPair, grid):
     rest = texts[1] if grid.ndim == 2 else [y + b"," + z for z in texts[2] for y in texts[1]]
     m_x = len(texts[0])
     lines_per_block = max(1, _CSV_BLOCK_ROWS // m_x)
-    phi, c = state.Phi.ravel(order="F"), state.C.ravel(order="F")
+    # The C order of the reversed-axes views is the fields' F order, so a
+    # block reads its rows without a copy of the whole field.
+    phi, c = state.Phi.T.flat, state.C.T.flat
     values = np.empty((lines_per_block * m_x, 2))
     for first in range(0, len(rest), lines_per_block):
         block = rest[first:first + lines_per_block]
@@ -487,8 +496,8 @@ def export_snapshot(state: FieldPair, grid, path: str, fmt: str = "csv",
         with open(path, "wb") as fh:
             fh.write(json.dumps(header, sort_keys=True).encode("utf-8"))
             fh.write(b"\n")
-            fh.write(state.Phi.ravel(order="F").astype("<f8").tobytes())
-            fh.write(state.C.ravel(order="F").astype("<f8").tobytes())
+            fh.write(np.asarray(state.Phi, "<f8").tobytes(order="F"))
+            fh.write(np.asarray(state.C, "<f8").tobytes(order="F"))
         return path
     raise ConfigError(f"unknown snapshot format {fmt!r}")
 

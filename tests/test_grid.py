@@ -99,9 +99,9 @@ class TestShapes:
         assert mask.theta[:, -1].all()
         assert not mask.theta[:, 0].any()
         # Matches the direct definition y >= profile(x).
-        X, Y = g.coordinate_arrays()
         heights = prof.heights(g.axes[0])
-        np.testing.assert_array_equal(mask.theta, Y >= heights[:, None] * (1 - 1e-12))
+        np.testing.assert_array_equal(mask.theta,
+                                      g.axes[1][None, :] >= heights[:, None] * (1 - 1e-12))
 
     def test_rough_edge_deterministic(self):
         g = build_grid(GridSpec((200e-6, 100e-6), (201, 101), (NN, NN)))
@@ -119,6 +119,29 @@ class TestShapes:
         # Half of the 3x3 block survives the clip: 6 nodes per y-slice.
         assert int(mask.theta.sum()) == 6 * 11
         assert mask.theta[:, 0, :].sum() == 6
+
+    def test_masks_match_meshgrid_definition(self):
+        # Circle and cylinder masks against their definitions on full
+        # coordinate arrays, a cylinder clipped by `span` and `half_plane`.
+        D, N = "dirichlet", "neumann"
+        g2 = build_grid(GridSpec((20e-6, 14e-6), (21, 13), ((N, N), (D, N))))
+        X, Y = np.meshgrid(*g2.axes, indexing="ij")
+        circle = Circle((9e-6, 6e-6), 3.2e-6).snapped(g2)
+        (cx, cy), r = circle.center, circle.radius
+        expected = (X - cx) ** 2 + (Y - cy) ** 2 <= r**2 * (1.0 + 1e-12)
+        assert expected.any() and not expected.all()
+        np.testing.assert_array_equal(circle.contains(g2), expected)
+
+        g3 = build_grid(GridSpec((12e-6, 10e-6, 16e-6), (13, 9, 16), ((N, N), (D, D), (D, N))))
+        X, Y, Z = np.meshgrid(*g3.axes, indexing="ij")
+        cyl = CylinderSegment(1, (6e-6, 8e-6), 3e-6, (2e-6, 7e-6), (2, 9e-6)).snapped(g3)
+        (cx, cz), r = cyl.center, cyl.radius
+        expected = ((X - cx) ** 2 + (Z - cz) ** 2 <= r**2 * (1.0 + 1e-12)) \
+            & (Y >= 2e-6) & (Y <= 7e-6) & (Z <= 9e-6 * (1.0 + 1e-12))
+        assert expected.any() and not expected.all()
+        inside = cyl.contains(g3)
+        assert inside.shape == g3.counts
+        np.testing.assert_array_equal(inside, expected)
 
     def test_cylinder_rejects_2d(self):
         g = square_grid()

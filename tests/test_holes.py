@@ -134,8 +134,32 @@ class TestOperators:
         mask = rasterize_mask(g, tuple(s.snapped(g) for s in cfg.shapes))
         corr = build_correction_matrices(g, mask)
         ops = build_hole_operators(g, iter_cfg(variant="imex-i"), params, mask, corr)
-        assert ops.G is None or ops.G.nnz == 0
-        assert ops.N.nnz == corr.N12.nnz
+        assert ops.hole.G is None or ops.hole.G.nnz == 0
+        assert ops.hole.N.nnz == corr.N12.nnz
+
+    def test_cavity_operators_are_rect_operators_with_a_hole(self, pit_setup, params):
+        g, mask, corr = pit_setup
+        cfg = iter_cfg(variant="imex-e", order="2sbdf", dt=6e-3)
+        ops = build_hole_operators(g, cfg, params, mask, corr, t_end=0.5)
+        assert isinstance(ops, rect_module.RectOperators)
+        assert ops.cfg == cfg.scheme() and ops.hole.cfg is cfg
+        assert ops.start.hole is ops.hole and ops.start.cfg.order == "euler"
+        assert ops.hole.t_end == 0.5
+        empty = DomainMask(np.zeros(g.counts, dtype=bool))
+        bare = build_hole_operators(g, cfg, params, empty, build_correction_matrices(g, empty))
+        assert bare.hole is None and bare.start.hole is None
+
+        # The budget eps2 * t / t_end stops the c loop (no stagnation stop with
+        # eps3 = 1e-30): a larger t_end makes it smaller and the loop longer.
+        state = pit_state(g, mask)
+        euler = iter_cfg(variant="imex-e", eps3=1e-30)
+        k_c = []
+        for t_end in (euler.dt, 1e3 * euler.dt):
+            ops = build_hole_operators(g, euler, params, mask, corr, t_end=t_end)
+            _, rep = step_iter_euler(state, ops)
+            assert rep.max_c_theta < euler.eps2 * rep.t / t_end
+            k_c.append(rep.k_c)
+        assert k_c[0] < k_c[1]
 
     def test_2sbdf_run_factorizes_each_axis_once(self, pit_setup, params):
         g, mask, corr = pit_setup
@@ -149,13 +173,13 @@ class TestOperators:
         g, mask, corr = pit_setup
         loop_cfg = iter_cfg(variant="imex-e", order="2sbdf", dt=6e-3)
         loop = build_hole_operators(g, loop_cfg, params, mask, corr)
-        solvers = [loop.rect.phi, loop.rect.c, loop.start.rect.phi, loop.start.rect.c]
+        solvers = [loop.phi, loop.c, loop.start.phi, loop.start.c]
         assert all(op.capacitance is None for op in solvers)
 
         before = factorization_count()
         ops = build_hole_operators(g, replace(loop_cfg, stop_mode="exact"), params, mask, corr)
         assert factorization_count() == before
-        solvers = [ops.rect.phi, ops.rect.c, ops.start.rect.phi, ops.start.rect.c]
+        solvers = [ops.phi, ops.c, ops.start.phi, ops.start.c]
         caps = [op.capacitance for op in solvers]
         assert all(isinstance(cap, Capacitance) for cap in caps)
         # Each solver holds the capacitance of its own shift, and all four
@@ -167,8 +191,8 @@ class TestOperators:
         # The builds share scratch arrays; the later ones leave the earlier
         # capacitances as a build of their own makes them.
         Y = np.random.default_rng(2).standard_normal(g.counts)
-        alone = loop.rect.c.corrected(caps[0].images)
-        np.testing.assert_array_equal(ops.rect.c.solve(Y), alone.solve(Y))
+        alone = loop.c.corrected(caps[0].images)
+        np.testing.assert_array_equal(ops.c.solve(Y), alone.solve(Y))
 
 
 class TestTrivialMask:
@@ -183,7 +207,8 @@ class TestTrivialMask:
         cfg = iter_cfg()
         ops = build_hole_operators(g, cfg, params, mask, corr, bdata)
         out, rep = step_iter_euler(state, ops)
-        ref = step_imex_euler_rect(state, ops.rect)
+        assert ops.hole is None
+        ref = step_imex_euler_rect(state, build_rect_operators(g, cfg.scheme(), params, bdata))
         np.testing.assert_array_equal(out.Phi, ref.Phi)
         np.testing.assert_array_equal(out.C, ref.C)
         assert rep.k_phi == 1 and rep.k_c == 1
@@ -280,7 +305,7 @@ class TestIterativeStepsMatchDense:
         M = kronecker_sum(g.laplacians)
         n = M.shape[0]
         p, w = params, cfg.w
-        chi = ops.chi
+        chi = ops.hole.chi
         extrap_phi = 2.0 * curr.Phi - prev.Phi
         extrap_c = 2.0 * curr.C - prev.C
 
@@ -459,9 +484,9 @@ class TestBootstrap:
 
         count, sub = bootstrap_substeps(cfg.dt)
         sub_ops = ops.start
-        assert sub_ops.cfg.order == sub_ops.rect.cfg.order == "euler"
-        assert sub_ops.cfg.dt == sub_ops.rect.cfg.dt == sub
-        assert sub_ops.N is ops.N and sub_ops.chi is ops.chi and sub_ops.mask is ops.mask
+        assert sub_ops.cfg.order == "euler"
+        assert sub_ops.cfg.dt == sub
+        assert sub_ops.hole is ops.hole
         manual = state0
         for _ in range(count):
             manual = step_iter_euler(manual, sub_ops)[0]
@@ -524,7 +549,7 @@ def test_2sbdf_start_freed_after_start(domain, params, monkeypatch):
 
     def bootstrap(state0, ops, substep):
         start = ops.start
-        start_phi.append(weakref.ref(start.phi if domain == "rect" else start.rect.phi))
+        start_phi.append(weakref.ref(start.phi))
         del start
         return bootstrap_2sbdf(state0, ops, substep)
 

@@ -1,5 +1,6 @@
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from pitcorr import scenarios
 from pitcorr.cli import main
 from pitcorr.grid import GridSpec, build_grid
 from pitcorr.holes import IterSchemeConfig
+from pitcorr.model import DEFAULT_FIXED_W
 from pitcorr.rect import FieldPair, SchemeConfig
 from pitcorr.scenarios import (
     ConfigError,
@@ -128,6 +130,22 @@ class TestConfigParsing:
         assert main(["run", str(path), "--output", str(tmp_path / "out")]) == 2
         raw["scheme"].pop(key)
         assert load_config(raw).scheme.stop_mode == "exact"
+
+    @pytest.mark.parametrize("key,value", [
+        ("variant", "bogus"), ("variant", "imex-e"), ("stop_mode", "exact"),
+        ("eps", [1e-4, 1e-3]), ("max_iters", -3),
+    ])
+    def test_rectangle_rejects_cavity_settings(self, tmp_path, key, value):
+        # Without geometry no step reads the cavity scheme keys, valid or not.
+        raw = tiny_rect_config()
+        raw["scheme"][key] = value
+        with pytest.raises(ConfigError, match=f"scheme.{key}"):
+            load_config(raw)
+        path = tmp_path / "rect.yaml"
+        path.write_text(yaml.safe_dump(raw))
+        assert main(["run", str(path), "--output", str(tmp_path / "out")]) == 2
+        raw["scheme"].pop(key)
+        assert load_config(raw).scheme == SchemeConfig("euler", 1e-3, DEFAULT_FIXED_W)
 
     def test_unknown_source(self):
         with pytest.raises(ConfigError):
@@ -250,6 +268,24 @@ class TestSnapshotFormats:
         assert back.t == state.t
         assert back.step_index == 3
         assert header["dtype"] == "<f8"
+
+    def test_exports_copy_no_whole_field(self, tmp_path):
+        # A CSV export reads its rows a block at a time, and a raw export
+        # writes each field through a single copy, on pencil3d's grid.
+        counts = (26, 26, 150)
+        N, D = "neumann", "dirichlet"
+        grid = build_grid(GridSpec(tuple(1e-6 * m for m in counts), counts,
+                                   ((N, N), (N, N), (D, N))))
+        rng = np.random.default_rng(3)
+        state = FieldPair(rng.uniform(0, 1, counts), rng.uniform(0, 1, counts), 1.0, 5)
+        for fmt, bound in (("csv", 1.0), ("raw-f64", 1.5)):
+            tracemalloc.start()
+            try:
+                export_snapshot(state, grid, str(tmp_path / "snap"), fmt)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < bound * state.Phi.nbytes, (fmt, peak)
 
     def test_unknown_format_rejected(self, tmp_path, grid_state):
         grid, state = grid_state
