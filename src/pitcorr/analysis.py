@@ -13,11 +13,11 @@ correction.  This module provides
   capacitance (A^{-1} N_S)_S that the exact cavity solve factorizes),
 * front-position probing and relative error norms for the benchmark runs.
 
-With (s, gamma) = (1, 1) for Euler and (2, 3/2) for 2SBDF, read from the
-coefficient table of `pitcorr.rect` that also shifts the solvers, the shifts
-are alpha = s*dt*D and beta = s*(gamma + w*dt) for phi or s*gamma for c; the
-bounds below depend only on dt, D, gamma, w and the grid sums
-S = sum(1/dr^2).
+The shifts are those of the solvers, from `rect.iteration_shifts`: with
+(s, gamma) = (1, 1) for Euler and (2, 3/2) for 2SBDF, alpha = s*dt*D and
+beta = s*(gamma + w*dt) for phi or s*gamma for c.  The bounds below depend
+only on dt, D, gamma, w and the grid sums S = sum(1/dr^2); where a Neumann
+bound's precondition fails, `bound_spectral_radius` returns None.
 """
 
 from __future__ import annotations
@@ -31,12 +31,10 @@ import scipy.sparse as sp
 from .holes import IMEX_E, IMEX_I
 from .linalg import SylvesterOperator, support_images, support_inverse
 from .model import CorrosionParameters
-from .rect import COEFFICIENTS
+from .rect import COEFFICIENTS, iteration_shifts
 
 __all__ = [
     "BoundQuery",
-    "Inadmissible",
-    "INADMISSIBLE",
     "bound_spectral_radius",
     "sufficient_step_conditions",
     "actual_spectral_radius",
@@ -45,19 +43,6 @@ __all__ = [
     "error_norms",
     "fit_loglog_slope",
 ]
-
-
-class Inadmissible:
-    """Returned when the Neumann bound precondition fails; falsy sentinel."""
-
-    def __repr__(self):
-        return "Inadmissible"
-
-    def __bool__(self):
-        return False
-
-
-INADMISSIBLE = Inadmissible()
 
 
 @dataclass(frozen=True)
@@ -88,17 +73,6 @@ class BoundQuery:
             raise ValueError("steps must be positive")
 
 
-def iteration_shifts(order: str, equation: str, dt: float, w: float,
-                     params: CorrosionParameters):
-    """(alpha, beta) of the shifted system solved per inner iteration.
-
-    The same coefficient table shifts the solvers of `rect.build_rect_operators`.
-    """
-    if equation == "phi":
-        return COEFFICIENTS[order].shifts(dt, w, params.D_phi)
-    return COEFFICIENTS[order].shifts(dt, 0.0, params.D_c)
-
-
 def _stencil_sum(q: BoundQuery) -> float:
     return 1.0 / q.dx**2 + 1.0 / q.dy**2
 
@@ -119,10 +93,10 @@ def _norm_factor(q: BoundQuery) -> float:
 
 
 def bound_spectral_radius(q: BoundQuery):
-    """Closed-form upper bound for rho(Sigma), or INADMISSIBLE.
+    """Closed-form upper bound for rho(Sigma), or None where it is inadmissible.
 
     Neumann bounds require dt*D*S < shift (S the stencil sum); when that
-    precondition fails the sentinel is returned instead of a number.
+    precondition fails there is no bound.
     """
     S = _stencil_sum(q)
     D, shift = _denominator_terms(q)
@@ -132,7 +106,7 @@ def bound_spectral_radius(q: BoundQuery):
             return 4.0 * D * q.dt * S / shift
         margin = shift - D * q.dt * S
         if margin <= 0.0:
-            return INADMISSIBLE
+            return None
         return 4.0 * D * q.dt * S / margin
 
     nfac = _norm_factor(q)
@@ -142,7 +116,7 @@ def bound_spectral_radius(q: BoundQuery):
         return D**2 * q.dt**2 * nfac * resolvent / shift
     margin = shift - D * q.dt * S
     if margin <= 0.0:
-        return INADMISSIBLE
+        return None
     return D**2 * q.dt**2 * nfac / shift * (resolvent + S / margin)
 
 
@@ -206,8 +180,8 @@ def actual_spectral_radius(alpha: float, beta: float, grid,
     return float(np.max(np.abs(np.linalg.eigvals(-alpha * K))))
 
 
-def front_position(state, grid, axis: int, threshold: float = 0.5) -> float:
-    """Depth of the first c-crossing of `threshold` along the center line.
+def front_position(state, grid, axis: int) -> float:
+    """Depth of the first crossing of c = 0.5 along the center line.
 
     Scans from the low end of `axis` through the mid-line of the other axes
     and interpolates linearly between the bracketing nodes.
@@ -216,7 +190,7 @@ def front_position(state, grid, axis: int, threshold: float = 0.5) -> float:
     idx[axis] = slice(None)
     line = state.C[tuple(idx)]
     coords = grid.axes[axis]
-    diff = line - threshold
+    diff = line - 0.5
     for i in range(line.size - 1):
         if diff[i] == 0.0:
             return float(coords[i])
@@ -225,7 +199,7 @@ def front_position(state, grid, axis: int, threshold: float = 0.5) -> float:
             return float(coords[i] + frac * (coords[i + 1] - coords[i]))
     if diff[-1] == 0.0:
         return float(coords[-1])
-    raise ValueError("no threshold crossing found along the probed line")
+    raise ValueError("no c = 0.5 crossing found along the probed line")
 
 
 def error_norms(state, reference):

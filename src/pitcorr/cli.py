@@ -21,7 +21,6 @@ import sys
 
 from .analysis import (
     BoundQuery,
-    INADMISSIBLE,
     bound_spectral_radius,
     sufficient_step_conditions,
 )
@@ -156,7 +155,7 @@ def _cmd_bounds(args) -> int:
             geometry=args.geometry,
         )
         bound = bound_spectral_radius(q)
-        shown = "inadmissible" if bound is INADMISSIBLE else f"{bound:.6g}"
+        shown = "inadmissible" if bound is None else f"{bound:.6g}"
         print(f"  rho bound ({eq}): {shown}")
     cond = sufficient_step_conditions(args.variant, args.order, args.bc, params,
                                       args.w, args.h)

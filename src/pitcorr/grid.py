@@ -148,9 +148,11 @@ class CylinderSegment:
 
     `axis` is the direction of the cylinder axis; `center` gives the two
     coordinates in the perpendicular plane, ordered by increasing axis index.
-    `span` optionally clips the extent along the cylinder axis, and
+    `span` = (lo, hi) optionally clips the extent along the cylinder axis, and
     `half_plane` = (perp_axis, limit) keeps only nodes with that perpendicular
-    coordinate <= limit (for semi-cylindrical cavities).
+    coordinate <= limit (for semi-cylindrical cavities).  Like the radius,
+    both clip the closed set with a 1e-12 relative margin, so that a bound
+    on a node keeps it whatever the round-off in the coordinates.
     """
 
     axis: int
@@ -170,7 +172,8 @@ class CylinderSegment:
         inside = np.broadcast_to(r2 <= self.radius**2 * (1.0 + 1e-12), grid.counts).copy()
         if self.span is not None:
             lo, hi = self.span
-            inside &= (coords[self.axis] >= lo) & (coords[self.axis] <= hi)
+            along = coords[self.axis]
+            inside &= (along >= lo - 1e-12 * abs(lo)) & (along <= hi + 1e-12 * abs(hi))
         if self.half_plane is not None:
             ax, limit = self.half_plane
             inside &= coords[ax] <= limit * (1.0 + 1e-12)

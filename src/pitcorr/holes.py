@@ -10,21 +10,20 @@ therefore keeps the rectangle's operators and step (`rect.RectOperators`,
     variant 'imex-e':  N = N1 applied to the previous iterate, G = N2
                        applied to the extrapolated known time levels.
 
-Each solve becomes an inner fixed-point loop.  The phi loop runs first; the
-c loop consumes the converged phi.  Iterations stop when the change over the
-physical region drops below eps1 and the values on Theta are either below
-the time-proportional budget eps2 * t/T (T is `HoleOperators.t_end`) or
-have stagnated below eps3.  The reduced mode performs a single phi iteration
-and stops the c loop on the global change only.  With an empty Theta there
-is no hole: the step is the rectangle step, and a run starts 2SBDF as a
-rectangle does.
+Each field's system (A + alpha*N) u = base is solved in one of two stop
+modes.  The full mode is the paper's reference method, an inner fixed-point
+loop per solve: the phi loop runs first and the c loop consumes the converged
+phi.  Iterations stop when the change over the physical region drops below
+eps1 and the values on Theta are either below the time-proportional budget
+eps2 * t/T (T is `HoleOperators.t_end`) or have stagnated below eps3.
 
-The exact stop mode solves each field's system (A + alpha*N) u = base, the
-loop's limit, directly: `build_hole_operators` replaces every solver of the
-run, the 2SBDF start's included, by its `corrected` copy, which holds the
-capacitance of N (`linalg.Capacitance`), and each field takes one solve per
-step.  It needs no tolerances and leaves Theta at round-off, but its set-up
-grows with the support of N; the paper's loop stays the reference method.
+The exact mode, which every cavity builtin runs, solves the loop's limit
+directly: `build_hole_operators` replaces every solver of the run, the 2SBDF
+start's included, by its `corrected` copy, which holds the capacitance of N
+(`linalg.Capacitance`), and each field takes one solve per step.  It needs no
+tolerances and leaves Theta at round-off, but its set-up grows with the
+support of N.  With an empty Theta there is no hole: the step is the
+rectangle step, and a run starts 2SBDF as a rectangle does.
 """
 
 from __future__ import annotations
@@ -64,7 +63,6 @@ __all__ = [
 IMEX_I = "imex-i"
 IMEX_E = "imex-e"
 FULL = "full"
-REDUCED = "reduced"
 EXACT = "exact"
 
 
@@ -87,14 +85,14 @@ class IterSchemeConfig:
     eps1: float = 1e-4
     eps2: float = 1e-3
     eps3: float = 1e-8
-    stop_mode: str = FULL  # 'full' | 'reduced' | 'exact'
+    stop_mode: str = FULL  # 'full' | 'exact'
     max_iters: int = 500
 
     def __post_init__(self):
         SchemeConfig(self.order, self.dt, self.w)  # reuse validation
         if self.variant not in (IMEX_I, IMEX_E):
             raise ValueError(f"unknown variant {self.variant!r}")
-        if self.stop_mode not in (FULL, REDUCED, EXACT):
+        if self.stop_mode not in (FULL, EXACT):
             raise ValueError(f"unknown stop mode {self.stop_mode!r}")
         if min(self.eps1, self.eps2, self.eps3) <= 0.0:
             raise ValueError("tolerances must be positive")
@@ -137,12 +135,13 @@ class HoleOperators:
     chi: np.ndarray  # indicator of the physical region
     t_end: float | None = None
 
-    def iterate(self, field, solve, base, scale, warm, t):
-        """Solve u = solve(base - scale * N u) from `warm` by fixed-point iteration
-        in the step to time `t`; returns (solution, (iterations, last residual)).
+    def iterate(self, field, op, base, warm, t):
+        """Solve u = op.solve(base - alpha * N u), alpha = -op.b the solver's
+        own shift, from `warm` by fixed-point iteration in the step to time
+        `t`; returns (solution, (iterations, last residual)).
 
-        In the exact stop mode `solve` is the field's corrected solver, and
-        one solve returns the limit itself, reported as (1, 0.0).
+        In the exact stop mode `op` is the field's corrected solver, and one
+        solve returns the limit itself, reported as (1, 0.0).
 
         The time-proportional Theta-level budget applies to the c loop only.
         The phi iteration contracts fast enough to always run to Theta
@@ -153,22 +152,18 @@ class HoleOperators:
         """
         cfg = self.cfg
         if cfg.stop_mode == EXACT:
-            return solve(base), (1, 0.0)
+            return op.solve(base), (1, 0.0)
         frac = 1.0 if self.t_end is None else t / self.t_end
         eps2_budget = cfg.eps2 * frac if field == "c" else 0.0
+        alpha = -op.b
         u = warm
         for k in range(1, cfg.max_iters + 1):
-            u_next = solve(base - scale * matvec(self.N, u))
-            if cfg.stop_mode == REDUCED:
-                resid = float(np.abs(u_next - u).max())
-                if field == "phi" or resid < cfg.eps1:
-                    return u_next, (k, resid)
-            else:
-                stop, resid = check_stop_criteria(
-                    u, u_next, self.mask, cfg.eps1, eps2_budget, cfg.eps3
-                )
-                if stop:
-                    return u_next, (k, resid)
+            u_next = op.solve(base - alpha * matvec(self.N, u))
+            stop, resid = check_stop_criteria(
+                u, u_next, self.mask, cfg.eps1, eps2_budget, cfg.eps3
+            )
+            if stop:
+                return u_next, (k, resid)
             u = u_next
         raise ConvergenceError(
             f"{field} iteration exceeded max_iters={cfg.max_iters} in the step "

@@ -237,7 +237,6 @@ class SylvesterOperator:
             raise ArithmeticError("singular shift: zero denominator in Upsilon")
         self.Upsilon = np.reciprocal(denom, out=denom)
         self.capacitance = None
-        self.solve_count = 0
 
     @property
     def shape(self):
@@ -248,7 +247,6 @@ class SylvesterOperator:
         same `facts` and `Upsilon` that holds the `Capacitance` of N (`work`)."""
         out = copy.copy(self)
         out.capacitance = Capacitance(self, images, work)
-        out.solve_count = 0
         return out
 
     def solve(self, Y: np.ndarray) -> np.ndarray:
@@ -256,7 +254,6 @@ class SylvesterOperator:
         `corrected` operator."""
         if Y.shape != self.shape:
             raise ValueError(f"right-hand side shape {Y.shape} != {self.shape}")
-        self.solve_count += 1
         if len(self.facts) == 2:
             fx, fy = self.facts
             W = fx.GammaInv @ Y @ fy.GammaInv.T

@@ -51,6 +51,7 @@ __all__ = [
     "boundary_contribution",
     "IMEXCoefficients",
     "COEFFICIENTS",
+    "iteration_shifts",
     "RectOperators",
     "build_rect_operators",
     "imex_step",
@@ -74,10 +75,6 @@ class IMEXCoefficients:
     extrap: tuple  # extrapolation weights of the explicit terms
     s: float
     gamma: float
-
-    def shifts(self, dt: float, w: float, D: float):
-        """(alpha, beta) of the shifted system (beta*I - alpha*M) u = rhs."""
-        return self.s * dt * D, self.s * (self.gamma + w * dt)
 
 
 COEFFICIENTS = {
@@ -122,10 +119,10 @@ class SchemeConfig:
     def __post_init__(self):
         if self.order not in (EULER, TWO_SBDF):
             raise ValueError(f"unknown scheme order {self.order!r}")
-        if self.dt <= 0.0:
-            raise ValueError("dt must be positive")
-        if self.w < 0.0:
-            raise ValueError("w must be nonnegative")
+        if not 0.0 < self.dt < math.inf:
+            raise ValueError("dt must be positive and finite")
+        if not 0.0 <= self.w < math.inf:
+            raise ValueError("w must be nonnegative and finite")
 
 
 @dataclass(frozen=True)
@@ -138,11 +135,6 @@ class BoundaryData:
 
     phi: tuple = ()
     c: tuple = ()
-
-    @staticmethod
-    def homogeneous(ndim: int) -> "BoundaryData":
-        zeros = tuple((0.0, 0.0) for _ in range(ndim))
-        return BoundaryData(zeros, zeros)
 
 
 def boundary_contribution(grid, bdata: BoundaryData, which: str,
@@ -197,15 +189,24 @@ class RectOperators:
     hole: object = None
 
 
+def iteration_shifts(order: str, equation: str, dt: float, w: float,
+                     params: CorrosionParameters):
+    """(alpha, beta) of the shifted system (beta*I - alpha*M) u = rhs that
+    `equation` ('phi' or 'c') solves under `order`: alpha = s*dt*D and
+    beta = s*(gamma + w*dt) for phi, s*gamma for c, which takes no shift w."""
+    coef = COEFFICIENTS[order]
+    D, w = (params.D_phi, w) if equation == "phi" else (params.D_c, 0.0)
+    return coef.s * dt * D, coef.s * (coef.gamma + w * dt)
+
+
 def _shifted_solvers(grid, cfg: SchemeConfig, params: CorrosionParameters):
     """The phi and c solvers of one scheme, shifted from the grid's factorizations."""
-    coef = COEFFICIENTS[cfg.order]
 
-    def operator(D, w):
-        alpha, beta = coef.shifts(cfg.dt, w, D)
+    def operator(equation):
+        alpha, beta = iteration_shifts(cfg.order, equation, cfg.dt, cfg.w, params)
         return SylvesterOperator(beta, -alpha, grid.factorizations)
 
-    return dict(phi=operator(params.D_phi, cfg.w), c=operator(params.D_c, 0.0))
+    return dict(phi=operator("phi"), c=operator("c"))
 
 
 def build_rect_operators(grid, cfg: SchemeConfig, params: CorrosionParameters,
@@ -273,10 +274,10 @@ def imex_step(levels, ops: RectOperators):
             return load
         return load - matvec(hole.G, combine(coef.extrap, name))
 
-    def solve(op, base, D, field, warm):
+    def solve(op, base, field, warm):
         if hole is None:
             return op.solve(base), (1, 0.0)
-        return hole.iterate(field, op.solve, base, sdt * D, warm, t)
+        return hole.iterate(field, op, base, warm, t)
 
     def explicit_terms():
         for e, u in zip(coef.extrap, levels):
@@ -293,14 +294,14 @@ def imex_step(levels, ops: RectOperators):
     base_phi = combine(coef.history, "Phi") + sdt * (
         explicit + p.D_phi * known(ops.load_phi, "Phi")
     )
-    phi, phi_loop = solve(ops.phi, base_phi, p.D_phi, "phi", curr.Phi)
+    phi, phi_loop = solve(ops.phi, base_phi, "phi", curr.Phi)
 
     f2 = reaction_f2(phi, p)
     lap_f2 = apply_laplacian(grid.laplacians, f2)
     if hole is not None:
         lap_f2 = lap_f2 - matvec(hole.N12, f2)
     base_c = combine(coef.history, "C") + sdt * p.D_c * known(lap_f2 + ops.load_c, "C")
-    c, c_loop = solve(ops.c, base_c, p.D_c, "c", curr.C)
+    c, c_loop = solve(ops.c, base_c, "c", curr.C)
 
     out = FieldPair(phi, c, t, curr.step_index + 1)
     out.validate()

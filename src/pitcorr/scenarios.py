@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import os
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -220,6 +221,17 @@ class ScenarioConfig:
         return len(self.shapes) > 0
 
 
+@contextmanager
+def _section(where: str):
+    """Reports a malformed value read in the block as a ConfigError naming `where`."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except (TypeError, ValueError, AttributeError, ArithmeticError) as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
 def _require(mapping, key, where):
     if key not in mapping:
         raise ConfigError(f"missing field {key!r} in {where}")
@@ -242,8 +254,9 @@ def _parse_grid(raw_grid) -> tuple:
     spacing_um = raw_grid.get("spacing_um", 1.0)
     if np.isscalar(spacing_um):
         spacing_um = [spacing_um] * ndim
-    if len(spacing_um) != ndim:
-        raise ConfigError("grid.spacing_um must match the axis count")
+    spacings = [float(s_um) * MICRON for s_um in spacing_um]
+    if len(spacings) != ndim or not all(s > 0.0 for s in spacings):
+        raise ConfigError("grid.spacing_um must give one positive spacing per axis")
     bc_map = _require(raw_grid, "bc", "grid")
     names = _axis_indices(bc_map, ndim)
     bc = []
@@ -254,9 +267,9 @@ def _parse_grid(raw_grid) -> tuple:
         bc.append(tuple(pair))
     extents = tuple(float(L) * MICRON for L in extents_um)
     counts = []
-    for L, s_um, pair in zip(extents, spacing_um, bc):
+    for L, dr, pair in zip(extents, spacings, bc):
         try:
-            counts.append(axis_counts_for_spacing(L, float(s_um) * MICRON, pair))
+            counts.append(axis_counts_for_spacing(L, dr, pair))
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
     return GridSpec(extents, tuple(counts), tuple(bc)), names
@@ -289,11 +302,15 @@ def _parse_boundary_values(raw, names, bc_pairs) -> BoundaryData:
     return BoundaryData(tuple(values), tuple(values))
 
 
-def _axis_index(name) -> int:
+def _axis_index(name, where: str, ndim: int = 3) -> int:
     try:
-        return AXIS_NAMES.index(name)
+        return AXIS_NAMES[:ndim].index(name)
     except ValueError:
-        raise ConfigError(f"unknown axis name {name!r}") from None
+        raise ConfigError(f"{where} names {name!r}, not an axis of a {ndim}D grid") from None
+
+
+# The grid dimension each geometry primitive applies to.
+_SHAPE_NDIM = {"circle": 2, "cylinder": 3, "rough_edge": 2}
 
 
 def _parse_shapes(raw_geometry, ndim):
@@ -302,16 +319,22 @@ def _parse_shapes(raw_geometry, ndim):
         if len(entry) != 1:
             raise ConfigError("each geometry entry must hold exactly one primitive")
         kind, body = next(iter(entry.items()))
-        if kind == "circle":
+        if kind not in _SHAPE_NDIM:
+            raise ConfigError(f"unknown geometry primitive {kind!r}")
+        if _SHAPE_NDIM[kind] != ndim:
+            raise ConfigError(f"geometry {kind} applies to {_SHAPE_NDIM[kind]}D grids only")
+        if kind in ("circle", "cylinder"):
             center = tuple(float(v) * MICRON for v in _require(body, "center_um", kind))
+            if len(center) != 2:
+                raise ConfigError(f"geometry {kind}.center_um must list two coordinates")
+        if kind == "circle":
             shapes.append(Circle(center, float(_require(body, "radius_um", kind)) * MICRON))
         elif kind == "cylinder":
-            axis = _axis_index(_require(body, "axis", kind))
-            center = tuple(float(v) * MICRON for v in _require(body, "center_um", kind))
+            axis = _axis_index(_require(body, "axis", kind), "geometry cylinder.axis")
             half = None
             if "half_axis" in body:
                 half = (
-                    _axis_index(body["half_axis"]),
+                    _axis_index(body["half_axis"], "geometry cylinder.half_axis"),
                     float(_require(body, "half_limit_um", kind)) * MICRON,
                 )
             span = None
@@ -326,7 +349,7 @@ def _parse_shapes(raw_geometry, ndim):
                     half,
                 )
             )
-        elif kind == "rough_edge":
+        else:
             shapes.append(
                 RoughEdgeProfile(
                     amplitude=float(_require(body, "amplitude_um", kind)) * MICRON,
@@ -335,8 +358,6 @@ def _parse_shapes(raw_geometry, ndim):
                     seed=int(body.get("seed", 0)),
                 )
             )
-        else:
-            raise ConfigError(f"unknown geometry primitive {kind!r}")
     return tuple(shapes)
 
 
@@ -351,67 +372,74 @@ def _parse_scheme(raw_scheme, has_holes: bool):
     order = str(_require(raw_scheme, "order", "scheme")).lower()
     dt = float(_require(raw_scheme, "dt", "scheme"))
     w = float(raw_scheme.get("w", DEFAULT_FIXED_W))
-    try:
-        if not has_holes:
-            _reject_unused(raw_scheme, ("variant", "stop_mode", "eps", "max_iters"),
-                           "without geometry")
-            return SchemeConfig(order, dt, w)
-        variant = str(raw_scheme.get("variant", "imex-e")).lower()
-        stop_mode = str(raw_scheme.get("stop_mode", "full")).lower()
-        if stop_mode == "exact":
-            _reject_unused(raw_scheme, ("eps", "max_iters"), "under stop_mode: exact")
-        eps = raw_scheme.get("eps", [1e-4, 1e-3, 1e-8])
-        if len(eps) != 3:
-            raise ConfigError("scheme.eps must list (eps1, eps2, eps3)")
-        return IterSchemeConfig(
-            variant=variant,
-            order=order,
-            dt=dt,
-            w=w,
-            eps1=float(eps[0]),
-            eps2=float(eps[1]),
-            eps3=float(eps[2]),
-            stop_mode=stop_mode,
-            max_iters=int(raw_scheme.get("max_iters", 500)),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    if not has_holes:
+        _reject_unused(raw_scheme, ("variant", "stop_mode", "eps", "max_iters"),
+                       "without geometry")
+        return SchemeConfig(order, dt, w)
+    variant = str(raw_scheme.get("variant", "imex-e")).lower()
+    stop_mode = str(raw_scheme.get("stop_mode", "full")).lower()
+    if stop_mode == "exact":
+        _reject_unused(raw_scheme, ("eps", "max_iters"), "under stop_mode: exact")
+    eps = raw_scheme.get("eps", [1e-4, 1e-3, 1e-8])
+    if len(eps) != 3:
+        raise ConfigError("scheme.eps must list (eps1, eps2, eps3)")
+    return IterSchemeConfig(
+        variant=variant,
+        order=order,
+        dt=dt,
+        w=w,
+        eps1=float(eps[0]),
+        eps2=float(eps[1]),
+        eps3=float(eps[2]),
+        stop_mode=stop_mode,
+        max_iters=int(raw_scheme.get("max_iters", 500)),
+    )
 
 
 def parse_config(raw: dict) -> ScenarioConfig:
     if not isinstance(raw, dict):
         raise ConfigError("scenario config must be a mapping")
     name = str(raw.get("name", "scenario"))
-    grid_spec, names = _parse_grid(_require(raw, "grid", "config"))
-    shapes = _parse_shapes(raw.get("geometry", []), len(grid_spec.counts))
+    with _section("grid"):
+        grid_spec, names = _parse_grid(_require(raw, "grid", "config"))
+    ndim = len(grid_spec.counts)
+    with _section("geometry"):
+        shapes = _parse_shapes(raw.get("geometry", []), ndim)
     bdata = _parse_boundary_values(raw, names, grid_spec.bc)
-    initial = raw.get("initial", {"phi": 1.0, "c": 1.0})
-    scheme = _parse_scheme(_require(raw, "scheme", "config"), bool(shapes))
-    horizon = float(_require(raw, "horizon", "config"))
-    if horizon <= 0.0:
-        raise ConfigError("horizon must be positive")
-    snaps = tuple(float(t) for t in raw.get("snapshot_times", [0.0, horizon]))
-    if any(t < 0.0 or t > horizon for t in snaps):
+    with _section("initial"):
+        initial = raw.get("initial", {"phi": 1.0, "c": 1.0})
+        initial_phi, initial_c = float(initial.get("phi", 1.0)), float(initial.get("c", 1.0))
+    with _section("scheme"):
+        scheme = _parse_scheme(_require(raw, "scheme", "config"), bool(shapes))
+    with _section("horizon"):
+        horizon = float(_require(raw, "horizon", "config"))
+    if not 0.0 < horizon < np.inf:
+        raise ConfigError("horizon must be positive and finite")
+    with _section("snapshot_times"):
+        snaps = tuple(float(t) for t in raw.get("snapshot_times", [0.0, horizon]))
+    if not all(0.0 <= t <= horizon for t in snaps):
         raise ConfigError("snapshot_times must lie inside [0, horizon]")
     front_axis = raw.get("front_axis")
-    formats = tuple(raw.get("outputs", {}).get("formats", ["csv"]))
+    with _section("outputs"):
+        formats = tuple(raw.get("outputs", {}).get("formats", ["csv"]))
     for fmt in formats:
         if fmt not in ("csv", "raw-f64"):
             raise ConfigError(f"unknown output format {fmt!r}")
-    ref_div = int(raw.get("reference", {}).get("dt_divisor", 8) if raw.get("reference") else 8)
+    with _section("reference"):
+        ref_div = int(raw["reference"].get("dt_divisor", 8) if raw.get("reference") else 8)
     if ref_div < 2:
         raise ConfigError("reference dt_divisor must be at least 2")
     return ScenarioConfig(
         name=name,
         grid_spec=grid_spec,
         shapes=shapes,
-        initial_phi=float(initial.get("phi", 1.0)),
-        initial_c=float(initial.get("c", 1.0)),
+        initial_phi=initial_phi,
+        initial_c=initial_c,
         bdata=bdata,
         scheme=scheme,
         horizon=horizon,
         snapshot_times=snaps,
-        front_axis=None if front_axis is None else _axis_index(front_axis),
+        front_axis=None if front_axis is None else _axis_index(front_axis, "front_axis", ndim),
         front_from_high_end=bool(raw.get("front_from_high_end", False)),
         formats=formats,
         reference_dt_divisor=ref_div,
@@ -576,17 +604,18 @@ def _front_probe(cfg: ScenarioConfig, grid):
 
 
 def run_scenario(cfg: ScenarioConfig, output_root: str | None = None,
-                 horizon_scale: float = 1.0,
-                 params: CorrosionParameters | None = None) -> RunArtifacts:
+                 horizon_scale: float = 1.0) -> RunArtifacts:
     """Run one scenario end to end, writing artifacts when a root is given."""
-    params = params or cfg.params
     grid = build_grid(cfg.grid_spec)
     mask = correction = None
     metadata = {}
     if cfg.has_holes:
         shapes = tuple(s.snapped(grid) for s in cfg.shapes)
         metadata["geometry_snapped"] = [repr(s) for s in shapes]
-        mask = rasterize_mask(grid, shapes)
+        try:
+            mask = rasterize_mask(grid, shapes)
+        except ValueError as exc:  # a shape that covers no node
+            raise ConfigError(f"geometry: {exc}") from exc
         correction = build_correction_matrices(grid, mask)
 
     horizon, snap_times = _scaled_horizon(cfg, horizon_scale)
@@ -611,12 +640,12 @@ def run_scenario(cfg: ScenarioConfig, output_root: str | None = None,
     tic = time.perf_counter()
     if cfg.has_holes:
         final, reports = run_holes(
-            state0, cfg.scheme, params, grid, mask, correction, cfg.bdata,
+            state0, cfg.scheme, cfg.params, grid, mask, correction, cfg.bdata,
             horizon, hooks=(hook,),
         )
     else:
         final = run_rect(
-            state0, cfg.scheme, params, grid, cfg.bdata, horizon, hooks=(hook,)
+            state0, cfg.scheme, cfg.params, grid, cfg.bdata, horizon, hooks=(hook,)
         )
         reports = []
     elapsed = time.perf_counter() - tic

@@ -15,7 +15,6 @@ import scipy.sparse as sp
 
 from pitcorr.analysis import (
     BoundQuery,
-    INADMISSIBLE,
     actual_spectral_radius,
     bound_spectral_radius,
     error_norms,
@@ -266,7 +265,7 @@ def test_criterion_06_spectral_radius_validation(capfd):
                 ("imex-e", cs.N1, "circle"),
             ):
                 bound = bound_spectral_radius(q(variant, float(dt), h, geometry))
-                if bound is INADMISSIBLE:
+                if bound is None:
                     continue
                 a, b = iteration_shifts("euler", "c", float(dt), W, PARAMS)
                 actual = actual_spectral_radius(a, b, gs, N)
@@ -328,7 +327,7 @@ def test_criterion_08_cost_scaling(capfd):
 def test_criterion_09_equilibrium_and_determinism(capfd):
     g = build_grid(GridSpec((8e-6, 8e-6), (9, 9), (NN, NN)))
     cfg = SchemeConfig("euler", 1e-3, W)
-    ops = build_rect_operators(g, cfg, PARAMS, BoundaryData.homogeneous(2))
+    ops = build_rect_operators(g, cfg, PARAMS, BoundaryData())
     state = FieldPair(np.ones(g.counts), np.ones(g.counts))
     drift = 0.0
     for _ in range(1000):

@@ -96,7 +96,7 @@ def test_runners_call_rebound_steppers(monkeypatch, domain, order):
     nn = ("neumann", "neumann")
     grid = build_grid(GridSpec((100e-6, 100e-6), (11, 11), (nn, nn)))
     state = FieldPair(np.ones(grid.counts), np.ones(grid.counts))
-    params, bdata = CorrosionParameters(), BoundaryData.homogeneous(2)
+    params, bdata = CorrosionParameters(), BoundaryData()
     dt, n_steps = 0.5, 3
     if domain == "rect":
         pitcorr.rect.run_rect(state, SchemeConfig(order, dt, 4.43e8), params, grid,

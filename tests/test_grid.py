@@ -137,11 +137,22 @@ class TestShapes:
         cyl = CylinderSegment(1, (6e-6, 8e-6), 3e-6, (2e-6, 7e-6), (2, 9e-6)).snapped(g3)
         (cx, cz), r = cyl.center, cyl.radius
         expected = ((X - cx) ** 2 + (Z - cz) ** 2 <= r**2 * (1.0 + 1e-12)) \
-            & (Y >= 2e-6) & (Y <= 7e-6) & (Z <= 9e-6 * (1.0 + 1e-12))
+            & (Y >= 2e-6 * (1.0 - 1e-12)) & (Y <= 7e-6 * (1.0 + 1e-12)) \
+            & (Z <= 9e-6 * (1.0 + 1e-12))
         assert expected.any() and not expected.all()
         inside = cyl.contains(g3)
         assert inside.shape == g3.counts
         np.testing.assert_array_equal(inside, expected)
+
+    def test_cylinder_span_keeps_nodes_on_its_ends(self):
+        # On this axis y = 7 um is stored as 7.000000000000001e-06; the span
+        # keeps it as the radius keeps a node on the circle.
+        g = build_grid(GridSpec((10e-6,) * 3, (9,) * 3, (DD,) * 3))
+        assert g.axes[1][6] > 7e-6
+        cyl = CylinderSegment(1, (5e-6, 5e-6), 1e-6, (2e-6, 7e-6))
+        inside = cyl.contains(g)
+        assert np.flatnonzero(inside.any(axis=(0, 2))).tolist() == [1, 2, 3, 4, 5, 6]
+        assert int(inside.sum()) == 5 * 6
 
     def test_cylinder_rejects_2d(self):
         g = square_grid()

@@ -166,7 +166,7 @@ class TestOperators:
         before = factorization_count()
         cfg = iter_cfg(variant="imex-e", order="2sbdf", dt=6e-3)
         run_holes(pit_state(g, mask), cfg, params, g, mask, corr,
-                  BoundaryData.homogeneous(2), 3 * cfg.dt)
+                  BoundaryData(), 3 * cfg.dt)
         assert factorization_count() - before == g.ndim
 
     def test_exact_builds_capacitances_with_the_operators(self, pit_setup, params):
@@ -200,7 +200,7 @@ class TestTrivialMask:
         g = build_grid(GridSpec((8e-6, 8e-6), (9, 9), (NN, NN)))
         mask = DomainMask(np.zeros(g.counts, dtype=bool))
         corr = build_correction_matrices(g, mask)
-        bdata = BoundaryData.homogeneous(2)
+        bdata = BoundaryData()
         rng = np.random.default_rng(1)
         state = FieldPair(rng.uniform(0, 1, g.counts), rng.uniform(0, 1, g.counts))
 
@@ -217,7 +217,7 @@ class TestTrivialMask:
         g = build_grid(GridSpec((8e-6, 8e-6), (9, 9), (NN, NN)))
         mask = DomainMask(np.zeros(g.counts, dtype=bool))
         corr = build_correction_matrices(g, mask)
-        bdata = BoundaryData.homogeneous(2)
+        bdata = BoundaryData()
         rng = np.random.default_rng(2)
         state = FieldPair(rng.uniform(0, 1, g.counts), rng.uniform(0, 1, g.counts))
 
@@ -275,7 +275,7 @@ class TestIterativeStepsMatchDense:
     @pytest.mark.parametrize("variant", ["imex-i", "imex-e"])
     def test_euler_converges_to_masked_update(self, pit_setup, params, variant):
         g, mask, corr = pit_setup
-        bdata = BoundaryData.homogeneous(2)
+        bdata = BoundaryData()
         state = pit_state(g, mask)
         cfg = iter_cfg(variant=variant, eps1=1e-13, eps2=1e-30, eps3=1e-14,
                        max_iters=500, stop_mode=self.stop_mode)
@@ -290,7 +290,7 @@ class TestIterativeStepsMatchDense:
 
     def test_2sbdf_matches_masked_update(self, pit_setup, params):
         g, mask, corr = pit_setup
-        bdata = BoundaryData.homogeneous(2)
+        bdata = BoundaryData()
         rng = np.random.default_rng(4)
         prev = pit_state(g, mask, rng)
         dt = 2e-3
@@ -359,7 +359,7 @@ class TestCavity3D:
         mask = rasterize_mask(g, (CylinderSegment(1, (4e-6, 4e-6), 1.5e-6),))
         assert mask.theta.any()
         corr = build_correction_matrices(g, mask)
-        bdata = BoundaryData.homogeneous(3)
+        bdata = BoundaryData()
         state = pit_state(g, mask)
         cfg = iter_cfg(variant=variant, eps1=1e-13, eps2=1e-30, eps3=1e-14,
                        stop_mode=stop_mode)
@@ -439,22 +439,11 @@ class TestSemicylinderExact:
         assert np.abs(exact.final_state.C - loop.final_state.C).max() <= 1e-9
 
 
-class TestReducedMode:
-    def test_single_phi_iteration(self, pit_setup, params):
-        g, mask, corr = pit_setup
-        cfg = iter_cfg(stop_mode="reduced")
-        ops = build_hole_operators(g, cfg, params, mask, corr, BoundaryData.homogeneous(2))
-        state = pit_state(g, mask)
-        _, rep = step_iter_euler(state, ops)
-        assert rep.k_phi == 1
-        assert rep.k_c >= 1
-
-
 class TestFailureModes:
     def test_max_iters_exhaustion_raises(self, pit_setup, params):
         g, mask, corr = pit_setup
         cfg = iter_cfg(eps1=1e-30, eps2=1e-30, eps3=1e-30, max_iters=3)
-        ops = build_hole_operators(g, cfg, params, mask, corr, BoundaryData.homogeneous(2))
+        ops = build_hole_operators(g, cfg, params, mask, corr, BoundaryData())
         state = pit_state(g, mask)
         with pytest.raises(ConvergenceError) as exc:
             step_iter_euler(state, ops)
@@ -475,7 +464,7 @@ class TestBootstrap:
         mask = rasterize_mask(g, (Circle((50e-6, 50e-6), 15e-6),))
         corr = build_correction_matrices(g, mask)
         cfg = iter_cfg(variant="imex-e", order="2sbdf", dt=0.5, stop_mode=self.stop_mode)
-        ops = build_hole_operators(g, cfg, params, mask, corr, BoundaryData.homogeneous(2))
+        ops = build_hole_operators(g, cfg, params, mask, corr, BoundaryData())
         state0 = pit_state(g, mask)
 
         curr = bootstrap_2sbdf(state0, ops, lambda state, sub: step_iter_euler(state, sub)[0])
@@ -526,7 +515,7 @@ def test_2sbdf_run_builds_every_solver_in_set_up(domain, params, monkeypatch):
 
     g = build_grid(GridSpec((100e-6, 100e-6), (11, 11), (NN, NN)))
     mask = rasterize_mask(g, (Circle((50e-6, 50e-6), 15e-6),))
-    bdata = BoundaryData.homogeneous(2)
+    bdata = BoundaryData()
     if domain == "rect":
         run_rect(pit_state(g, mask), SchemeConfig("2sbdf", 0.5, W), params, g, bdata,
                  3 * 0.5, hooks=(hook,))
@@ -563,7 +552,7 @@ def test_2sbdf_start_freed_after_start(domain, params, monkeypatch):
 
     g = build_grid(GridSpec((100e-6, 100e-6), (11, 11), (NN, NN)))
     mask = rasterize_mask(g, (Circle((50e-6, 50e-6), 15e-6),))
-    bdata = BoundaryData.homogeneous(2)
+    bdata = BoundaryData()
     if domain == "rect":
         run_rect(pit_state(g, mask), SchemeConfig("2sbdf", 0.5, W), params, g, bdata,
                  3 * 0.5, hooks=(hook,))
@@ -583,7 +572,7 @@ class TestRunHoles:
         horizon = 10 * cfg.dt
         final, reports = run_holes(
             state, cfg, params, g, mask, corr,
-            BoundaryData.homogeneous(2), horizon,
+            BoundaryData(), horizon,
         )
         assert len(reports) == 10
         ts = [r.t for r in reports]
@@ -602,4 +591,4 @@ class TestRunHoles:
         state = pit_state(g, mask)
         with pytest.raises(ValueError):
             run_holes(state, cfg, params, g, mask, corr,
-                      BoundaryData.homogeneous(2), 0.003)
+                      BoundaryData(), 0.003)

@@ -150,11 +150,14 @@ class TestSylvesterSolve:
     def test_factorization_count_stable_across_solves(self):
         lap = laplacian_1d(NEUMANN, 6, 0.2)
         op = build_operator(2.0, -0.3, (lap, lap))
+        state = dict(vars(op))
         before = factorization_count()
         for _ in range(10):
             op.solve(np.ones((6, 6)))
         assert factorization_count() == before
-        assert op.solve_count == 10
+        # Solving leaves the operator as it was: every attribute the same object.
+        assert vars(op).keys() == state.keys()
+        assert all(vars(op)[name] is value for name, value in state.items())
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(2, 7), st.integers(2, 7), st.integers(0, 3))
@@ -222,8 +225,11 @@ class TestCapacitance:
         assert corrected.facts is op.facts and corrected.Upsilon is op.Upsilon
         assert isinstance(corrected.capacitance, Capacitance) and op.capacitance is None
         Y = rng.standard_normal(shape)
+        states = [(o, dict(vars(o))) for o in (op, corrected, corrected.capacitance)]
         X = corrected.solve(Y)
-        assert corrected.solve_count == 1 and op.solve_count == 0
+        for o, state in states:
+            assert vars(o).keys() == state.keys()
+            assert all(vars(o)[name] is value for name, value in state.items())
         n = int(np.prod(shape))
         A = a * sp.identity(n) + b * (kronecker_sum(laps) - N)
         Xd = np.linalg.solve(A.toarray(), Y.ravel(order="F")).reshape(shape, order="F")

@@ -1,12 +1,19 @@
-"""Property tests: every solver of a cavity run, on random small grids with
-mixed Dirichlet/Neumann ends and random hole masks, solves its system.
+"""Property tests, derandomized so that a run is reproducible.
+
+Every solver of a cavity run, on random small grids with mixed
+Dirichlet/Neumann ends and random hole masks, solves its system.
 
 Under `stop_mode: exact` each solver of the run (the main pair and the 2SBDF
 start's) solves (a I + b (M - N)) X = Y, with M the Kronecker-sum Laplacian
 and N the lagged correction of the variant; on an empty Theta there is no
 hole and each solves (a I + b M) X = Y.  The reference is `kronecker_sum`
 plus a sparse direct solve.
+
+A builtin config with one value replaced or deleted parses or raises
+ConfigError, and a raw-f64 snapshot reads back the bits it was written with.
 """
+
+import tempfile
 
 import numpy as np
 import scipy.sparse as sp
@@ -16,6 +23,14 @@ from pitcorr.grid import DomainMask, GridSpec, build_correction_matrices, build_
 from pitcorr.holes import IterSchemeConfig, build_hole_operators
 from pitcorr.linalg import DIRICHLET, NEUMANN, kronecker_sum
 from pitcorr.model import CorrosionParameters
+from pitcorr.rect import FieldPair
+from pitcorr.scenarios import (
+    ConfigError,
+    builtin_scenarios,
+    export_snapshot,
+    parse_config,
+    read_snapshot,
+)
 
 END = st.sampled_from((DIRICHLET, NEUMANN))
 
@@ -58,3 +73,77 @@ def test_exact_solvers_match_sparse_direct_solve(run):
         A = (op.a * I + op.b * (M - N)).tocsc()
         ref = sp.linalg.spsolve(A, Y.ravel(order="F")).reshape(grid.counts, order="F")
         assert np.abs(X - ref).max() <= 1e-10 * np.abs(ref).max()
+
+
+BAD_VALUES = (None, "x", "", -1, 0, 0.5, 1e300, float("nan"), float("inf"), True,
+              [], [None], ["x", "y"], {}, {"x": 1})
+
+
+def _paths(node, prefix=()):
+    """The path of every value below `node`, as tuples of keys and indices."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _paths(value, prefix + (key,))
+
+
+@st.composite
+def mutated_builtins(draw):
+    """A builtin config with the value at one path replaced by a bad one or deleted."""
+    raw = builtin_scenarios()[draw(st.sampled_from(sorted(builtin_scenarios())))]
+    *parents, last = draw(st.sampled_from(list(_paths(raw))))
+    target = raw
+    for key in parents:
+        target = target[key]
+    if draw(st.booleans()):
+        del target[last]
+    else:
+        target[last] = draw(st.sampled_from(BAD_VALUES))
+    return raw
+
+
+# Parsing only: a mutated dt or horizon can ask a run for billions of steps.
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(mutated_builtins())
+def test_mutated_builtins_parse_or_raise_config_error(raw):
+    try:
+        parse_config(raw)
+    except ConfigError:
+        pass
+
+
+SPECIAL = (np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324, 1e-310, 1e300, -1e300,
+           1e-300, -1e-300)
+
+
+@st.composite
+def raw_snapshots(draw):
+    """(grid, state) of a random 2D or 3D shape whose fields hold special values."""
+    ndim = draw(st.sampled_from((2, 3)))
+    counts = tuple(draw(st.lists(st.integers(2, 6), min_size=ndim, max_size=ndim)))
+    grid = build_grid(GridSpec((1e-6,) * ndim, counts, ((NEUMANN, NEUMANN),) * ndim))
+    values = st.one_of(st.sampled_from(SPECIAL), st.floats())
+    n = grid.n_nodes
+    phi, c = (np.array(draw(st.lists(values, min_size=n, max_size=n))).reshape(counts)
+              for _ in range(2))
+    return grid, FieldPair(phi, c, draw(st.floats(allow_nan=False)),
+                           draw(st.integers(0, 2**63 - 1)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(raw_snapshots())
+def test_raw_snapshot_round_trip_is_bit_exact(snapshot):
+    grid, state = snapshot
+    with tempfile.TemporaryDirectory() as root:
+        back, header = read_snapshot(export_snapshot(state, grid, f"{root}/snap", "raw-f64"))
+    assert back.Phi.shape == back.C.shape == grid.counts
+    assert header["dims"] == list(grid.counts)
+    assert np.array_equal(back.Phi.view(np.uint64), state.Phi.view(np.uint64))
+    assert np.array_equal(back.C.view(np.uint64), state.C.view(np.uint64))
+    assert np.float64(back.t).view(np.uint64) == np.float64(state.t).view(np.uint64)
+    assert back.step_index == state.step_index

@@ -188,7 +188,7 @@ class TestStepsMatchDense:
     def test_euler_matches_dense_3d(self, params):
         g = build_grid(GridSpec((3e-6, 4e-6, 3e-6), (3, 4, 4), (DD, NN, ND)))
         cfg = SchemeConfig("euler", 1e-3, 4.43e8)
-        bdata = BoundaryData.homogeneous(3)
+        bdata = BoundaryData()
         ops = build_rect_operators(g, cfg, params, bdata)
         rng = np.random.default_rng(13)
         state = random_state(rng, g.counts)
@@ -203,7 +203,7 @@ class TestEquilibrium:
         g = small_grid(bc=(NN, NN), counts=(8, 8), extents=(8e-6, 8e-6))
         dt = 1e-3
         cfg = SchemeConfig("euler", dt, 4.43e8)
-        ops = build_rect_operators(g, cfg, params, BoundaryData.homogeneous(2))
+        ops = build_rect_operators(g, cfg, params, BoundaryData())
         state = FieldPair(np.ones(g.counts), np.ones(g.counts))
         for _ in range(50):
             nxt = step_imex_euler_rect(state, ops)
@@ -216,7 +216,7 @@ class TestEquilibrium:
         g = small_grid(bc=(NN, NN), counts=(8, 8), extents=(8e-6, 8e-6))
         dt = 5e-3
         cfg = SchemeConfig("2sbdf", dt, 4.43e8)
-        ops = build_rect_operators(g, cfg, params, BoundaryData.homogeneous(2))
+        ops = build_rect_operators(g, cfg, params, BoundaryData())
         ones = np.ones(g.counts)
         prev = FieldPair(ones.copy(), ones.copy(), t=0.0)
         curr = FieldPair(ones.copy(), ones.copy(), t=dt, step_index=1)
@@ -238,7 +238,7 @@ class TestBootstrap:
     def test_bootstrap_matches_manual_substeps(self, params):
         g = small_grid(counts=(5, 5), extents=(5e-6, 6e-6))
         cfg = SchemeConfig("2sbdf", 2.0, 4.43e8)
-        bdata = BoundaryData.homogeneous(2)
+        bdata = BoundaryData()
         rng = np.random.default_rng(3)
         state0 = random_state(rng, g.counts)
 
@@ -260,7 +260,7 @@ class TestRunValidation:
     def test_level_mismatch_rejected(self, params):
         g = small_grid(counts=(4, 4), extents=(4e-6, 5e-6))
         cfg = SchemeConfig("2sbdf", 1e-3, 4.43e8)
-        ops = build_rect_operators(g, cfg, params, BoundaryData.homogeneous(2))
+        ops = build_rect_operators(g, cfg, params, BoundaryData())
         a = FieldPair(np.ones(g.counts), np.ones(g.counts), t=0.0)
         b = FieldPair(np.ones(g.counts), np.ones(g.counts), t=0.5)
         with pytest.raises(ValueError):
@@ -271,7 +271,7 @@ class TestRunValidation:
         cfg = SchemeConfig("euler", 1e-3, 4.43e8)
         state = FieldPair(np.ones(g.counts), np.ones(g.counts))
         with pytest.raises(ValueError):
-            run_rect(state, cfg, params, g, BoundaryData.homogeneous(2), 0.0015)
+            run_rect(state, cfg, params, g, BoundaryData(), 0.0015)
 
     def test_nonfinite_state_raises(self, params):
         g = small_grid(counts=(4, 4), extents=(4e-6, 5e-6))
@@ -281,7 +281,7 @@ class TestRunValidation:
             levels[name][1, 1] = np.nan
             state = FieldPair(**levels, t=0.5, step_index=7)
             with pytest.raises(InstabilityError) as exc:
-                run_rect(state, cfg, params, g, BoundaryData.homogeneous(2), 1e-3)
+                run_rect(state, cfg, params, g, BoundaryData(), 1e-3)
             assert (exc.value.field, exc.value.t, exc.value.step_index) == (field, 0.5, 7)
             assert f"non-finite {field} values at t=0.5s (step 7)" in str(exc.value)
 
@@ -299,7 +299,7 @@ class TestRunValidation:
         state = FieldPair(np.ones(g.counts), np.ones(g.counts))
         seen = []
         run_rect(
-            state, cfg, params, g, BoundaryData.homogeneous(2), 5e-3,
+            state, cfg, params, g, BoundaryData(), 5e-3,
             hooks=(lambda s: seen.append(s.t),),
         )
         np.testing.assert_allclose(seen, np.arange(6) * 1e-3, atol=1e-15)
@@ -310,5 +310,5 @@ class TestRunValidation:
         state = FieldPair(np.ones(g.counts), np.ones(g.counts))
         before = factorization_count()
         run_rect(state, SchemeConfig("2sbdf", 1.0, 4.43e8), params, g,
-                 BoundaryData.homogeneous(3), 3.0)
+                 BoundaryData(), 3.0)
         assert factorization_count() - before == g.ndim

@@ -160,6 +160,7 @@ class TestConfigParsing:
         lambda raw: raw.update(snapshot_times=[999.0]),
         lambda raw: raw["scheme"].update(eps=[1e-4]),
         lambda raw: raw["scheme"].update(order="rk4"),
+        lambda raw: raw["scheme"].update(stop_mode="reduced"),
         lambda raw: raw.update(outputs={"formats": ["hdf5"]}),
         lambda raw: raw.update(geometry=[{"pyramid": {}}]),
         lambda raw: raw.update(reference={"dt_divisor": 1}),
@@ -187,6 +188,50 @@ class TestConfigParsing:
         path.write_text(yaml.safe_dump(raw))
         assert main(["run", str(path), "--output", str(tmp_path / "out")]) == 2
         assert "boundary_values" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value, section", [
+        ("initial", 3, "initial"),
+        ("initial", {"phi": "x"}, "initial"),
+        ("outputs", [], "outputs"),
+        ("snapshot_times", "a", "snapshot_times"),
+        ("snapshot_times", [None], "snapshot_times"),
+        ("horizon", "x", "horizon"),
+        ("horizon", None, "horizon"),
+        ("scheme.dt", "x", "scheme"),
+        ("scheme.dt", float("inf"), "scheme"),
+        ("scheme.w", float("nan"), "scheme"),
+        ("scheme", {"order": "euler", "dt": 2e-3, "stop_mode": "full", "eps": 1e-3}, "scheme"),
+        ("grid.extents_um", 5, "grid"),
+        ("grid.extents_um", ["a", "b"], "grid"),
+        ("grid.spacing_um", 0, "grid"),
+        ("grid.spacing_um", -1, "grid"),
+        ("geometry", 5, "geometry"),
+        ("geometry", [5], "geometry"),
+        ("geometry.0.circle.radius_um", "x", "geometry"),
+        ("reference", 5, "reference"),
+        ("reference", {"dt_divisor": "x"}, "reference"),
+        # Configs that parsed, and failed in the run.
+        ("front_axis", "z", "front_axis"),
+        ("geometry.0.circle.center_um", [100.0], "geometry"),
+        ("geometry", [{"cylinder": {"axis": "y", "center_um": [100.0, 50.0],
+                                    "radius_um": 1.5}}], "geometry"),
+        ("geometry", [{"rough_edge": {"amplitude_um": 15.0, "wavelength_um": 10.0,
+                                      "base_height_um": 500.0}}], "geometry"),
+    ])
+    def test_malformed_circular_pit_exits_with_config_error(self, key, value, section,
+                                                            tmp_path, capsys):
+        raw = builtin_scenarios()["circular_pit"]
+        *parents, last = [int(k) if k.isdigit() else k for k in key.split(".")]
+        target = raw
+        for k in parents:
+            target = target[k]
+        target[last] = value
+        path = tmp_path / "scenario.yaml"
+        path.write_text(yaml.safe_dump(raw))
+        # One step at most, should a case ever parse and run.
+        argv = ["run", str(path), "--output", str(tmp_path / "out"), "--horizon-scale", "1e-5"]
+        assert main(argv) == 2
+        assert section in capsys.readouterr().err
 
     def test_boundary_values_shared_by_phi_and_c(self):
         raw = tiny_rect_config()

@@ -59,7 +59,7 @@ def _pit(variant, order, dt, n_steps, stop_mode="full"):
     correction = build_correction_matrices(grid, mask)
     cfg = IterSchemeConfig(variant, order, dt, DEFAULT_FIXED_W, stop_mode=stop_mode)
     return run_holes(_solid(grid, mask.theta), cfg, PARAMS, grid, mask, correction,
-                     BoundaryData.homogeneous(2), n_steps * dt)
+                     BoundaryData(), n_steps * dt)
 
 
 RUNS = {
