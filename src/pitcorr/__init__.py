@@ -1,114 +1,8 @@
-"""Phase-field pitting corrosion solver with matrix-oriented IMEX steppers."""
+"""Phase-field pitting corrosion solver with matrix-oriented IMEX steppers.
 
-from .model import (
-    CorrosionParameters,
-    DEFAULT_FIXED_W,
-    reaction_f1,
-    reaction_f2,
-)
-from .linalg import (
-    SylvesterOperator,
-    build_operator,
-    kronecker_sum,
-    laplacian_1d,
-    spectral_factorize,
-)
-from .grid import (
-    Circle,
-    CylinderSegment,
-    DomainMask,
-    Grid,
-    GridSpec,
-    RoughEdgeProfile,
-    build_correction_matrices,
-    build_grid,
-    rasterize_mask,
-)
-from .rect import (
-    BoundaryData,
-    FieldPair,
-    InstabilityError,
-    SchemeConfig,
-    run_rect,
-    step_imex_2sbdf_rect,
-    step_imex_euler_rect,
-)
-from .holes import (
-    ConvergenceError,
-    IterSchemeConfig,
-    run_holes,
-    step_iter_2sbdf,
-    step_iter_euler,
-)
-from .analysis import (
-    BoundQuery,
-    actual_spectral_radius,
-    bound_spectral_radius,
-    error_norms,
-    fit_loglog_slope,
-    front_position,
-    sufficient_step_conditions,
-)
-from .scenarios import (
-    ConfigError,
-    ScenarioConfig,
-    builtin_scenarios,
-    export_snapshot,
-    generate_reference,
-    load_config,
-    read_snapshot,
-    run_scenario,
-    scaling_report,
-)
+The submodules are the API; the package namespace holds only `__version__`.
+"""
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CorrosionParameters",
-    "DEFAULT_FIXED_W",
-    "reaction_f1",
-    "reaction_f2",
-    "SylvesterOperator",
-    "build_operator",
-    "kronecker_sum",
-    "laplacian_1d",
-    "spectral_factorize",
-    "Circle",
-    "CylinderSegment",
-    "DomainMask",
-    "Grid",
-    "GridSpec",
-    "RoughEdgeProfile",
-    "build_correction_matrices",
-    "build_grid",
-    "rasterize_mask",
-    "BoundaryData",
-    "FieldPair",
-    "InstabilityError",
-    "SchemeConfig",
-    "run_rect",
-    "step_imex_2sbdf_rect",
-    "step_imex_euler_rect",
-    "ConvergenceError",
-    "IterSchemeConfig",
-    "run_holes",
-    "step_iter_2sbdf",
-    "step_iter_euler",
-    "BoundQuery",
-    "actual_spectral_radius",
-    "bound_spectral_radius",
-    "error_norms",
-    "fit_loglog_slope",
-    "front_position",
-    "sufficient_step_conditions",
-    "ConfigError",
-    "ScenarioConfig",
-    "builtin_scenarios",
-    "export_snapshot",
-    "generate_reference",
-    "load_config",
-    "read_snapshot",
-    "run_scenario",
-    "scaling_report",
-    "__version__",
-]
+__all__ = ["__version__"]

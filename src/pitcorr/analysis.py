@@ -38,7 +38,6 @@ __all__ = [
     "bound_spectral_radius",
     "sufficient_step_conditions",
     "actual_spectral_radius",
-    "iteration_shifts",
     "front_position",
     "error_norms",
     "fit_loglog_slope",

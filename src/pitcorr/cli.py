@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -135,14 +136,10 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_bounds(args) -> int:
     params = CorrosionParameters()
-    if args.h <= 0.0 or args.dt <= 0.0:
-        raise ConfigError("--h and --dt must be positive")
-    print(
-        f"{args.variant} {args.order}, {args.bc} outer boundary, "
-        f"h = {args.h:.6g} m, dt = {args.dt:.6g} s, w = {args.w:.6g}"
-    )
-    for eq in ("phi", "c"):
-        q = BoundQuery(
+    if not all(0.0 < v < math.inf for v in (args.h, args.dt, args.w)):
+        raise ConfigError("--h, --dt and --w must be positive and finite")
+    queries = [
+        BoundQuery(
             variant=args.variant,
             order=args.order,
             bc_outer=args.bc,
@@ -154,11 +151,21 @@ def _cmd_bounds(args) -> int:
             params=params,
             geometry=args.geometry,
         )
-        bound = bound_spectral_radius(q)
+        for eq in ("phi", "c")
+    ]
+    try:  # an extreme h, dt or w takes the bounds outside the float range
+        bounds = [bound_spectral_radius(q) for q in queries]
+        cond = sufficient_step_conditions(args.variant, args.order, args.bc, params,
+                                          args.w, args.h)
+    except ArithmeticError as exc:
+        raise ConfigError(f"--h, --dt or --w out of range: {exc}") from exc
+    print(
+        f"{args.variant} {args.order}, {args.bc} outer boundary, "
+        f"h = {args.h:.6g} m, dt = {args.dt:.6g} s, w = {args.w:.6g}"
+    )
+    for q, bound in zip(queries, bounds):
         shown = "inadmissible" if bound is None else f"{bound:.6g}"
-        print(f"  rho bound ({eq}): {shown}")
-    cond = sufficient_step_conditions(args.variant, args.order, args.bc, params,
-                                      args.w, args.h)
+        print(f"  rho bound ({q.equation}): {shown}")
     print(f"  phi contraction unconditional: {cond['unconditional_phi']}")
     print(f"  dt_max (phi): {cond['dt_max_phi']:.6g}")
     print(f"  dt_max (c):   {cond['dt_max_c']:.6g}")

@@ -38,7 +38,6 @@ __all__ = [
     "rasterize_mask",
     "CorrectionOperators",
     "build_correction_matrices",
-    "mask_norm_bounds",
 ]
 
 
@@ -229,9 +228,6 @@ class DomainMask:
     def omega(self) -> np.ndarray:
         return ~self.theta
 
-    def theta_flat(self) -> np.ndarray:
-        return self.theta.ravel(order="F")
-
 
 def rasterize_mask(grid: Grid, shapes) -> DomainMask:
     """Union of closed shapes; every shape must cover at least one node."""
@@ -268,7 +264,7 @@ def build_correction_matrices(grid: Grid, mask: DomainMask) -> CorrectionOperato
     """
     if mask.theta.shape != tuple(grid.counts):
         raise ValueError("mask shape does not match the grid")
-    theta = mask.theta_flat()
+    theta = mask.theta.ravel(order="F")
     nodes = np.flatnonzero(theta)
     coords = np.unravel_index(nodes, grid.counts, order="F")
     diag = sum(M.main[i] for M, i in zip(grid.laplacians, coords))
@@ -303,16 +299,6 @@ def _csr(triplets, n: int, descending: bool = False) -> sp.csr_matrix:
     order = np.argsort(rows * n + (n - 1 - cols if descending else cols))
     indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
     return sp.csr_matrix((vals[order], cols[order], indptr), shape=(n, n))
-
-
-def mask_norm_bounds(N: sp.spmatrix):
-    """Exact (column-sum, row-sum) max-abs norms of a sparse matrix."""
-    if N.nnz == 0:
-        return 0.0, 0.0
-    absN = abs(N)
-    norm1 = float(absN.sum(axis=0).max())
-    norm_inf = float(absN.sum(axis=1).max())
-    return norm1, norm_inf
 
 
 def _nearest(axis_coords: np.ndarray, value: float) -> float:

@@ -108,13 +108,6 @@ class Laplacian1D:
     lower: np.ndarray
     upper: np.ndarray
 
-    def dense(self) -> np.ndarray:
-        return (
-            np.diag(self.main)
-            + np.diag(self.lower, -1)
-            + np.diag(self.upper, 1)
-        )
-
     def sparse(self) -> sp.csr_matrix:
         return sp.diags(
             [self.lower, self.main, self.upper], [-1, 0, 1], format="csr"
@@ -351,7 +344,8 @@ def _head_product(factors) -> np.ndarray:
     out[n, (i, j, ...)] = factors[0][n, i] * factors[1][n, j] * ..."""
     out = np.ascontiguousarray(factors[0])
     for f in factors[1:]:
-        out = (out[:, :, None] * f[:, None, :]).reshape(out.shape[0], -1)
+        # The width is explicit: reshape cannot infer it for an empty support.
+        out = (out[:, :, None] * f[:, None, :]).reshape(len(out), out.shape[1] * f.shape[1])
     return out
 
 

@@ -334,6 +334,14 @@ def bootstrap_2sbdf(state0: FieldPair, ops, substep) -> FieldPair:
     return replace(state, t=state0.t + ops.cfg.dt, step_index=state0.step_index + 1)
 
 
+def whole_steps(span: float, dt: float) -> int:
+    """The number of dt steps in `span`, which must be a whole multiple of dt."""
+    n = round(span / dt)
+    if abs(n * dt - span) > 1e-12 * max(1.0, span):
+        raise ValueError(f"{span!r} s is not a whole multiple of dt = {dt!r} s")
+    return n
+
+
 def run_loop(state0: FieldPair, ops, horizon: float, hooks, euler, two_step,
              substep=None):
     """Advance `state0` by `horizon`, a multiple of dt, on any domain.
@@ -344,9 +352,7 @@ def run_loop(state0: FieldPair, ops, horizon: float, hooks, euler, two_step,
     `hooks` are called with each completed level, the initial one included.
     """
     cfg = ops.cfg
-    n_steps = round(horizon / cfg.dt)
-    if abs(n_steps * cfg.dt - horizon) > 1e-12 * max(1.0, horizon):
-        raise ValueError("horizon must be an integer multiple of dt")
+    n_steps = whole_steps(horizon, cfg.dt)
     state0.validate()
     for hook in hooks:
         hook(state0)

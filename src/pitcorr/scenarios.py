@@ -34,7 +34,7 @@ from .model import (
     CorrosionParameters,
     DEFAULT_FIXED_W,
 )
-from .rect import BoundaryData, FieldPair, SchemeConfig, run_rect
+from .rect import BoundaryData, FieldPair, SchemeConfig, run_rect, whole_steps
 from . import analysis
 
 __all__ = [
@@ -155,7 +155,6 @@ def builtin_scenarios() -> dict:
             "horizon": 225.0,
             "snapshot_times": [0.0, 40.0, 150.0, 225.0],
             "front_axis": "z",
-            "front_from_high_end": True,
         },
         "semicylinder3d": {
             "name": "semicylinder3d",
@@ -210,7 +209,6 @@ class ScenarioConfig:
     horizon: float
     snapshot_times: tuple
     front_axis: int | None
-    front_from_high_end: bool
     formats: tuple
     reference_dt_divisor: int
     params: CorrosionParameters = field(default_factory=CorrosionParameters)
@@ -232,6 +230,32 @@ def _section(where: str):
         raise ConfigError(f"{where}: {exc}") from exc
 
 
+# The keys the parser reads, per section; any other key is a ConfigError.
+_KEYS = {
+    "config": {"name", "description", "grid", "boundary_values", "geometry", "initial",
+               "scheme", "horizon", "snapshot_times", "front_axis", "outputs", "reference"},
+    "grid": {"extents_um", "spacing_um", "bc"},
+    "initial": {"phi", "c"},
+    "scheme": {"order", "dt", "w", "variant", "stop_mode", "eps", "max_iters"},
+    "outputs": {"formats"},
+    "reference": {"dt_divisor"},
+    "geometry circle": {"center_um", "radius_um"},
+    "geometry cylinder": {"axis", "center_um", "radius_um", "half_axis", "half_limit_um",
+                          "span_um"},
+    "geometry rough_edge": {"amplitude_um", "wavelength_um", "base_height_um", "seed"},
+}
+
+
+def _known(mapping, where: str):
+    """`mapping` (a section), once each of its keys is one that `where` reads."""
+    if not isinstance(mapping, dict):
+        raise ConfigError(f"{where} must be a mapping")
+    for key in mapping:
+        if key not in _KEYS[where]:
+            raise ConfigError(f"unknown key {key!r} in {where}")
+    return mapping
+
+
 def _require(mapping, key, where):
     if key not in mapping:
         raise ConfigError(f"missing field {key!r} in {where}")
@@ -247,6 +271,7 @@ def _axis_indices(bc_map, ndim):
 
 
 def _parse_grid(raw_grid) -> tuple:
+    _known(raw_grid, "grid")
     extents_um = _require(raw_grid, "extents_um", "grid")
     if len(extents_um) not in (2, 3):
         raise ConfigError("grid.extents_um must list two or three axes")
@@ -321,6 +346,7 @@ def _parse_shapes(raw_geometry, ndim):
         kind, body = next(iter(entry.items()))
         if kind not in _SHAPE_NDIM:
             raise ConfigError(f"unknown geometry primitive {kind!r}")
+        _known(body, f"geometry {kind}")
         if _SHAPE_NDIM[kind] != ndim:
             raise ConfigError(f"geometry {kind} applies to {_SHAPE_NDIM[kind]}D grids only")
         if kind in ("circle", "cylinder"):
@@ -369,6 +395,7 @@ def _reject_unused(raw_scheme, keys, where: str):
 
 
 def _parse_scheme(raw_scheme, has_holes: bool):
+    _known(raw_scheme, "scheme")
     order = str(_require(raw_scheme, "order", "scheme")).lower()
     dt = float(_require(raw_scheme, "dt", "scheme"))
     w = float(raw_scheme.get("w", DEFAULT_FIXED_W))
@@ -397,8 +424,7 @@ def _parse_scheme(raw_scheme, has_holes: bool):
 
 
 def parse_config(raw: dict) -> ScenarioConfig:
-    if not isinstance(raw, dict):
-        raise ConfigError("scenario config must be a mapping")
+    _known(raw, "config")
     name = str(raw.get("name", "scenario"))
     with _section("grid"):
         grid_spec, names = _parse_grid(_require(raw, "grid", "config"))
@@ -407,7 +433,7 @@ def parse_config(raw: dict) -> ScenarioConfig:
         shapes = _parse_shapes(raw.get("geometry", []), ndim)
     bdata = _parse_boundary_values(raw, names, grid_spec.bc)
     with _section("initial"):
-        initial = raw.get("initial", {"phi": 1.0, "c": 1.0})
+        initial = _known(raw.get("initial", {}), "initial")
         initial_phi, initial_c = float(initial.get("phi", 1.0)), float(initial.get("c", 1.0))
     with _section("scheme"):
         scheme = _parse_scheme(_require(raw, "scheme", "config"), bool(shapes))
@@ -419,14 +445,17 @@ def parse_config(raw: dict) -> ScenarioConfig:
         snaps = tuple(float(t) for t in raw.get("snapshot_times", [0.0, horizon]))
     if not all(0.0 <= t <= horizon for t in snaps):
         raise ConfigError("snapshot_times must lie inside [0, horizon]")
+    for where, t in [("horizon", horizon)] + [("snapshot_times", t) for t in snaps]:
+        with _section(where):
+            whole_steps(t, scheme.dt)
     front_axis = raw.get("front_axis")
     with _section("outputs"):
-        formats = tuple(raw.get("outputs", {}).get("formats", ["csv"]))
+        formats = tuple(_known(raw.get("outputs", {}), "outputs").get("formats", ["csv"]))
     for fmt in formats:
         if fmt not in ("csv", "raw-f64"):
             raise ConfigError(f"unknown output format {fmt!r}")
     with _section("reference"):
-        ref_div = int(raw["reference"].get("dt_divisor", 8) if raw.get("reference") else 8)
+        ref_div = int(_known(raw.get("reference") or {}, "reference").get("dt_divisor", 8))
     if ref_div < 2:
         raise ConfigError("reference dt_divisor must be at least 2")
     return ScenarioConfig(
@@ -440,7 +469,6 @@ def parse_config(raw: dict) -> ScenarioConfig:
         horizon=horizon,
         snapshot_times=snaps,
         front_axis=None if front_axis is None else _axis_index(front_axis, "front_axis", ndim),
-        front_from_high_end=bool(raw.get("front_from_high_end", False)),
         formats=formats,
         reference_dt_divisor=ref_div,
         raw=raw,
@@ -569,6 +597,8 @@ class RunArtifacts:
 
 
 def _scaled_horizon(cfg: ScenarioConfig, horizon_scale: float):
+    if not 0.0 < horizon_scale < np.inf:
+        raise ConfigError("horizon_scale must be positive and finite")
     dt = cfg.scheme.dt
     horizon = cfg.horizon * horizon_scale
     n = max(1, round(horizon / dt))
@@ -587,18 +617,21 @@ def _initial_state(cfg: ScenarioConfig, grid, mask) -> FieldPair:
 
 
 def _front_probe(cfg: ScenarioConfig, grid):
+    """The front depth of a state, measured from the exposed end of the front
+    axis: the high end when its ends are (neumann, dirichlet), else the low end."""
     if cfg.front_axis is None:
         return None
 
     axis = cfg.front_axis
     extent = cfg.grid_spec.extents[axis]
+    from_high_end = cfg.grid_spec.bc[axis] == ("neumann", "dirichlet")
 
     def probe(state):
         try:
             pos = analysis.front_position(state, grid, axis)
         except ValueError:
             return float("nan")
-        return extent - pos if cfg.front_from_high_end else pos
+        return extent - pos if from_high_end else pos
 
     return probe
 
@@ -612,10 +645,8 @@ def run_scenario(cfg: ScenarioConfig, output_root: str | None = None,
     if cfg.has_holes:
         shapes = tuple(s.snapped(grid) for s in cfg.shapes)
         metadata["geometry_snapped"] = [repr(s) for s in shapes]
-        try:
+        with _section("geometry"):  # a shape that covers no node, or leaves the float range
             mask = rasterize_mask(grid, shapes)
-        except ValueError as exc:  # a shape that covers no node
-            raise ConfigError(f"geometry: {exc}") from exc
         correction = build_correction_matrices(grid, mask)
 
     horizon, snap_times = _scaled_horizon(cfg, horizon_scale)
@@ -749,6 +780,8 @@ def scaling_report(cfg: ScenarioConfig, sweep: str, factors,
     factors = list(factors)
     if len(factors) < 3:
         raise ConfigError("sweeps need at least three points")
+    if not all(0.0 < f < np.inf for f in factors):
+        raise ConfigError("sweep factors must be positive and finite")
     points = []
     for f in factors:
         if sweep == "dt":

@@ -19,7 +19,6 @@ from pitcorr.analysis import (
     bound_spectral_radius,
     error_norms,
     fit_loglog_slope,
-    iteration_shifts,
 )
 from pitcorr.grid import (
     Circle,
@@ -37,6 +36,7 @@ from pitcorr.rect import (
     FieldPair,
     SchemeConfig,
     build_rect_operators,
+    iteration_shifts,
     run_rect,
     step_imex_euler_rect,
 )

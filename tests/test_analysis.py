@@ -9,7 +9,6 @@ from pitcorr.analysis import (
     error_norms,
     fit_loglog_slope,
     front_position,
-    iteration_shifts,
     sufficient_step_conditions,
 )
 from pitcorr.grid import (
@@ -21,7 +20,7 @@ from pitcorr.grid import (
 )
 from pitcorr.linalg import factorization_count, kronecker_sum
 from pitcorr.model import CorrosionParameters
-from pitcorr.rect import FieldPair
+from pitcorr.rect import FieldPair, iteration_shifts
 
 NN = ("neumann", "neumann")
 W = 4.43e8

@@ -24,24 +24,24 @@ from pitcorr.scenarios import load_config
 
 class TestLaplacian1D:
     def test_dirichlet_matrix_entries(self):
-        M = laplacian_1d(DIRICHLET, 3, 1.0).dense()
+        M = laplacian_1d(DIRICHLET, 3, 1.0).sparse().toarray()
         expected = np.array([[-2.0, 1.0, 0.0], [1.0, -2.0, 1.0], [0.0, 1.0, -2.0]])
         np.testing.assert_array_equal(M, expected)
 
     def test_dirichlet_eigenvalues_m3(self):
-        lam = np.linalg.eigvalsh(laplacian_1d(DIRICHLET, 3, 1.0).dense())
+        lam = np.linalg.eigvalsh(laplacian_1d(DIRICHLET, 3, 1.0).sparse().toarray())
         np.testing.assert_allclose(
             np.sort(lam), np.sort([-2.0 - np.sqrt(2.0), -2.0, -2.0 + np.sqrt(2.0)]),
             atol=1e-12,
         )
 
     def test_neumann_matrix_rows_m3(self):
-        M = laplacian_1d(NEUMANN, 3, 1.0).dense()
+        M = laplacian_1d(NEUMANN, 3, 1.0).sparse().toarray()
         expected = np.array([[-2.0, 2.0, 0.0], [1.0, -2.0, 1.0], [0.0, 2.0, -2.0]])
         np.testing.assert_array_equal(M, expected)
 
     def test_neumann_eigenvalues_m3(self):
-        lam = np.linalg.eigvals(laplacian_1d(NEUMANN, 3, 1.0).dense())
+        lam = np.linalg.eigvals(laplacian_1d(NEUMANN, 3, 1.0).sparse().toarray())
         np.testing.assert_allclose(np.sort(lam.real), [-4.0, -2.0, 0.0], atol=1e-12)
 
     def test_mixed_ends(self):
@@ -52,7 +52,7 @@ class TestLaplacian1D:
 
     def test_scaling(self):
         dr = 0.25
-        M = laplacian_1d(DIRICHLET, 4, dr).dense()
+        M = laplacian_1d(DIRICHLET, 4, dr).sparse().toarray()
         assert M[0, 0] == pytest.approx(-2.0 / dr**2)
 
     def test_validation(self):
@@ -73,7 +73,7 @@ class TestSpectralFactorize:
         M = laplacian_1d(kind, m, 0.37)
         f = spectral_factorize(M)
         approx = f.Gamma @ np.diag(f.lam) @ f.GammaInv
-        assert np.abs(approx - M.dense()).max() < 1e-8 / 0.37**2
+        assert np.abs(approx - M.sparse().toarray()).max() < 1e-8 / 0.37**2
         assert np.abs(f.GammaInv @ f.Gamma - np.eye(m)).max() < 1e-10
 
     def test_eigenvalues_ascending_nonpositive(self):
@@ -333,6 +333,15 @@ class TestCapacitance:
         A = a * sp.identity(n) + b * (kronecker_sum(laps) - N)
         Xd = np.linalg.solve(A.toarray(), Y.ravel(order="F")).reshape(shape, order="F")
         assert np.abs(corrected.solve(Y) - Xd).max() / np.abs(Xd).max() < 1e-10
+
+    @pytest.mark.parametrize("shape,kinds", SHAPES_AND_KINDS)
+    def test_empty_correction_has_empty_support(self, shape, kinds):
+        # imex-e's N1 is empty when Theta covers every node.
+        n = int(np.prod(shape))
+        op = build_operator(2.0, -0.3, _random_operator(np.random.default_rng(0), shape, kinds)[2])
+        images = support_images(op.facts, sp.csr_matrix((n, n)))
+        assert images.support.size == images.rows.size == 0
+        assert images.head_support.shape == (0, n // shape[-1])
 
     def test_singular_capacitance_raises(self):
         lap = laplacian_1d(NEUMANN, 6, 0.2)

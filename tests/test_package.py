@@ -1,4 +1,5 @@
 import importlib
+import inspect
 import pkgutil
 import tomllib
 from pathlib import Path
@@ -22,3 +23,18 @@ def test_every_exported_name_exists(name):
     module = importlib.import_module(name)
     missing = [attr for attr in getattr(module, "__all__", ()) if not hasattr(module, attr)]
     assert missing == []
+
+
+def test_package_namespace_holds_only_the_version():
+    assert pitcorr.__all__ == ["__version__"]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_exported_function_and_class_is_defined_in_its_module(name):
+    module = importlib.import_module(name)
+    foreign = [
+        attr for attr in getattr(module, "__all__", ())
+        if (inspect.isfunction(obj := getattr(module, attr)) or inspect.isclass(obj))
+        and obj.__module__ != name
+    ]
+    assert foreign == []

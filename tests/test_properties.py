@@ -10,27 +10,32 @@ hole and each solves (a I + b M) X = Y.  The reference is `kronecker_sum`
 plus a sparse direct solve.
 
 A builtin config with one value replaced or deleted parses or raises
-ConfigError, and a raw-f64 snapshot reads back the bits it was written with.
+ConfigError.  A small config so mutated that parses runs to its result or
+ends in one of the errors the CLI maps to an exit code.  A raw-f64 snapshot
+reads back the bits it was written with.
 """
 
 import tempfile
 
 import numpy as np
 import scipy.sparse as sp
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from pitcorr.grid import DomainMask, GridSpec, build_correction_matrices, build_grid
-from pitcorr.holes import IterSchemeConfig, build_hole_operators
+from pitcorr.holes import ConvergenceError, IterSchemeConfig, build_hole_operators
 from pitcorr.linalg import DIRICHLET, NEUMANN, kronecker_sum
 from pitcorr.model import CorrosionParameters
-from pitcorr.rect import FieldPair
+from pitcorr.rect import FieldPair, InstabilityError, bootstrap_substeps
 from pitcorr.scenarios import (
     ConfigError,
     builtin_scenarios,
     export_snapshot,
     parse_config,
     read_snapshot,
+    run_scenario,
 )
+
+from test_scenarios_cli import tiny_pit_config, tiny_rect_config
 
 END = st.sampled_from((DIRICHLET, NEUMANN))
 
@@ -92,10 +97,8 @@ def _paths(node, prefix=()):
         yield from _paths(value, prefix + (key,))
 
 
-@st.composite
-def mutated_builtins(draw):
-    """A builtin config with the value at one path replaced by a bad one or deleted."""
-    raw = builtin_scenarios()[draw(st.sampled_from(sorted(builtin_scenarios())))]
+def _mutate(draw, raw):
+    """`raw` with the value at one path replaced by a bad one or deleted."""
     *parents, last = draw(st.sampled_from(list(_paths(raw))))
     target = raw
     for key in parents:
@@ -107,6 +110,13 @@ def mutated_builtins(draw):
     return raw
 
 
+@st.composite
+def mutated_builtins(draw):
+    """A builtin config with the value at one path replaced by a bad one or deleted."""
+    name = draw(st.sampled_from(sorted(builtin_scenarios())))
+    return _mutate(draw, builtin_scenarios()[name])
+
+
 # Parsing only: a mutated dt or horizon can ask a run for billions of steps.
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
 @given(mutated_builtins())
@@ -115,6 +125,72 @@ def test_mutated_builtins_parse_or_raise_config_error(raw):
         parse_config(raw)
     except ConfigError:
         pass
+
+
+def _small_2sbdf_pit():
+    raw = tiny_pit_config(dt=0.02, n_steps=3, order="2sbdf", stop_mode="exact")
+    del raw["scheme"]["eps"]
+    return raw
+
+
+def _small_3d(geometry, order, dt):
+    scheme = {"order": order, "dt": dt}
+    if geometry:
+        scheme["stop_mode"] = "exact"
+    return {
+        "name": "small3d",
+        "grid": {
+            "extents_um": [8.0, 6.0, 10.0],
+            "spacing_um": 1.0,
+            "bc": {"x": ["neumann", "neumann"], "y": ["neumann", "neumann"],
+                   "z": ["neumann", "dirichlet"]},
+        },
+        "boundary_values": {"z": [None, 0.0]},
+        "geometry": geometry,
+        "initial": {"phi": 1.0, "c": 1.0},
+        "scheme": scheme,
+        "horizon": 3 * dt,
+        "snapshot_times": [0.0, dt],
+        "front_axis": "z",
+        "outputs": {"formats": ["csv", "raw-f64"]},
+    }
+
+
+# Small 2D and 3D configs, rectangles and cavities, under Euler and 2SBDF.
+SMALL_CONFIGS = (
+    tiny_pit_config,
+    _small_2sbdf_pit,
+    tiny_rect_config,
+    lambda: _small_3d([], "2sbdf", 0.02),
+    lambda: _small_3d([{"cylinder": {"axis": "y", "center_um": [4.0, 10.0], "radius_um": 1.5,
+                                     "half_axis": "z", "half_limit_um": 10.0}}],
+                      "euler", 2e-3),
+)
+
+
+@st.composite
+def mutated_small_configs(draw):
+    """One of SMALL_CONFIGS with the value at one path replaced by a bad one or deleted."""
+    return _mutate(draw, draw(st.sampled_from(SMALL_CONFIGS))())
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True, database=None)
+@given(mutated_small_configs())
+def test_mutated_small_configs_run_or_raise_a_known_error(raw):
+    try:
+        cfg = parse_config(raw)
+    except ConfigError:
+        return
+    dt = cfg.scheme.dt
+    steps = round(cfg.horizon / dt)
+    if cfg.scheme.order == "2sbdf":
+        steps += bootstrap_substeps(dt)[0]
+    assume(np.prod(cfg.grid_spec.counts) <= 10_000 and steps <= 500)
+    with tempfile.TemporaryDirectory() as root, np.errstate(all="ignore"):
+        try:
+            run_scenario(cfg, root)
+        except (ConfigError, InstabilityError, ConvergenceError):
+            pass
 
 
 SPECIAL = (np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324, 1e-310, 1e300, -1e300,

@@ -7,6 +7,7 @@ import pytest
 import yaml
 
 from pitcorr import scenarios
+from pitcorr.analysis import front_position
 from pitcorr.cli import main
 from pitcorr.grid import GridSpec, build_grid
 from pitcorr.holes import IterSchemeConfig
@@ -164,11 +165,37 @@ class TestConfigParsing:
         lambda raw: raw.update(outputs={"formats": ["hdf5"]}),
         lambda raw: raw.update(geometry=[{"pyramid": {}}]),
         lambda raw: raw.update(reference={"dt_divisor": 1}),
+        # Times off the dt grid, which a run used to round.
+        lambda raw: raw.update(horizon=0.0111, snapshot_times=[0.0]),
+        lambda raw: raw.update(snapshot_times=[0.0, 0.0031]),
     ])
     def test_invalid_configs_rejected(self, mutate):
         raw = tiny_pit_config()
         mutate(raw)
         with pytest.raises(ConfigError):
+            load_config(raw)
+
+    @pytest.mark.parametrize("scenario, section, key", [
+        ("circular_pit", (), "horizn"),
+        ("pencil3d", (), "front_from_high_end"),
+        ("circular_pit", ("grid",), "spacing"),
+        ("circular_pit", ("initial",), "psi"),
+        ("circular_pit", ("scheme",), "stopmode"),
+        ("circular_pit", ("outputs",), "format"),
+        ("circular_pit", ("reference",), "divisor"),
+        ("circular_pit", ("geometry", 0, "circle"), "radius"),
+        ("semicylinder3d", ("geometry", 0, "cylinder"), "half_limit"),
+        ("electropolish", ("geometry", 0, "rough_edge"), "amplitude"),
+    ])
+    def test_unknown_key_rejected(self, scenario, section, key):
+        raw = builtin_scenarios()[scenario]
+        raw.update(outputs={}, reference={})
+        target = raw
+        for k in section:
+            target = target[k]
+        target[key] = 1.0
+        where = " ".join(k for k in section if k != 0) or "config"
+        with pytest.raises(ConfigError, match=f"unknown key '{key}' in {where}$"):
             load_config(raw)
 
     @pytest.mark.parametrize("values", [
@@ -378,6 +405,21 @@ class TestRunScenario:
         for t, depth in artifacts.front_series:
             assert isinstance(depth, float)
 
+    @pytest.mark.parametrize("y_ends, from_high_end", [
+        (["dirichlet", "dirichlet"], False),
+        (["dirichlet", "neumann"], False),
+        (["neumann", "dirichlet"], True),
+    ])
+    def test_front_depth_from_the_exposed_end(self, y_ends, from_high_end):
+        raw = tiny_rect_config(n_steps=50)
+        raw["grid"]["bc"]["y"] = y_ends
+        raw["boundary_values"] = {"y": [0.0, 0.0]}
+        cfg = load_config(raw)
+        artifacts = run_scenario(cfg)
+        pos = front_position(artifacts.final_state, build_grid(cfg.grid_spec), 1)
+        depth = cfg.grid_spec.extents[1] - pos if from_high_end else pos
+        assert 0.0 < depth < 2e-6 and artifacts.front_series[-1][1] == depth
+
     def test_horizon_scale(self):
         cfg = load_config(tiny_pit_config(n_steps=10))
         artifacts = run_scenario(cfg, horizon_scale=0.5)
@@ -471,6 +513,27 @@ class TestCli:
             code = main(["run", str(path), "--output", str(tmp_path / "out")])
         assert code == 3
         assert "instability" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["bounds", "--variant", "imex-e", "--h", "1e-6", "--dt", "1e-3", "--w", "0"],
+        ["bounds", "--variant", "imex-e", "--h", "1e-6", "--dt", "nan"],
+        ["bounds", "--variant", "imex-e", "--h", "1e300", "--dt", "1e-3"],
+        ["bounds", "--variant", "imex-e", "--h", "1e-200", "--dt", "1e-3"],
+        ["run", "CONFIG", "--horizon-scale", "nan"],
+        ["run", "CONFIG", "--horizon-scale", "0"],
+        ["run", "CONFIG", "--horizon-scale", "-1"],
+        ["reference", "CONFIG", "--horizon-scale", "inf"],
+        ["sweep", "CONFIG", "--vary", "dt", "--factors", "0", "1", "2"],
+    ])
+    def test_bad_arguments_exit_with_config_error(self, argv, tmp_path, capsys):
+        path = tmp_path / "scenario.yaml"
+        path.write_text(yaml.safe_dump(tiny_pit_config()))
+        argv = [str(path) if a == "CONFIG" else a for a in argv]
+        if argv[0] != "bounds":
+            argv += ["--output", str(tmp_path / "out")]
+        assert main(argv) == 2
+        assert "configuration error" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_bounds_verb(self, capsys):
         code = main([
