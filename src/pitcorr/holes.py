@@ -40,10 +40,11 @@ from .rect import (
     FieldPair,
     RectOperators,
     SchemeConfig,
+    SparseRows,
     build_rect_operators,
     imex_step,
-    matvec,
     run_loop,
+    sparse_rows,
 )
 
 __all__ = [
@@ -129,9 +130,9 @@ class HoleOperators:
 
     cfg: IterSchemeConfig
     mask: object
-    N: object  # lagged on the running iterate
-    G: object  # lagged on known time levels; None for imex-i
-    N12: object  # N1 + N2, for the masked Laplacian action
+    N: SparseRows  # lagged on the running iterate
+    G: SparseRows | None  # lagged on known time levels; None for imex-i
+    N12: SparseRows  # N1 + N2, for the masked Laplacian action
     chi: np.ndarray  # indicator of the physical region
     t_end: float | None = None
 
@@ -158,7 +159,7 @@ class HoleOperators:
         alpha = -op.b
         u = warm
         for k in range(1, cfg.max_iters + 1):
-            u_next = op.solve(base - alpha * matvec(self.N, u))
+            u_next = op.solve(self.N.subtract(base, u, alpha))
             stop, resid = check_stop_criteria(
                 u, u_next, self.mask, cfg.eps1, eps2_budget, cfg.eps3
             )
@@ -186,14 +187,15 @@ def build_hole_operators(grid, cfg: IterSchemeConfig, params: CorrosionParameter
     ops = build_rect_operators(grid, cfg.scheme(), params, bdata)
     if not mask.theta.any():
         return ops
-    N12 = correction.N12
+    N12 = sparse_rows(correction.N12, grid.counts)
     if cfg.variant == IMEX_I:
         N, G = N12, None
     else:
-        N, G = correction.N1, correction.N2
+        N, G = (sparse_rows(A, grid.counts) for A in (correction.N1, correction.N2))
     hole = HoleOperators(cfg=cfg, mask=mask, N=N, G=G, N12=N12,
                          chi=(~mask.theta).astype(float), t_end=t_end)
-    images = support_images(grid.factorizations, N) if cfg.stop_mode == EXACT else None
+    images = (support_images(grid.factorizations, N.matrix) if cfg.stop_mode == EXACT
+              else None)
     # Scratch arrays that every capacitance build overwrites; they go with the
     # set-up.  Without a support the plain solve is exact.
     work = support_work(images) if images is not None and images.support.size else None

@@ -40,6 +40,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+import scipy.sparse as sp
 
 from .linalg import DIRICHLET, SylvesterOperator, apply_laplacian
 from .model import CorrosionParameters, reaction_f1, reaction_f2
@@ -54,6 +55,8 @@ __all__ = [
     "iteration_shifts",
     "RectOperators",
     "build_rect_operators",
+    "SparseRows",
+    "sparse_rows",
     "imex_step",
     "step_imex_euler_rect",
     "step_imex_2sbdf_rect",
@@ -239,9 +242,40 @@ def _combine(terms):
     return total
 
 
-def matvec(A, U: np.ndarray) -> np.ndarray:
-    """A sparse matrix applied to the column-stacked (Fortran-order) field U."""
-    return (A @ U.ravel(order="F")).reshape(U.shape, order="F")
+@dataclass(frozen=True)
+class SparseRows:
+    """A sparse n x n `matrix` A acting on column-stacked (Fortran-order)
+    fields, kept as its nonzero rows: `rows` holds their C-order flat
+    indices in the field, and `block` is A[rows, :] with its columns
+    renumbered to C-order flat indices and each row's entries in A's order,
+    so that its products read a C-ordered field directly and sum as A's do."""
+
+    matrix: sp.csr_matrix
+    rows: np.ndarray
+    block: sp.csr_matrix
+
+    def subtract(self, target, U: np.ndarray, scale: float = 1.0) -> np.ndarray:
+        """target - scale * (A U) as a new array, for a positive `scale` and
+        a `target` array or the scalar 0.0; only A's rows are computed."""
+        out = target.copy() if isinstance(target, np.ndarray) else np.zeros(U.shape)
+        out.reshape(-1)[self.rows] -= scale * (self.block @ U.reshape(-1))
+        return out
+
+
+def sparse_rows(A, shape) -> SparseRows:
+    """The `SparseRows` of A on fields of `shape`."""
+    A = A.tocsr()
+    rows = np.flatnonzero(np.diff(A.indptr))
+
+    def flat(index):  # column-stacked index -> C-order index
+        return np.ravel_multi_index(np.unravel_index(index, shape, order="F"), shape)
+
+    return SparseRows(
+        matrix=A,
+        rows=flat(rows),
+        block=sp.csr_matrix((A.data, flat(A.indices), np.append(0, A.indptr[rows + 1])),
+                            shape=(rows.size, A.shape[1])),
+    )
 
 
 def imex_step(levels, ops: RectOperators):
@@ -272,7 +306,7 @@ def imex_step(levels, ops: RectOperators):
     def known(load, name):
         if hole is None or hole.G is None:
             return load
-        return load - matvec(hole.G, combine(coef.extrap, name))
+        return hole.G.subtract(load, combine(coef.extrap, name))
 
     def solve(op, base, field, warm):
         if hole is None:
@@ -299,7 +333,7 @@ def imex_step(levels, ops: RectOperators):
     f2 = reaction_f2(phi, p)
     lap_f2 = apply_laplacian(grid.laplacians, f2)
     if hole is not None:
-        lap_f2 = lap_f2 - matvec(hole.N12, f2)
+        lap_f2 = hole.N12.subtract(lap_f2, f2)
     base_c = combine(coef.history, "C") + sdt * p.D_c * known(lap_f2 + ops.load_c, "C")
     c, c_loop = solve(ops.c, base_c, "c", curr.C)
 

@@ -146,7 +146,7 @@ def test_criterion_02_scheme_vs_vector_form(capfd):
         u = rng.uniform(0, 1, gh.counts)
         dt = cfg.dt
         rhs = base - dt * PARAMS.D_phi * (
-            (ops.hole.N @ u.ravel(order="F")).reshape(gh.counts, order="F")
+            (ops.hole.N.matrix @ u.ravel(order="F")).reshape(gh.counts, order="F")
         )
         nxt = ops.phi.solve(rhs)
         A = (1.0 + W * dt) * sp.identity(n) - dt * PARAMS.D_phi * M

@@ -134,8 +134,8 @@ class TestOperators:
         mask = rasterize_mask(g, tuple(s.snapped(g) for s in cfg.shapes))
         corr = build_correction_matrices(g, mask)
         ops = build_hole_operators(g, iter_cfg(variant="imex-i"), params, mask, corr)
-        assert ops.hole.G is None or ops.hole.G.nnz == 0
-        assert ops.hole.N.nnz == corr.N12.nnz
+        assert ops.hole.G is None or ops.hole.G.matrix.nnz == 0
+        assert ops.hole.N.matrix.nnz == corr.N12.nnz
 
     def test_cavity_operators_are_rect_operators_with_a_hole(self, pit_setup, params):
         g, mask, corr = pit_setup

@@ -355,6 +355,92 @@ class TestCapacitance:
         Capacitance(op, support_images(op.facts, unit))
 
 
+def _flat(points, shape):
+    """Column-stacked indices of the grid points (rows of coordinates)."""
+    points = np.asarray(points, dtype=int).reshape(-1, len(shape))
+    return np.ravel_multi_index(tuple(points.T), shape, order="F")
+
+
+def _per_point_corrected(op, images, W):
+    """The correction the grouped one replaces, point by point: y_S read with
+    each point's Gamma rows, (I + alpha*K) x_S = y_S solved densely, and the
+    weighted rank-one images of the rows summed."""
+    axes = "abc"[: W.ndim]
+    V = op.Upsilon * W
+    y = np.einsum(",".join("k" + a for a in axes) + f",{axes}->k", *images.at_support, V)
+    alpha = -op.b
+    x = np.linalg.solve(np.eye(y.size) + alpha * support_inverse(op, images), y)
+    weights = -alpha * (images.block @ x)
+    return W + np.einsum(",".join(a + "r" for a in axes) + f",r->{axes}", *images.images, weights)
+
+
+# (shape, support points, row points, grouping axis of the support, of the rows)
+PLANE_2D = [(i, 3) for i in range(7)]  # one y
+LINE_3D_X = [(1, j, k) for j in range(4) for k in (0, 2, 5)]  # one x
+LINE_3D_Y = [(i, 2, k) for i in range(5) for k in (1, 3)]  # one y
+LINE_3D_Z = [(i, j, 4) for i in (0, 3) for j in range(4)]  # one z
+GROUPINGS = {
+    "2d-empty": ((7, 6), [], [], 0, 0),
+    "2d-one-point": ((7, 6), [(2, 4)], [(2, 4)], 0, 0),
+    "2d-one-y": ((7, 6), PLANE_2D, PLANE_2D, 1, 1),
+    "2d-one-x": ((7, 6), [(2, j) for j in range(6)], [(2, j) for j in range(6)], 0, 0),
+    "2d-all-distinct": ((7, 6), [(k, k) for k in range(5)], [(k + 1, k) for k in range(5)], 0, 0),
+    "2d-split": ((7, 6), PLANE_2D, [(2, j) for j in range(6)], 1, 0),
+    "3d-empty": ((5, 4, 6), [], [], 0, 0),
+    "3d-one-x": ((5, 4, 6), LINE_3D_X, LINE_3D_X, 0, 0),
+    "3d-one-y": ((5, 4, 6), LINE_3D_Y, LINE_3D_Y, 1, 1),
+    "3d-one-z": ((5, 4, 6), LINE_3D_Z, LINE_3D_Z, 2, 2),
+    "3d-all-distinct": ((5, 4, 6), [(k, k, k) for k in range(4)],
+                        [(k, k, k + 1) for k in range(4)], 2, 2),
+    "3d-split": ((5, 4, 6), LINE_3D_X, LINE_3D_Z, 0, 2),
+}
+
+
+class TestGroupedCorrection:
+    """The correction read and imaged once per distinct coordinate along a
+    grouping axis, against the per-point formulas and a sparse direct solve."""
+
+    @pytest.mark.parametrize("case", sorted(GROUPINGS))
+    def test_matches_per_point_and_direct_solve(self, case):
+        shape, support, rows, support_axis, rows_axis = GROUPINGS[case]
+        rng = np.random.default_rng(sorted(GROUPINGS).index(case))
+        kinds = (NEUMANN, (DIRICHLET, NEUMANN), DIRICHLET)[: len(shape)]
+        a, b, laps = _random_operator(rng, shape, kinds, a=2.0, b=-0.3)
+        op = build_operator(a, b, laps)
+        n = int(np.prod(shape))
+        cols, rows = _flat(support, shape), _flat(rows, shape)
+        r, c = np.meshgrid(rows, cols, indexing="ij")
+        N = sp.csr_matrix((rng.standard_normal(r.size), (r.ravel(), c.ravel())), shape=(n, n))
+        if N.nnz:
+            N = N * (0.1 / (abs(b) * np.abs(N).max()))  # keep I + alpha*K well conditioned
+        images = support_images(op.facts, N)
+        assert (images.support_axis, images.rows_axis) == (support_axis, rows_axis)
+        assert images.support_distinct.shape[0] == np.unique(
+            np.unravel_index(cols, shape, order="F")[support_axis]).size
+        corrected = op.corrected(images)
+
+        W = rng.standard_normal(shape)
+        ref = _per_point_corrected(op, images, W)
+        assert np.abs(corrected.capacitance.corrected(W) - ref).max() <= 1e-13 * np.abs(ref).max()
+
+        Y = rng.standard_normal(shape)
+        A = (a * sp.identity(n) + b * (kronecker_sum(laps) - N)).tocsc()
+        Xd = sp.linalg.spsolve(A, Y.ravel(order="F")).reshape(shape, order="F")
+        X = corrected.solve(Y)
+        assert np.abs(X - Xd).max() <= 1e-13 * np.abs(Xd).max()
+
+    @pytest.mark.parametrize("name, axis, distinct", [
+        ("electropolish", 1, 15), ("semicylinder3d", 2, 3),
+    ])
+    def test_builtins_group_by_their_fewest_coordinates(self, name, axis, distinct):
+        cfg = load_config(name)
+        grid = build_grid(cfg.grid_spec)
+        mask = rasterize_mask(grid, [shape.snapped(grid) for shape in cfg.shapes])
+        images = support_images(grid.factorizations, build_correction_matrices(grid, mask).N1)
+        assert images.support_axis == axis
+        assert images.support_distinct.shape == (distinct, grid.counts[axis])
+
+
 class TestKroneckerSum:
     def test_matches_apply_2d(self):
         rng = np.random.default_rng(3)

@@ -9,10 +9,11 @@ and N the lagged correction of the variant; on an empty Theta there is no
 hole and each solves (a I + b M) X = Y.  The reference is `kronecker_sum`
 plus a sparse direct solve.
 
-A builtin config with one value replaced or deleted parses or raises
-ConfigError.  A small config so mutated that parses runs to its result or
-ends in one of the errors the CLI maps to an exit code.  A raw-f64 snapshot
-reads back the bits it was written with.
+A builtin config with a few numbers or its time step and horizon scaled,
+and one value replaced or deleted, parses or raises ConfigError.  A small
+config so mutated that parses runs to its result or ends in one of the
+errors the CLI maps to an exit code.  A raw-f64 snapshot reads back
+the bits it was written with.
 """
 
 import tempfile
@@ -67,8 +68,8 @@ def test_exact_solvers_match_sparse_direct_solve(run):
         assert ops.hole is None
         N = sp.csr_matrix((grid.n_nodes, grid.n_nodes))
     else:
-        assert ops.hole.N is (correction.N12 if cfg.variant == "imex-i" else correction.N1)
-        N = ops.hole.N
+        assert ops.hole.N.matrix is (correction.N12 if cfg.variant == "imex-i" else correction.N1)
+        N = ops.hole.N.matrix
     assert ops.start.hole is ops.hole
     M = kronecker_sum(grid.laplacians)
     I = sp.identity(grid.n_nodes)
@@ -97,22 +98,44 @@ def _paths(node, prefix=()):
         yield from _paths(value, prefix + (key,))
 
 
+def _value(raw, path):
+    for key in path:
+        raw = raw[key]
+    return raw
+
+
+def _is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _mutate(draw, raw):
-    """`raw` with the value at one path replaced by a bad one or deleted."""
-    *parents, last = draw(st.sampled_from(list(_paths(raw))))
-    target = raw
-    for key in parents:
-        target = target[key]
+    """`raw` after up to three plausible changes, each a number scaled by 2
+    or 0.5, or dt, the horizon and the snapshot times scaled together by 2 or
+    0.5 (which keeps them whole multiples of dt); then, in half the draws,
+    with the value at one path deleted or replaced by a bad one."""
+    for _ in range(draw(st.integers(0, 3))):
+        factor = draw(st.sampled_from((2.0, 0.5)))
+        if draw(st.booleans()):
+            raw["scheme"]["dt"] *= factor
+            raw["horizon"] *= factor
+            raw["snapshot_times"] = [t * factor for t in raw["snapshot_times"]]
+        else:
+            numbers = [path for path in _paths(raw) if _is_number(_value(raw, path))]
+            *parents, last = draw(st.sampled_from(numbers))
+            _value(raw, parents)[last] *= factor
     if draw(st.booleans()):
-        del target[last]
-    else:
-        target[last] = draw(st.sampled_from(BAD_VALUES))
+        *parents, last = draw(st.sampled_from(list(_paths(raw))))
+        target = _value(raw, parents)
+        if draw(st.booleans()):
+            del target[last]
+        else:
+            target[last] = draw(st.sampled_from(BAD_VALUES))
     return raw
 
 
 @st.composite
 def mutated_builtins(draw):
-    """A builtin config with the value at one path replaced by a bad one or deleted."""
+    """A builtin config mutated by `_mutate`."""
     name = draw(st.sampled_from(sorted(builtin_scenarios())))
     return _mutate(draw, builtin_scenarios()[name])
 
@@ -170,7 +193,7 @@ SMALL_CONFIGS = (
 
 @st.composite
 def mutated_small_configs(draw):
-    """One of SMALL_CONFIGS with the value at one path replaced by a bad one or deleted."""
+    """One of SMALL_CONFIGS mutated by `_mutate`."""
     return _mutate(draw, draw(st.sampled_from(SMALL_CONFIGS))())
 
 

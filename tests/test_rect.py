@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from pitcorr.grid import GridSpec, build_grid
+from pitcorr.grid import DomainMask, GridSpec, build_correction_matrices, build_grid
 from pitcorr.linalg import factorization_count, kronecker_sum
 from pitcorr.model import CorrosionParameters, reaction_f1, reaction_f2
 from pitcorr.rect import (
@@ -15,6 +15,7 @@ from pitcorr.rect import (
     boundary_contribution,
     build_rect_operators,
     run_rect,
+    sparse_rows,
     step_imex_2sbdf_rect,
     step_imex_euler_rect,
 )
@@ -312,3 +313,38 @@ class TestRunValidation:
         run_rect(state, SchemeConfig("2sbdf", 1.0, 4.43e8), params, g,
                  BoundaryData(), 3.0)
         assert factorization_count() - before == g.ndim
+
+
+class TestSparseRows:
+    """The correction mat-vecs on their nonzero rows give the bits of the
+    whole-field product they replace, signed zeros included."""
+
+    @staticmethod
+    def full(A, U):
+        return (A @ U.ravel(order="F")).reshape(U.shape, order="F")
+
+    @pytest.mark.parametrize("counts", [(9, 8), (6, 5, 7)])
+    def test_bits_match_whole_field_product(self, counts):
+        grid = build_grid(GridSpec(tuple(1e-6 * (m - 1) for m in counts), counts,
+                                   (NN,) * len(counts)))
+        theta = np.zeros(counts, dtype=bool)
+        theta[(slice(2, 4), slice(1, 3), slice(3, None))[: len(counts)]] = True
+        theta[-1, -1] = True  # a hole on the boundary too
+        mask = DomainMask(theta)
+        corr = build_correction_matrices(grid, mask)
+        rng = np.random.default_rng(len(counts))
+        U = rng.standard_normal(counts)
+        U[U < -1.0] = -0.0
+        target = rng.standard_normal(counts)
+        target[target < -1.0] = -0.0
+        # A C-ordered field and a transposed one, as the 3D solves return.
+        for V in (U, np.ascontiguousarray(U.transpose()).transpose()):
+            for A in (corr.N1, corr.N2, corr.N12):
+                rows = sparse_rows(A, counts)
+                assert rows.matrix is A
+                for got, want in (
+                    (rows.subtract(0.0, V), 0.0 - self.full(A, V)),
+                    (rows.subtract(target, V), target - self.full(A, V)),
+                    (rows.subtract(target, V, 3.7), target - 3.7 * self.full(A, V)),
+                ):
+                    assert got.tobytes() == np.ascontiguousarray(want).tobytes()
