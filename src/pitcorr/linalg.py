@@ -19,7 +19,16 @@ solved by diagonalizing Mx and My once:
 with o the Hadamard product.  In 3D the right-hand side is additionally
 transformed along the third axis, each slice j carrying the scalar shift
 a + b*lz_j; this is implemented as one dense reciprocal table over all
-eigenvalue triplets.
+eigenvalue triplets.  This is the tensor-product method of Lynch, Rice &
+Thomas (Numer. Math. 6, 1964).
+
+Every transform is a mode product (`_mode_product`): one matrix applied
+along one axis of a C-ordered field, one GEMM on the first or the last axis
+and one GEMM per leading index on the middle axis of three.  A 2D solve thus
+issues the products of Gx^{-1} Y Gy^{-T} and Gx (..) Gy^T.  The layout
+contract: a solve returns a C-contiguous array whatever the layout of Y,
+with bits that do not depend on that layout, so every field of a step is
+C-ordered.
 
 A sparse correction N of the Laplacian, (a*I + b*(M - N)) X = Y, is solved
 exactly by the capacitance-matrix method (Buzbee, Dorr, George & Golub,
@@ -250,28 +259,38 @@ class SylvesterOperator:
 
     def solve(self, Y: np.ndarray) -> np.ndarray:
         """X with (a*I + b*M) X = Y, or (a*I + b*(M - N)) X = Y for a
-        `corrected` operator."""
+        `corrected` operator.
+
+        X is C-contiguous whatever the layout of Y, and its bits do not
+        depend on that layout: Y is read as a C-ordered copy if it is not
+        one, and each transform is one `_mode_product` per axis."""
         if Y.shape != self.shape:
             raise ValueError(f"right-hand side shape {Y.shape} != {self.shape}")
-        if len(self.facts) == 2:
-            fx, fy = self.facts
-            W = fx.GammaInv @ Y @ fy.GammaInv.T
-            if self.capacitance is not None:
-                W = self.capacitance.corrected(W)
-            return fx.Gamma @ (self.Upsilon * W) @ fy.Gamma.T
-        fx, fy, fz = self.facts
-        W = _mode_products(fx.GammaInv, fy.GammaInv, fz.GammaInv, Y)
+        W = np.ascontiguousarray(Y)
+        for axis, f in enumerate(self.facts):
+            W = _mode_product(f.GammaInv, W, axis)
         if self.capacitance is not None:
             W = self.capacitance.corrected(W)
         W *= self.Upsilon
-        return _mode_products(fx.Gamma, fy.Gamma, fz.Gamma, W)
+        for axis, f in enumerate(self.facts):
+            W = _mode_product(f.Gamma, W, axis)
+        return W
 
 
-def _mode_products(Ax, Ay, Az, Y: np.ndarray) -> np.ndarray:
-    """Apply one matrix per tensor mode: out_ijk = Ax_ip Ay_jq Az_kr Y_pqr."""
-    W = np.tensordot(Ax, Y, axes=(1, 0))
-    W = np.tensordot(Ay, W, axes=(1, 1)).transpose(1, 0, 2)
-    return np.tensordot(Az, W, axes=(1, 2)).transpose(1, 2, 0)
+def _mode_product(A: np.ndarray, V: np.ndarray, axis: int) -> np.ndarray:
+    """A applied along `axis` of V, a C-ordered result with that axis
+    resized to len(A): out[..., i, ...] = sum_p A[i, p] V[..., p, ...].
+
+    One GEMM for the first and the last axis, one per leading index for the
+    middle axis of three.  V is read in place when the merged axes are a
+    view of it (always for a C-ordered V), else reshape copies it."""
+    shape = V.shape[:axis] + (A.shape[0],) + V.shape[axis + 1:]
+    # The widths are explicit: reshape cannot infer them for an empty axis.
+    if axis == 0:
+        return (A @ V.reshape(V.shape[0], math.prod(V.shape[1:]))).reshape(shape)
+    if axis == V.ndim - 1:
+        return (V.reshape(math.prod(V.shape[:-1]), V.shape[-1]) @ A.T).reshape(shape)
+    return np.matmul(A, V)  # the middle axis of three
 
 
 @dataclass(frozen=True)
@@ -567,28 +586,6 @@ def _series_terms(b: float) -> int | None:
     return None
 
 
-def _to_groups(P: np.ndarray, V: np.ndarray, axis: int) -> np.ndarray:
-    """P applied along `axis` of V, that axis first in the result:
-    out[d, ...] = sum_p P[d, p] V[..., p, ...]."""
-    if axis == 0:
-        return (P @ V.reshape(V.shape[0], -1)).reshape(len(P), *V.shape[1:])
-    if axis == V.ndim - 1:
-        return (P @ V.reshape(-1, V.shape[-1]).T).reshape(len(P), *V.shape[:-1])
-    return np.tensordot(P, V, axes=(1, 1))  # the middle axis of three
-
-
-def _from_groups(Q: np.ndarray, H: np.ndarray, axis: int) -> np.ndarray:
-    """Q applied along the first axis of H, which becomes `axis` of the
-    result: out[..., i, ...] = sum_e Q[i, e] H[e, ...]."""
-    # The widths are explicit: reshape cannot infer them for an empty support.
-    flat = H.reshape(len(H), math.prod(H.shape[1:]))
-    if axis == 0:
-        return (Q @ flat).reshape(len(Q), *H.shape[1:])
-    if axis == H.ndim - 1:
-        return (flat.T @ Q.T).reshape(*H.shape[1:], len(Q))
-    return np.matmul(Q, H.transpose(1, 0, 2))  # the middle axis of three
-
-
 def _members(group: np.ndarray, count: int):
     """The indices of the points in each of the `count` groups."""
     order = np.argsort(group, kind="stable")
@@ -601,9 +598,14 @@ def _grouped_reads(images: SupportImages, V: np.ndarray) -> np.ndarray:
     The mode-g product with the Gamma_g rows at the n_D distinct coordinates
     of S gives T, whose slice d(k) is contracted with point k's Gamma rows
     along the other axes: in 2D one gathered row each, in 3D one GEMM per
-    group of points."""
+    group of points.  T is formed with g first, from a view of V that moves
+    g there.  The product reads that view in place for the first and the
+    last axis, and copies it for the middle axis of three.  For y in 2D it
+    is Gamma_y-rows @ V^T, which is not bit-equal to (V @ Gamma_y-rows^T)^T;
+    2D results keep their bits through this order."""
     g = images.support_axis
-    T = _to_groups(images.support_distinct, V, g)
+    # np.rollaxis(V, g) is np.moveaxis(V, g, 0) at about a quarter of its Python cost.
+    T = _mode_product(images.support_distinct, np.rollaxis(V, g), 0)
     rows = [r for axis, r in enumerate(images.at_support) if axis != g]
     group = images.support_group
     if len(rows) == 1:
@@ -622,7 +624,8 @@ def _grouped_image(images: SupportImages, weights: np.ndarray) -> np.ndarray:
     H_e = sum_{r in e} weights_r (x)_{axis != g} images[axis][:, r]: in 2D
     by one GEMM with the weighted one-hot matrix of the groups, in 3D by one
     GEMM per group.  One mode-g product with the Gamma_g^{-1} columns at the
-    distinct coordinates then forms the image."""
+    distinct coordinates, on a view of H that moves its group axis to g,
+    then forms the image, C-ordered; no axis of H is copied."""
     g = images.rows_axis
     Q, group = images.rows_distinct, images.rows_group
     factors = [f for axis, f in enumerate(images.images) if axis != g]
@@ -635,7 +638,7 @@ def _grouped_image(images: SupportImages, weights: np.ndarray) -> np.ndarray:
         H = np.empty((Q.shape[1], a.shape[0], b.shape[0]))
         for e, rs in enumerate(_members(group, Q.shape[1])):
             np.matmul(a[:, rs] * weights[rs], b[:, rs].T, out=H[e])
-    return _from_groups(Q, H, g)
+    return _mode_product(Q, np.rollaxis(H, 0, g + 1), g)  # np.moveaxis(H, 0, g)
 
 
 def build_operator(a: float, b: float, laplacians) -> SylvesterOperator:

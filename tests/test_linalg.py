@@ -441,6 +441,83 @@ class TestGroupedCorrection:
         assert images.support_distinct.shape == (distinct, grid.counts[axis])
 
 
+def _layouts(Y):
+    """Y as C-ordered, Fortran-ordered and transposed-view copies, and with
+    its last axis outermost in memory."""
+    return {
+        "C": np.ascontiguousarray(Y),
+        "F": np.asfortranarray(Y),
+        "transposed": np.ascontiguousarray(Y.transpose()).transpose(),
+        "last-outermost": np.moveaxis(np.ascontiguousarray(np.moveaxis(Y, -1, 0)), 0, -1),
+    }
+
+
+def _operators(shape, seed):
+    """A plain operator on `shape` and a copy corrected for a random N."""
+    rng = np.random.default_rng(seed)
+    kinds = (NEUMANN, (DIRICHLET, NEUMANN), DIRICHLET)[: len(shape)]
+    a, b, laps = _random_operator(rng, shape, kinds)
+    op = build_operator(a, b, laps)
+    N, _ = _random_correction(rng, shape)
+    N = N * (0.1 / (abs(b) * np.abs(N).max()))  # keep I + alpha*K well conditioned
+    return op, op.corrected(support_images(op.facts, N))
+
+
+class TestModeProduct:
+    """`_mode_product`, the one transform primitive, against `np.einsum`,
+    and the layout contract of the solves built on it."""
+
+    @pytest.mark.parametrize("shape", [(7, 5), (5, 4, 6)])
+    @pytest.mark.parametrize("rows", ["square", "fewer", "more", "none"])
+    def test_matches_einsum_on_every_axis(self, shape, rows):
+        rng = np.random.default_rng(len(shape))
+        V = rng.standard_normal(shape)
+        letters = "abc"[: len(shape)]
+        for axis, m in enumerate(shape):
+            n = {"square": m, "fewer": m - 2, "more": m + 3, "none": 0}[rows]
+            A = rng.standard_normal((n, m))
+            out = linalg._mode_product(A, V, axis)
+            ref = np.einsum(f"ip,{letters[:axis]}p{letters[axis + 1:]}"
+                            f"->{letters[:axis]}i{letters[axis + 1:]}", A, V)
+            assert out.shape == ref.shape == shape[:axis] + (n,) + shape[axis + 1:]
+            assert out.flags.c_contiguous
+            assert np.abs(out - ref).max(initial=0.0) <= 1e-13 * np.abs(ref).max(initial=0.0)
+
+    def test_empty_axis_gives_zeros(self):
+        # The image of an empty support: no columns, no coordinates along the axis.
+        shape = (5, 4, 6)
+        for axis, m in enumerate(shape):
+            H = np.empty(shape[:axis] + (0,) + shape[axis + 1:])
+            out = linalg._mode_product(np.empty((m, 0)), H, axis)
+            assert out.shape == shape and out.flags.c_contiguous
+            assert not out.any()
+
+    # 61 x 43 is large enough that a Fortran-ordered operand changes the
+    # bits of its GEMM on OpenBLAS, so the test sees a solve that reads Y
+    # in place.
+    @pytest.mark.parametrize("shape", [(61, 43), (13, 11, 17)])
+    def test_solves_are_c_ordered_whatever_the_layout(self, shape):
+        Y = np.random.default_rng(3).standard_normal(shape)
+        for op in _operators(shape, seed=len(shape)):
+            outs = {name: op.solve(V) for name, V in _layouts(Y).items()}
+            for name, X in outs.items():
+                assert X.flags.c_contiguous, name
+                assert X.tobytes() == outs["C"].tobytes(), name
+
+    def test_2d_solve_bits_are_the_matrix_form(self):
+        """The 2D solve issues the products of Gx (Upsilon o (Gx^-1 Y Gy^-T)) Gy^T,
+        with the correction of a corrected operator in between."""
+        Y = np.random.default_rng(5).standard_normal((61, 43))
+        plain, corrected = _operators((61, 43), seed=9)
+        fx, fy = plain.facts
+        W = fx.GammaInv @ Y @ fy.GammaInv.T
+        want = fx.Gamma @ (plain.Upsilon * W) @ fy.Gamma.T
+        assert plain.solve(Y).tobytes() == want.tobytes()
+        W = corrected.capacitance.corrected(W)
+        want = fx.Gamma @ (corrected.Upsilon * W) @ fy.Gamma.T
+        assert corrected.solve(Y).tobytes() == want.tobytes()
+
+
 class TestKroneckerSum:
     def test_matches_apply_2d(self):
         rng = np.random.default_rng(3)

@@ -3,6 +3,7 @@ import pytest
 import scipy.sparse as sp
 
 from pitcorr.grid import DomainMask, GridSpec, build_correction_matrices, build_grid
+from pitcorr.holes import IterSchemeConfig, build_hole_operators
 from pitcorr.linalg import factorization_count, kronecker_sum
 from pitcorr.model import CorrosionParameters, reaction_f1, reaction_f2
 from pitcorr.rect import (
@@ -14,6 +15,7 @@ from pitcorr.rect import (
     bootstrap_substeps,
     boundary_contribution,
     build_rect_operators,
+    imex_step,
     run_rect,
     sparse_rows,
     step_imex_2sbdf_rect,
@@ -337,7 +339,7 @@ class TestSparseRows:
         U[U < -1.0] = -0.0
         target = rng.standard_normal(counts)
         target[target < -1.0] = -0.0
-        # A C-ordered field and a transposed one, as the 3D solves return.
+        # A C-ordered field and a transposed view of one.
         for V in (U, np.ascontiguousarray(U.transpose()).transpose()):
             for A in (corr.N1, corr.N2, corr.N12):
                 rows = sparse_rows(A, counts)
@@ -348,3 +350,32 @@ class TestSparseRows:
                     (rows.subtract(target, V, 3.7), target - 3.7 * self.full(A, V)),
                 ):
                     assert got.tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+class TestStepLayout:
+    """A 3D step returns C-ordered fields: the layout that the solves return
+    and that the next step's elementwise work, Laplacian and solves read."""
+
+    @pytest.mark.parametrize("order", ["euler", "2sbdf"])
+    @pytest.mark.parametrize("cavity", [False, True])
+    def test_3d_step_returns_c_ordered_fields(self, params, order, cavity):
+        counts = (6, 5, 7)
+        g = build_grid(GridSpec(tuple(1e-6 * (m - 1) for m in counts), counts, (NN, NN, ND)))
+        theta = np.zeros(counts, dtype=bool)
+        if cavity:
+            theta[2:4, 1:3, 3:] = True
+            mask = DomainMask(theta)
+            cfg = IterSchemeConfig("imex-e", order, 1e-3, 4.43e8, stop_mode="exact")
+            ops = build_hole_operators(g, cfg, params, mask, build_correction_matrices(g, mask))
+            assert ops.hole is not None and ops.phi.capacitance is not None
+        else:
+            cfg = SchemeConfig(order, 1e-3, 4.43e8)
+            ops = build_rect_operators(g, cfg, params, BoundaryData())
+        rng = np.random.default_rng(21)
+        levels = []
+        for k in range(1 if order == "euler" else 2):
+            state = random_state(rng, counts)
+            state.Phi[theta] = state.C[theta] = 0.0
+            levels.insert(0, FieldPair(state.Phi, state.C, t=k * 1e-3, step_index=k))
+        out, _ = imex_step(levels, ops)
+        assert out.Phi.flags.c_contiguous and out.C.flags.c_contiguous
