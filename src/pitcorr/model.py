@@ -86,10 +86,39 @@ def double_well_slope(phi):
 
 
 def reaction_f1(phi, c, p: CorrosionParameters):
-    """Reaction term of the phi equation, applied entrywise."""
-    drive = np.asarray(c) - interpolant(phi) * (1.0 - p.c_L) - p.c_L
-    return (2.0 * p.A * p.L * (1.0 - p.c_L) * drive * interpolant_slope(phi)
-            - p.omega * p.L * double_well_slope(phi))
+    """Reaction term of the phi equation, applied entrywise.
+
+    It evaluates
+
+        2*A*L*(1 - c_L) * (c - h(phi)*(1 - c_L) - c_L) * h'(phi)
+            - omega*L * g'(phi)
+
+    with the operations, operand order and rounding of `interpolant`,
+    `interpolant_slope` and `double_well_slope`, in place on three arrays of
+    the broadcast shape: the result, the factor being built, and 1 - phi.
+    """
+    phi, c = np.asarray(phi), np.asarray(c)
+    shape, dtype = np.broadcast_shapes(phi.shape, c.shape), np.result_type(phi, c, 1.0)
+    f, a, one_minus = (np.empty(shape, dtype) for _ in range(3))
+    np.multiply(phi, phi, out=f)
+    np.multiply(2.0, phi, out=a)
+    np.subtract(3.0, a, out=a)
+    np.multiply(f, a, out=f)  # h(phi)
+    np.multiply(f, 1.0 - p.c_L, out=f)
+    np.subtract(c, f, out=f)
+    np.subtract(f, p.c_L, out=f)  # the drive
+    np.multiply(2.0 * p.A * p.L * (1.0 - p.c_L), f, out=f)
+    np.subtract(1.0, phi, out=one_minus)
+    np.multiply(6.0, phi, out=a)
+    np.multiply(a, one_minus, out=a)  # h'(phi)
+    np.multiply(f, a, out=f)
+    np.multiply(2.0, phi, out=a)
+    np.multiply(a, one_minus, out=a)
+    np.multiply(2.0, phi, out=one_minus)
+    np.subtract(1.0, one_minus, out=one_minus)
+    np.multiply(a, one_minus, out=a)  # g'(phi)
+    np.multiply(p.omega * p.L, a, out=a)
+    return np.subtract(f, a, out=f)
 
 
 def reaction_f2(phi, p: CorrosionParameters):

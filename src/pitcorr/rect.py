@@ -25,6 +25,12 @@ Neumann edges contribute nothing.  The boundary values are constant, so the
 loads are built once with the operators (`RectOperators.load_phi`,
 `load_c`) and a step reads only its time levels and the operators.
 
+F1 is evaluated once per time level.  A 2SBDF step evaluates F1(u^n) and
+carries it on the level u^n (`FieldPair`) to the next step, where u^n is the
+older level; that step takes it, so no level keeps an F1 longer.  Each step
+builds its right-hand sides in place, in arrays of its own, with the
+operations and association of the formulas above.
+
 A rectangle is the case without correction: one direct solve per field.  A
 cavity domain (`pitcorr.holes`) is the same `RectOperators` with a `hole`:
 sparse corrections and an inner loop per solve, or in its exact stop mode one
@@ -37,7 +43,7 @@ builds a solver.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -97,12 +103,19 @@ class InstabilityError(RuntimeError):
 
 @dataclass(frozen=True)
 class FieldPair:
-    """The (Phi, C) grid state at one time level."""
+    """The (Phi, C) grid state at one time level.
+
+    `_f1` is the level's carried reaction: (params, F1(Phi, C)) from the
+    2SBDF step that read this level as its newest, for the next step, which
+    reads it as its older level and takes it (`imex_step`).  It is the only
+    mutable part of a level, left out of `replace`, equality and the repr.
+    """
 
     Phi: np.ndarray
     C: np.ndarray
     t: float = 0.0
     step_index: int = 0
+    _f1: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def validate(self):
         if self.Phi.shape != self.C.shape:
@@ -228,17 +241,19 @@ def build_rect_operators(grid, cfg: SchemeConfig, params: CorrosionParameters,
 
 
 def _combine(terms):
-    """sum(weight * u) over (weight, u) pairs, with no products by +-1."""
-    total = None
+    """sum(weight * u) over (weight, u) pairs, left to right and with no
+    products by +-1.  A single term of weight 1 is u itself; any other sum is
+    one new array, built in place with at most one work array.  No u is
+    written."""
+    total = work = None
     for weight, u in terms:
         if total is None:
-            total = u if weight == 1.0 else weight * u
-        elif weight == 1.0:
-            total = total + u
-        elif weight == -1.0:
-            total = total - u
-        else:
-            total = total + weight * u
+            total, own = (u, False) if weight == 1.0 else (np.multiply(weight, u), True)
+            continue
+        if weight not in (1.0, -1.0):
+            u = work = np.multiply(weight, u, out=work)
+        op = np.subtract if weight == -1.0 else np.add
+        total, own = op(total, u, out=total if own else None), True
     return total
 
 
@@ -313,33 +328,49 @@ def imex_step(levels, ops: RectOperators):
             return op.solve(base), (1, 0.0)
         return hole.iterate(field, op, base, warm, t)
 
+    # F1 once per time level (module docstring): take what the levels carry,
+    # evaluate the rest, and carry the newest level's F1 to the next step.
+    f1 = [_take_f1(u, p) for u in levels]
+    f1 = [reaction_f1(u.Phi, u.C, p) if f is None else f for u, f in zip(levels, f1)]
+    if len(levels) > 1:
+        object.__setattr__(curr, "_f1", (p, f1[0]))
+
     def explicit_terms():
-        for e, u in zip(coef.extrap, levels):
-            yield e, reaction_f1(u.Phi, u.C, p)
+        for e, u, f in zip(coef.extrap, levels, f1):
+            yield e, f
             yield e * cfg.w, u.Phi
 
-    explicit = _combine(explicit_terms())
+    rhs = _combine(explicit_terms())  # a new array: two terms or more
     if hole is not None:
         # The relaxation shift, like the reaction, only acts on the physical
         # region: on the holes it would exactly cancel the implicit shift and
         # preserve any injected round-off forever, while the masked form damps
         # hole values by the implicit shift every step.
-        explicit = hole.chi * explicit
-    base_phi = combine(coef.history, "Phi") + sdt * (
-        explicit + p.D_phi * known(ops.load_phi, "Phi")
-    )
+        np.multiply(hole.chi, rhs, out=rhs)
+    np.add(rhs, p.D_phi * known(ops.load_phi, "Phi"), out=rhs)
+    np.multiply(sdt, rhs, out=rhs)
+    base_phi = np.add(combine(coef.history, "Phi"), rhs, out=rhs)
     phi, phi_loop = solve(ops.phi, base_phi, "phi", curr.Phi)
 
     f2 = reaction_f2(phi, p)
     lap_f2 = apply_laplacian(grid.laplacians, f2)
     if hole is not None:
         lap_f2 = hole.N12.subtract(lap_f2, f2)
-    base_c = combine(coef.history, "C") + sdt * p.D_c * known(lap_f2 + ops.load_c, "C")
+    rhs = known(np.add(lap_f2, ops.load_c, out=lap_f2), "C")
+    np.multiply(sdt * p.D_c, rhs, out=rhs)
+    base_c = np.add(combine(coef.history, "C"), rhs, out=rhs)
     c, c_loop = solve(ops.c, base_c, "c", curr.C)
 
     out = FieldPair(phi, c, t, curr.step_index + 1)
     out.validate()
     return out, (phi_loop, c_loop)
+
+
+def _take_f1(level: FieldPair, params):
+    """The F1 that `level` carries under `params`, or None; the level lets it go."""
+    carried = level._f1
+    object.__setattr__(level, "_f1", None)
+    return carried[1] if carried is not None and carried[0] == params else None
 
 
 def step_imex_euler_rect(state: FieldPair, ops: RectOperators) -> FieldPair:
@@ -403,6 +434,8 @@ def run_loop(state0: FieldPair, ops, horizon: float, hooks, euler, two_step,
         prev, curr = curr, nxt
         for hook in hooks:
             hook(curr)
+    if prev is not None:
+        _take_f1(prev, None)  # the last step's carry has no next step
     return curr
 
 

@@ -62,6 +62,34 @@ class TestReactions:
         )
         assert reaction_f2(np.array(1.0), params) == pytest.approx(-0.9643, abs=1e-4)
 
+    @staticmethod
+    def f1_formula(phi, c, p):
+        """F1 as numpy evaluates the textbook expression term by term."""
+        h = phi * phi * (3.0 - 2.0 * phi)
+        hp = 6.0 * phi * (1.0 - phi)
+        gp = 2.0 * phi * (1.0 - phi) * (1.0 - 2.0 * phi)
+        drive = c - h * (1.0 - p.c_L) - p.c_L
+        return 2.0 * p.A * p.L * (1.0 - p.c_L) * drive * hp - p.omega * p.L * gp
+
+    @pytest.mark.parametrize("shape", [(23, 17), (9, 7, 13)])
+    def test_f1_bits_are_the_formula(self, params, shape):
+        # In-place evaluation must round as the expression does, special
+        # values included, on contiguous fields and on strided or transposed views.
+        special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324,
+                            2.2250738585072014e-308, 1e-310, -1e-310, 1e200, -1e200,
+                            0.5, 1.0, -1.0])
+        rng = np.random.default_rng(len(shape))
+        values = np.concatenate([special, rng.uniform(-0.5, 1.5, 64)])
+        phi, c = (rng.choice(values, size=shape) for _ in range(2))
+        views = [(phi, c), (phi.T, c.T), (phi[1::2, 1:], c[:-1:2, :-1]),
+                 (np.asfortranarray(phi), c[..., ::-1])]
+        with np.errstate(all="ignore"):
+            for a, b in views:
+                got = reaction_f1(a, b, params)
+                want = self.f1_formula(a, b, params)
+                assert got.shape == want.shape
+                assert got.tobytes() == np.ascontiguousarray(want).tobytes()
+
     def test_f1_matches_definition(self, params):
         phi = np.linspace(0.1, 0.9, 7)
         c = np.linspace(0.2, 1.0, 7)

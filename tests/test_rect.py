@@ -1,9 +1,21 @@
+import gc
+import itertools
+import weakref
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from pitcorr.grid import DomainMask, GridSpec, build_correction_matrices, build_grid
-from pitcorr.holes import IterSchemeConfig, build_hole_operators
+import pitcorr.rect
+from pitcorr.grid import (
+    Circle,
+    DomainMask,
+    GridSpec,
+    build_correction_matrices,
+    build_grid,
+    rasterize_mask,
+)
+from pitcorr.holes import IterSchemeConfig, build_hole_operators, run_holes
 from pitcorr.linalg import factorization_count, kronecker_sum
 from pitcorr.model import CorrosionParameters, reaction_f1, reaction_f2
 from pitcorr.rect import (
@@ -379,3 +391,106 @@ class TestStepLayout:
             levels.insert(0, FieldPair(state.Phi, state.C, t=k * 1e-3, step_index=k))
         out, _ = imex_step(levels, ops)
         assert out.Phi.flags.c_contiguous and out.C.flags.c_contiguous
+
+
+class TestReactionCarry:
+    """A 2SBDF run evaluates F1 once per time level: the step that reads a
+    level as its newest carries its F1 on it to the next step, which reads
+    it as its older level and lets it go."""
+
+    @staticmethod
+    def cavity():
+        grid = build_grid(GridSpec((100e-6, 100e-6), (11, 11), (NN, NN)))
+        mask = rasterize_mask(grid, (Circle((50e-6, 50e-6), 15e-6),))
+        return grid, mask
+
+    @pytest.mark.parametrize("domain", ["rect", "full", "exact"])
+    def test_one_reaction_per_level(self, params, monkeypatch, domain):
+        calls = []
+        original = pitcorr.rect.reaction_f1
+
+        def counting(phi, c, p):
+            calls.append(1)
+            return original(phi, c, p)
+
+        monkeypatch.setattr(pitcorr.rect, "reaction_f1", counting)
+        dt, n = 0.5, 5
+        substeps = bootstrap_substeps(dt)[0]
+        if domain == "rect":
+            g = small_grid(counts=(6, 7), extents=(6e-6, 7e-6))
+            state = random_state(np.random.default_rng(4), g.counts)
+            run_rect(state, SchemeConfig("2sbdf", dt, 4.43e8), params, g, BoundaryData(),
+                     n * dt)
+        else:
+            g, mask = self.cavity()
+            u = np.where(mask.theta, 0.0, 1.0)
+            run_holes(FieldPair(u, u.copy()),
+                      IterSchemeConfig("imex-e", "2sbdf", dt, 4.43e8, stop_mode=domain),
+                      params, g, mask, build_correction_matrices(g, mask), BoundaryData(),
+                      n * dt)
+        # Two evaluations per 2SBDF step would be substeps + 2 * (n - 1).
+        assert len(calls) <= substeps + n < substeps + 2 * (n - 1)
+
+    @staticmethod
+    def levels(rng, counts, theta=None):
+        out = []
+        for k in range(2):
+            state = random_state(rng, counts)
+            if theta is not None:
+                state.Phi[theta] = state.C[theta] = 0.0
+            out.insert(0, FieldPair(state.Phi, state.C, t=k * 1e-3, step_index=k))
+        return out
+
+    @pytest.mark.parametrize("cavity", [False, True])
+    def test_step_outputs_and_carry_share_no_memory(self, params, cavity):
+        cfg = SchemeConfig("2sbdf", 1e-3, 4.43e8)
+        if cavity:
+            g, mask = self.cavity()
+            ops = build_hole_operators(
+                g, IterSchemeConfig("imex-e", "2sbdf", 1e-3, 4.43e8, stop_mode="exact"),
+                params, mask, build_correction_matrices(g, mask))
+            levels = self.levels(np.random.default_rng(5), g.counts, mask.theta)
+        else:
+            g = small_grid(counts=(6, 7), extents=(6e-6, 7e-6))
+            ops = build_rect_operators(g, cfg, params, BoundaryData())
+            levels = self.levels(np.random.default_rng(5), g.counts)
+        curr, prev = levels
+        mid, _ = imex_step((curr, prev), ops)
+        out, _ = imex_step((mid, curr), ops)
+        carried = mid._f1[1]
+        assert curr._f1 is None  # taken by the second step
+        arrays = [out.Phi, out.C, carried, mid.Phi, mid.C, curr.Phi, curr.C]
+        for a, b in itertools.combinations(arrays, 2):
+            assert not np.shares_memory(a, b)
+
+    def test_kept_level_lets_its_f1_go(self, params):
+        g = small_grid(counts=(6, 7), extents=(6e-6, 7e-6))
+        ops = build_rect_operators(g, SchemeConfig("2sbdf", 1e-3, 4.43e8), params,
+                                   BoundaryData())
+        curr, prev = self.levels(np.random.default_rng(6), g.counts)
+        nxt = step_imex_2sbdf_rect(prev, curr, ops)
+        ref = weakref.ref(curr._f1[1])
+        step_imex_2sbdf_rect(curr, nxt, ops)
+        gc.collect()
+        assert curr._f1 is None and ref() is None
+
+        # No level a hook keeps holds an F1 once the run is over.
+        kept = []
+        run_rect(random_state(np.random.default_rng(7), g.counts),
+                 SchemeConfig("2sbdf", 0.5, 4.43e8), params, g, BoundaryData(), 2.0,
+                 hooks=(kept.append,))
+        assert len(kept) == 5 and all(level._f1 is None for level in kept)
+
+    def test_carry_is_not_reused_under_other_parameters(self, params):
+        g = small_grid(counts=(6, 7), extents=(6e-6, 7e-6))
+        cfg = SchemeConfig("2sbdf", 1e-3, 4.43e8)
+        other = CorrosionParameters(A=2.0 * params.A)
+        curr, prev = self.levels(np.random.default_rng(8), g.counts)
+        nxt = step_imex_2sbdf_rect(prev, curr, build_rect_operators(g, cfg, params, BoundaryData()))
+        assert curr._f1 is not None
+        ops = build_rect_operators(g, cfg, other, BoundaryData())
+        got = step_imex_2sbdf_rect(curr, nxt, ops)
+        want = step_imex_2sbdf_rect(FieldPair(curr.Phi, curr.C, curr.t, curr.step_index),
+                                    FieldPair(nxt.Phi, nxt.C, nxt.t, nxt.step_index), ops)
+        assert got.Phi.tobytes() == want.Phi.tobytes()
+        assert got.C.tobytes() == want.C.tobytes()
