@@ -122,5 +122,17 @@ def reaction_f1(phi, c, p: CorrosionParameters):
 
 
 def reaction_f2(phi, p: CorrosionParameters):
-    """Nonlinear flux contribution of the c equation, applied entrywise."""
-    return (p.c_L - 1.0) * interpolant(phi)
+    """Nonlinear flux contribution of the c equation, applied entrywise.
+
+    It evaluates (c_L - 1) * h(phi) with the operations, operand order and
+    rounding of `interpolant`, in place on two arrays of phi's shape: the
+    result and the factor 3 - 2*phi.
+    """
+    phi = np.asarray(phi)
+    dtype = np.result_type(phi, 1.0)
+    f, a = np.empty(phi.shape, dtype), np.empty(phi.shape, dtype)
+    np.multiply(phi, phi, out=f)
+    np.multiply(2.0, phi, out=a)
+    np.subtract(3.0, a, out=a)
+    np.multiply(f, a, out=f)  # h(phi)
+    return np.multiply(p.c_L - 1.0, f, out=f)

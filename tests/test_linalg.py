@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -545,3 +547,92 @@ class TestKroneckerSum:
         laps = (laplacian_1d(NEUMANN, 4, 0.5), laplacian_1d(NEUMANN, 3, 0.25))
         M = kronecker_sum(laps)
         np.testing.assert_allclose(np.asarray(M.sum(axis=1)).ravel(), 0.0, atol=1e-10)
+
+
+KINDS = [DIRICHLET, NEUMANN, (DIRICHLET, NEUMANN), (NEUMANN, DIRICHLET)]
+
+
+def _stencil_layouts(U):
+    """The `_layouts` of U, and U as a view with a stride of two on every axis."""
+    strided = np.zeros(tuple(2 * m + 1 for m in U.shape))[(slice(1, None, 2),) * U.ndim]
+    strided[...] = U
+    return dict(_layouts(U), strided=strided)
+
+
+def _check_stencil(laps, U):
+    """`apply_laplacian` against the sparse Kronecker sum on every layout of U,
+    within 1e-14 * sum_a 4*s_a * max|U|."""
+    shape = U.shape
+    ref = (kronecker_sum(laps) @ U.ravel(order="F")).reshape(shape, order="F")
+    bound = 1e-14 * sum(4.0 * (-0.5 * M.main[0]) for M in laps) * np.abs(U).max()
+    for name, V in _stencil_layouts(U).items():
+        out = apply_laplacian(laps, V)
+        assert out.shape == shape, name
+        assert np.abs(out - ref).max() <= bound, name
+
+
+class TestApplyLaplacian:
+    """The flat-field stencil against the sparse Kronecker sum."""
+
+    @pytest.mark.parametrize("mx", [2, 3, 5, 17])
+    @pytest.mark.parametrize("my", [2, 3, 5, 17])
+    def test_matches_kronecker_sum_2d(self, mx, my):
+        rng = np.random.default_rng(mx * 100 + my)
+        for kx in KINDS:
+            for ky in KINDS:
+                laps = (laplacian_1d(kx, mx, 0.1 + 0.4 * rng.random()),
+                        laplacian_1d(ky, my, 0.1 + 0.4 * rng.random()))
+                _check_stencil(laps, rng.standard_normal((mx, my)))
+
+    @pytest.mark.parametrize("shape", [(2, 3, 5), (5, 2, 3), (3, 5, 2), (2, 2, 2), (17, 2, 3)])
+    def test_matches_kronecker_sum_3d(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        for kinds in itertools.product(KINDS, repeat=3):
+            laps = [laplacian_1d(k, m, 0.1 + 0.4 * rng.random()) for k, m in zip(kinds, shape)]
+            _check_stencil(laps, rng.standard_normal(shape))
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.lists(st.tuples(st.integers(2, 9), st.sampled_from(range(4)),
+                              st.floats(0.05, 5.0)), min_size=2, max_size=3),
+           st.integers(0, 2**32 - 1))
+    def test_property_random_shapes_and_ends(self, axes, seed):
+        laps = [laplacian_1d(KINDS[k], m, dr) for m, k, dr in axes]
+        U = np.random.default_rng(seed).standard_normal(tuple(m for m, _, _ in axes))
+        _check_stencil(laps, U)
+
+    def test_new_c_ordered_float_array_and_input_unchanged(self):
+        laps = (laplacian_1d(NEUMANN, 5, 0.3), laplacian_1d((DIRICHLET, NEUMANN), 4, 0.2),
+                laplacian_1d(DIRICHLET, 3, 0.4))
+        U = np.random.default_rng(1).standard_normal((5, 4, 3))
+        for name, V in _stencil_layouts(U).items():
+            before = V.copy()
+            V.flags.writeable = False
+            out = apply_laplacian(laps, V)
+            assert out.flags.c_contiguous and out.flags.writeable, name
+            assert out.dtype == np.float64, name
+            assert not np.shares_memory(out, V), name
+            assert V.tobytes() == before.tobytes(), name
+        ints = np.arange(60).reshape(5, 4, 3)
+        out = apply_laplacian(laps, ints)
+        assert out.dtype == np.float64 and out.flags.c_contiguous
+        np.testing.assert_array_equal(out, apply_laplacian(laps, ints.astype(float)))
+
+    def test_shape_mismatch(self):
+        laps = (laplacian_1d(DIRICHLET, 4, 1.0), laplacian_1d(NEUMANN, 5, 1.0))
+        with pytest.raises(ValueError):
+            apply_laplacian(laps, np.zeros((5, 4)))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("m", [2, 3, 5, 17])
+    @pytest.mark.parametrize("dr", [1.0, 0.37, 1e-7])
+    def test_laplacian_1d_has_the_stencil_structure(self, kind, m, dr):
+        # What the stencil reads off a `laplacian_1d`: a constant main
+        # diagonal, interior off-diagonals s = -main[0]/2, and end entries
+        # s at a Dirichlet end and 2s at a Neumann end.
+        M = laplacian_1d(kind, m, dr)
+        s = -0.5 * M.main[0]
+        assert s > 0.0
+        assert np.all(M.main == M.main[0])
+        assert np.all(M.upper[1:] == s) and np.all(M.lower[:-1] == s)
+        assert M.upper[0] == (2.0 * s if M.bc_low == NEUMANN else s)
+        assert M.lower[-1] == (2.0 * s if M.bc_high == NEUMANN else s)

@@ -90,6 +90,30 @@ class TestReactions:
                 assert got.shape == want.shape
                 assert got.tobytes() == np.ascontiguousarray(want).tobytes()
 
+    @pytest.mark.parametrize("shape", [(23, 17), (9, 7, 13)])
+    def test_f2_bits_are_the_formula(self, params, shape):
+        # (c_L - 1) * h(phi) as numpy evaluates the expression, special
+        # values included, on contiguous fields, Fortran-ordered copies and
+        # strided views, and on a scalar.
+        def formula(phi, p):
+            return (p.c_L - 1.0) * (phi * phi * (3.0 - 2.0 * phi))
+
+        special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324,
+                            2.2250738585072014e-308, 1e-310, -1e-310, 1e200, -1e200,
+                            0.5, 1.0, -1.0])
+        rng = np.random.default_rng(len(shape))
+        phi = rng.choice(np.concatenate([special, rng.uniform(-0.5, 1.5, 64)]), size=shape)
+        views = [phi, phi.T, phi[1::2, 1:], phi[..., ::-1], np.asfortranarray(phi)]
+        with np.errstate(all="ignore"):
+            for a in views:
+                got = reaction_f2(a, params)
+                want = formula(a, params)
+                assert got.shape == want.shape
+                assert got.tobytes() == np.ascontiguousarray(want).tobytes()
+            for x in special:
+                got, want = reaction_f2(float(x), params), formula(x, params)
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
     def test_f1_matches_definition(self, params):
         phi = np.linspace(0.1, 0.9, 7)
         c = np.linspace(0.2, 1.0, 7)
