@@ -4,7 +4,10 @@ The holes Theta are kept inside the rectangular grid; the masked Laplacian
 M - N1 - N2 decouples them, but is not a Kronecker sum.  A cavity run
 therefore keeps the rectangle's operators and step (`rect.RectOperators`,
 `rect.imex_step`), with the same coefficient table, and adds to them a
-`HoleOperators` as `RectOperators.hole`, which lags the sparse corrections:
+`HoleOperators` as `RectOperators.hole`.  The mask is the run's only
+geometry input: `build_hole_operators` builds N1 and N2 from it
+(`grid.build_correction_matrices`), keeps their nonzero rows as
+`SparseRows`, and lags them:
 
     variant 'imex-i':  N = N1 + N2 applied to the previous iterate, no G,
     variant 'imex-e':  N = N1 applied to the previous iterate, G = N2
@@ -32,7 +35,9 @@ import time
 from dataclasses import dataclass, replace
 
 import numpy as np
+import scipy.sparse as sp
 
+from .grid import build_correction_matrices
 from .linalg import support_images, support_work
 from .model import CorrosionParameters
 from .rect import (
@@ -40,11 +45,9 @@ from .rect import (
     FieldPair,
     RectOperators,
     SchemeConfig,
-    SparseRows,
     build_rect_operators,
     imex_step,
     run_loop,
-    sparse_rows,
 )
 
 __all__ = [
@@ -53,6 +56,8 @@ __all__ = [
     "IterSchemeConfig",
     "IterationReport",
     "HoleOperators",
+    "SparseRows",
+    "sparse_rows",
     "build_hole_operators",
     "step_iter_euler",
     "step_iter_2sbdf",
@@ -95,10 +100,10 @@ class IterSchemeConfig:
             raise ValueError(f"unknown variant {self.variant!r}")
         if self.stop_mode not in (FULL, EXACT):
             raise ValueError(f"unknown stop mode {self.stop_mode!r}")
-        if min(self.eps1, self.eps2, self.eps3) <= 0.0:
-            raise ValueError("tolerances must be positive")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
+        if not all(0.0 < eps < np.inf for eps in (self.eps1, self.eps2, self.eps3)):
+            raise ValueError("tolerances must be positive and finite")
+        if type(self.max_iters) is not int or self.max_iters < 1:
+            raise ValueError(f"max_iters must be a whole number >= 1, not {self.max_iters!r}")
 
     def scheme(self) -> SchemeConfig:
         return SchemeConfig(self.order, self.dt, self.w)
@@ -115,6 +120,40 @@ class IterationReport:
     max_phi_theta: float
     max_c_theta: float
     wall_ms: float = 0.0
+
+
+@dataclass(frozen=True)
+class SparseRows:
+    """A sparse n x n matrix A acting on column-stacked (Fortran-order)
+    fields, kept as its nonzero rows: `rows` holds their C-order flat
+    indices in the field, and `block` is A[rows, :] with its columns
+    renumbered to C-order flat indices and each row's entries in A's order,
+    so that its products read a C-ordered field directly and sum as A's do."""
+
+    rows: np.ndarray
+    block: sp.csr_matrix
+
+    def subtract(self, target, U: np.ndarray, scale: float = 1.0) -> np.ndarray:
+        """target - scale * (A U) as a new array, for a positive `scale` and
+        a `target` array or the scalar 0.0; only A's rows are computed."""
+        out = target.copy() if isinstance(target, np.ndarray) else np.zeros(U.shape)
+        out.reshape(-1)[self.rows] -= scale * (self.block @ U.reshape(-1))
+        return out
+
+
+def sparse_rows(A, shape) -> SparseRows:
+    """The `SparseRows` of A on fields of `shape`."""
+    A = A.tocsr()
+    rows = np.flatnonzero(np.diff(A.indptr))
+
+    def flat(index):  # column-stacked index -> C-order index
+        return np.ravel_multi_index(np.unravel_index(index, shape, order="F"), shape)
+
+    return SparseRows(
+        rows=flat(rows),
+        block=sp.csr_matrix((A.data, flat(A.indices), np.append(0, A.indptr[rows + 1])),
+                            shape=(rows.size, A.shape[1])),
+    )
 
 
 @dataclass(frozen=True)
@@ -176,25 +215,30 @@ class HoleOperators:
 
 
 def build_hole_operators(grid, cfg: IterSchemeConfig, params: CorrosionParameters,
-                         mask, correction, bdata=BoundaryData(),
+                         mask, bdata=BoundaryData(),
                          t_end: float | None = None) -> RectOperators:
     """The operators of a cavity run: the rectangle's, with the `hole` of
     `mask` (None on an empty Theta) and its Theta budget `t_end`.
 
-    The exact stop mode also corrects every solver of the run for N here,
-    the 2SBDF start's included, so that no step pays for it.
+    The corrections N1 and N2 follow from the mask alone
+    (`build_correction_matrices`); the hole keeps their nonzero rows, and
+    their set-up matrices go with the set-up.  The exact stop mode also
+    corrects every solver of the run for N here, the 2SBDF start's
+    included, so that no step pays for it.
     """
     ops = build_rect_operators(grid, cfg.scheme(), params, bdata)
     if not mask.theta.any():
         return ops
+    correction = build_correction_matrices(grid, mask)
     N12 = sparse_rows(correction.N12, grid.counts)
     if cfg.variant == IMEX_I:
-        N, G = N12, None
+        lagged, N, G = correction.N12, N12, None
     else:
+        lagged = correction.N1
         N, G = (sparse_rows(A, grid.counts) for A in (correction.N1, correction.N2))
     hole = HoleOperators(cfg=cfg, mask=mask, N=N, G=G, N12=N12,
                          chi=(~mask.theta).astype(float), t_end=t_end)
-    images = (support_images(grid.factorizations, N.matrix) if cfg.stop_mode == EXACT
+    images = (support_images(grid.factorizations, lagged) if cfg.stop_mode == EXACT
               else None)
     # Scratch arrays that every capacitance build overwrites; they go with the
     # set-up.  Without a support the plain solve is exact.
@@ -259,7 +303,7 @@ def step_iter_2sbdf(prev: FieldPair, curr: FieldPair, ops: RectOperators):
 
 
 def run_holes(state0: FieldPair, cfg: IterSchemeConfig,
-              params: CorrosionParameters, grid, mask, correction,
+              params: CorrosionParameters, grid, mask,
               bdata: BoundaryData, horizon: float, hooks=()):
     """Advance a masked-domain run; returns (final state, iteration reports).
 
@@ -277,8 +321,7 @@ def run_holes(state0: FieldPair, cfg: IterSchemeConfig,
     # No name here holds the operators, so that `run_loop` can drop the start.
     final = run_loop(
         state0,
-        build_hole_operators(grid, cfg, params, mask, correction, bdata,
-                             t_end=state0.t + horizon),
+        build_hole_operators(grid, cfg, params, mask, bdata, t_end=state0.t + horizon),
         horizon, hooks,
         euler=lambda state, ops: record(step_iter_euler(state, ops)),
         two_step=lambda prev, curr, ops: record(step_iter_2sbdf(prev, curr, ops)),

@@ -1,4 +1,4 @@
-"""Physical model: parameters, interpolation/double-well polynomials and reaction terms.
+"""Physical model: parameters and reaction terms.
 
 The model couples an Allen-Cahn equation for the phase field phi (1 in solid
 metal, 0 in electrolyte) with a Cahn-Hilliard-type equation for the normalized
@@ -15,7 +15,7 @@ with
 
 where h(phi) = -2*phi^3 + 3*phi^2 interpolates between the phases and
 g(phi) = phi^2 * (1 - phi)^2 is the double well; the reactions read only h,
-h' and g', so only those are coded.  All functions are applied
+h' and g', and evaluate them inline.  All functions are applied
 entrywise on grid fields; phi is deliberately not clamped to [0, 1], the
 polynomials remain well defined for transient overshoots.
 """
@@ -28,9 +28,6 @@ import numpy as np
 
 __all__ = [
     "CorrosionParameters",
-    "interpolant",
-    "interpolant_slope",
-    "double_well_slope",
     "reaction_f1",
     "reaction_f2",
 ]
@@ -61,28 +58,10 @@ class CorrosionParameters:
 
     def __post_init__(self):
         for name in ("L", "A", "D_phi", "D_c", "c_L", "omega"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"parameter {name} must be strictly positive")
+            if not 0.0 < getattr(self, name) < np.inf:
+                raise ValueError(f"parameter {name} must be positive and finite")
         if not 0.0 < self.c_L < 1.0:
             raise ValueError("c_L must lie in (0, 1)")
-
-
-def interpolant(phi):
-    """h(phi) = -2*phi^3 + 3*phi^2."""
-    phi = np.asarray(phi)
-    return phi * phi * (3.0 - 2.0 * phi)
-
-
-def interpolant_slope(phi):
-    """h'(phi) = 6*phi*(1 - phi)."""
-    phi = np.asarray(phi)
-    return 6.0 * phi * (1.0 - phi)
-
-
-def double_well_slope(phi):
-    """g'(phi) of the double well g(phi) = phi^2 * (1 - phi)^2."""
-    phi = np.asarray(phi)
-    return 2.0 * phi * (1.0 - phi) * (1.0 - 2.0 * phi)
 
 
 def reaction_f1(phi, c, p: CorrosionParameters):
@@ -93,9 +72,10 @@ def reaction_f1(phi, c, p: CorrosionParameters):
         2*A*L*(1 - c_L) * (c - h(phi)*(1 - c_L) - c_L) * h'(phi)
             - omega*L * g'(phi)
 
-    with the operations, operand order and rounding of `interpolant`,
-    `interpolant_slope` and `double_well_slope`, in place on three arrays of
-    the broadcast shape: the result, the factor being built, and 1 - phi.
+    with h(phi) = (phi*phi)*(3 - 2*phi), h'(phi) = (6*phi)*(1 - phi) and
+    g'(phi) = ((2*phi)*(1 - phi))*(1 - 2*phi), each product rounded in that
+    order, in place on three arrays of the broadcast shape: the result, the
+    factor being built, and 1 - phi.
     """
     phi, c = np.asarray(phi), np.asarray(c)
     shape, dtype = np.broadcast_shapes(phi.shape, c.shape), np.result_type(phi, c, 1.0)
@@ -124,9 +104,9 @@ def reaction_f1(phi, c, p: CorrosionParameters):
 def reaction_f2(phi, p: CorrosionParameters):
     """Nonlinear flux contribution of the c equation, applied entrywise.
 
-    It evaluates (c_L - 1) * h(phi) with the operations, operand order and
-    rounding of `interpolant`, in place on two arrays of phi's shape: the
-    result and the factor 3 - 2*phi.
+    It evaluates (c_L - 1) * h(phi), with h(phi) = (phi*phi)*(3 - 2*phi)
+    rounded in that order, in place on two arrays of phi's shape: the result
+    and the factor 3 - 2*phi.
     """
     phi = np.asarray(phi)
     dtype = np.result_type(phi, 1.0)

@@ -32,12 +32,13 @@ builds its right-hand sides in place, in arrays of its own, with the
 operations and association of the formulas above.
 
 A rectangle is the case without correction: one direct solve per field.  A
-cavity domain (`pitcorr.holes`) is the same `RectOperators` with a `hole`:
-sparse corrections and an inner loop per solve, or in its exact stop mode one
-capacitance-corrected solve.  One run loop and one 2SBDF start serve both
-domains: ceil(4/dt) fine IMEX Euler substeps up to t = dt, under the
-operators' `start`, which set-up builds with the run's own, so that no step
-builds a solver.
+cavity domain (`pitcorr.holes`) is the same `RectOperators` with a `hole`,
+which owns the sparse corrections and their products, and an inner loop per
+solve, or in its exact stop mode one capacitance-corrected solve; the step
+calls the hole's `subtract` and `iterate`, and this module holds no sparse
+code.  One run loop and one 2SBDF start serve both domains: ceil(4/dt) fine
+IMEX Euler substeps up to t = dt, under the operators' `start`, which set-up
+builds with the run's own, so that no step builds a solver.
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.sparse as sp
 
 from .linalg import DIRICHLET, SylvesterOperator, apply_laplacian
 from .model import CorrosionParameters, reaction_f1, reaction_f2
@@ -61,8 +61,6 @@ __all__ = [
     "iteration_shifts",
     "RectOperators",
     "build_rect_operators",
-    "SparseRows",
-    "sparse_rows",
     "imex_step",
     "step_imex_euler_rect",
     "step_imex_2sbdf_rect",
@@ -255,42 +253,6 @@ def _combine(terms):
         op = np.subtract if weight == -1.0 else np.add
         total, own = op(total, u, out=total if own else None), True
     return total
-
-
-@dataclass(frozen=True)
-class SparseRows:
-    """A sparse n x n `matrix` A acting on column-stacked (Fortran-order)
-    fields, kept as its nonzero rows: `rows` holds their C-order flat
-    indices in the field, and `block` is A[rows, :] with its columns
-    renumbered to C-order flat indices and each row's entries in A's order,
-    so that its products read a C-ordered field directly and sum as A's do."""
-
-    matrix: sp.csr_matrix
-    rows: np.ndarray
-    block: sp.csr_matrix
-
-    def subtract(self, target, U: np.ndarray, scale: float = 1.0) -> np.ndarray:
-        """target - scale * (A U) as a new array, for a positive `scale` and
-        a `target` array or the scalar 0.0; only A's rows are computed."""
-        out = target.copy() if isinstance(target, np.ndarray) else np.zeros(U.shape)
-        out.reshape(-1)[self.rows] -= scale * (self.block @ U.reshape(-1))
-        return out
-
-
-def sparse_rows(A, shape) -> SparseRows:
-    """The `SparseRows` of A on fields of `shape`."""
-    A = A.tocsr()
-    rows = np.flatnonzero(np.diff(A.indptr))
-
-    def flat(index):  # column-stacked index -> C-order index
-        return np.ravel_multi_index(np.unravel_index(index, shape, order="F"), shape)
-
-    return SparseRows(
-        matrix=A,
-        rows=flat(rows),
-        block=sp.csr_matrix((A.data, flat(A.indices), np.append(0, A.indptr[rows + 1])),
-                            shape=(rows.size, A.shape[1])),
-    )
 
 
 def imex_step(levels, ops: RectOperators):

@@ -26,7 +26,6 @@ from .grid import (
     RoughEdgeProfile,
     axis_counts_for_spacing,
     build_grid,
-    build_correction_matrices,
     rasterize_mask,
 )
 from .holes import IterSchemeConfig, run_holes
@@ -320,6 +319,8 @@ def _parse_boundary_values(raw, names, bc_pairs) -> BoundaryData:
                 v = 0.0 if v is None else float(v)
             except (TypeError, ValueError):
                 raise ConfigError(f"{where} holds {v!r}, not a number or null") from None
+            if not np.isfinite(v):
+                raise ConfigError(f"{where} holds {v!r}, not a finite number")
             if kind == "neumann" and v != 0.0:
                 raise ConfigError(f"{where} sets {v!r} on a Neumann end, which takes null or 0")
             ends.append(v)
@@ -351,10 +352,13 @@ def _parse_shapes(raw_geometry, ndim):
             raise ConfigError(f"geometry {kind} applies to {_SHAPE_NDIM[kind]}D grids only")
         if kind in ("circle", "cylinder"):
             center = tuple(float(v) * MICRON for v in _require(body, "center_um", kind))
-            if len(center) != 2:
-                raise ConfigError(f"geometry {kind}.center_um must list two coordinates")
+            if len(center) != 2 or not np.isfinite(center).all():
+                raise ConfigError(f"geometry {kind}.center_um must list two finite coordinates")
+            radius = float(_require(body, "radius_um", kind)) * MICRON
+            if not 0.0 < radius < np.inf:
+                raise ConfigError(f"geometry {kind}.radius_um must be positive and finite")
         if kind == "circle":
-            shapes.append(Circle(center, float(_require(body, "radius_um", kind)) * MICRON))
+            shapes.append(Circle(center, radius))
         elif kind == "cylinder":
             axis = _axis_index(_require(body, "axis", kind), "geometry cylinder.axis")
             half = None
@@ -366,15 +370,7 @@ def _parse_shapes(raw_geometry, ndim):
             span = None
             if "span_um" in body:
                 span = tuple(float(v) * MICRON for v in body["span_um"])
-            shapes.append(
-                CylinderSegment(
-                    axis,
-                    center,
-                    float(_require(body, "radius_um", kind)) * MICRON,
-                    span,
-                    half,
-                )
-            )
+            shapes.append(CylinderSegment(axis, center, radius, span, half))
         else:
             shapes.append(
                 RoughEdgeProfile(
@@ -419,7 +415,7 @@ def _parse_scheme(raw_scheme, has_holes: bool):
         eps2=float(eps[1]),
         eps3=float(eps[2]),
         stop_mode=stop_mode,
-        max_iters=int(raw_scheme.get("max_iters", 500)),
+        max_iters=raw_scheme.get("max_iters", 500),
     )
 
 
@@ -435,6 +431,8 @@ def parse_config(raw: dict) -> ScenarioConfig:
     with _section("initial"):
         initial = _known(raw.get("initial", {}), "initial")
         initial_phi, initial_c = float(initial.get("phi", 1.0)), float(initial.get("c", 1.0))
+        if not np.isfinite([initial_phi, initial_c]).all():
+            raise ValueError("initial values must be finite")
     with _section("scheme"):
         scheme = _parse_scheme(_require(raw, "scheme", "config"), bool(shapes))
     with _section("horizon"):
@@ -640,14 +638,13 @@ def run_scenario(cfg: ScenarioConfig, output_root: str | None = None,
                  horizon_scale: float = 1.0) -> RunArtifacts:
     """Run one scenario end to end, writing artifacts when a root is given."""
     grid = build_grid(cfg.grid_spec)
-    mask = correction = None
+    mask = None
     metadata = {}
     if cfg.has_holes:
         shapes = tuple(s.snapped(grid) for s in cfg.shapes)
         metadata["geometry_snapped"] = [repr(s) for s in shapes]
         with _section("geometry"):  # a shape that covers no node, or leaves the float range
             mask = rasterize_mask(grid, shapes)
-        correction = build_correction_matrices(grid, mask)
 
     horizon, snap_times = _scaled_horizon(cfg, horizon_scale)
     dt = cfg.scheme.dt
@@ -671,7 +668,7 @@ def run_scenario(cfg: ScenarioConfig, output_root: str | None = None,
     tic = time.perf_counter()
     if cfg.has_holes:
         final, reports = run_holes(
-            state0, cfg.scheme, cfg.params, grid, mask, correction, cfg.bdata,
+            state0, cfg.scheme, cfg.params, grid, mask, cfg.bdata,
             horizon, hooks=(hook,),
         )
     else:

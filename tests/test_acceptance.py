@@ -141,14 +141,15 @@ def test_criterion_02_scheme_vs_vector_form(capfd):
     n = M.shape[0]
     for variant in ("imex-i", "imex-e"):
         cfg = IterSchemeConfig(variant, "euler", 1e-3, W)
-        ops = build_hole_operators(gh, cfg, PARAMS, mask, corr)
+        ops = build_hole_operators(gh, cfg, PARAMS, mask)
+        N = corr.N12 if variant == "imex-i" else corr.N1
         base = rng.uniform(0, 1, gh.counts)
         u = rng.uniform(0, 1, gh.counts)
         dt = cfg.dt
         rhs = base - dt * PARAMS.D_phi * (
-            (ops.hole.N.matrix @ u.ravel(order="F")).reshape(gh.counts, order="F")
+            (N @ u.ravel(order="F")).reshape(gh.counts, order="F")
         )
-        nxt = ops.phi.solve(rhs)
+        nxt = ops.phi.solve(ops.hole.N.subtract(base, u, dt * PARAMS.D_phi))
         A = (1.0 + W * dt) * sp.identity(n) - dt * PARAMS.D_phi * M
         ref = sp.linalg.spsolve(A.tocsc(), rhs.ravel(order="F")).reshape(
             gh.counts, order="F"

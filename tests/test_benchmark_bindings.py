@@ -15,7 +15,7 @@ import pytest
 
 import pitcorr.holes
 import pitcorr.rect
-from pitcorr.grid import Circle, GridSpec, build_correction_matrices, build_grid, rasterize_mask
+from pitcorr.grid import Circle, GridSpec, build_grid, rasterize_mask
 from pitcorr.holes import IterSchemeConfig
 from pitcorr.model import CorrosionParameters
 from pitcorr.rect import (
@@ -120,8 +120,7 @@ def test_runners_call_rebound_steppers(monkeypatch, domain, order):
         mask = rasterize_mask(grid, (Circle((50e-6, 50e-6), 15e-6),))
         state = FieldPair(np.where(mask.theta, 0.0, 1.0), np.where(mask.theta, 0.0, 1.0))
         pitcorr.holes.run_holes(state, IterSchemeConfig("imex-e", order, dt, 4.43e8),
-                                params, grid, mask, build_correction_matrices(grid, mask),
-                                bdata, n_steps * dt)
+                                params, grid, mask, bdata, n_steps * dt)
 
     _, euler, two_step = STEPPERS[domain]
     if order == "euler":

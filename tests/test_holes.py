@@ -1,5 +1,6 @@
 import collections
 import gc
+import sys
 import weakref
 from dataclasses import replace
 
@@ -8,6 +9,7 @@ import pytest
 import scipy.sparse as sp
 
 from pitcorr import rect as rect_module
+from pitcorr import scenarios as scenarios_module
 from pitcorr.grid import (
     Circle,
     CylinderSegment,
@@ -23,6 +25,7 @@ from pitcorr.holes import (
     build_hole_operators,
     check_stop_criteria,
     run_holes,
+    sparse_rows,
     step_iter_2sbdf,
     step_iter_euler,
 )
@@ -83,6 +86,11 @@ class TestConfigValidation:
             iter_cfg(stop_mode="lenient")
         with pytest.raises(ValueError):
             iter_cfg(max_iters=0)
+        for kw in (dict(eps1=np.nan), dict(eps1=np.inf), dict(eps2=np.nan),
+                   dict(eps2=np.inf), dict(eps3=np.nan), dict(eps3=np.inf),
+                   dict(max_iters=2.7), dict(max_iters=True), dict(max_iters="5")):
+            with pytest.raises(ValueError):
+                iter_cfg(**kw)
 
     def test_accepts_exact(self):
         assert iter_cfg(stop_mode="exact").stop_mode == "exact"
@@ -133,20 +141,47 @@ class TestOperators:
         g = build_grid(cfg.grid_spec)
         mask = rasterize_mask(g, tuple(s.snapped(g) for s in cfg.shapes))
         corr = build_correction_matrices(g, mask)
-        ops = build_hole_operators(g, iter_cfg(variant="imex-i"), params, mask, corr)
-        assert ops.hole.G is None or ops.hole.G.matrix.nnz == 0
-        assert ops.hole.N.matrix.nnz == corr.N12.nnz
+        ops = build_hole_operators(g, iter_cfg(variant="imex-i"), params, mask)
+        assert ops.hole.G is None
+        assert ops.hole.N.block.nnz == corr.N12.nnz
+
+    @pytest.mark.parametrize("stop_mode", ["full", "exact"])
+    @pytest.mark.parametrize("variant", ["imex-i", "imex-e"])
+    def test_hole_rows_are_the_mask_corrections(self, pit_setup, params, variant, stop_mode):
+        # The hole builds N1 and N2 from the mask alone: its N, G and N12 are
+        # the nonzero rows of the mask's corrections.
+        g, mask, _ = pit_setup
+        cfg = iter_cfg(variant=variant, order="2sbdf", dt=6e-3, stop_mode=stop_mode)
+        hole = build_hole_operators(g, cfg, params, mask).hole
+        corr = build_correction_matrices(g, mask)
+        if variant == "imex-i":
+            expected = dict(N=corr.N12, G=None, N12=corr.N12)
+        else:
+            expected = dict(N=corr.N1, G=corr.N2, N12=corr.N12)
+        for name, A in expected.items():
+            got = getattr(hole, name)
+            if A is None:
+                assert got is None
+                continue
+            want = sparse_rows(A, g.counts)
+            np.testing.assert_array_equal(got.rows, want.rows)
+            for attr in ("data", "indices", "indptr"):
+                np.testing.assert_array_equal(getattr(got.block, attr),
+                                              getattr(want.block, attr))
+            assert got.block.shape == want.block.shape
+        if variant == "imex-i":
+            assert hole.N is hole.N12
 
     def test_cavity_operators_are_rect_operators_with_a_hole(self, pit_setup, params):
-        g, mask, corr = pit_setup
+        g, mask, _ = pit_setup
         cfg = iter_cfg(variant="imex-e", order="2sbdf", dt=6e-3)
-        ops = build_hole_operators(g, cfg, params, mask, corr, t_end=0.5)
+        ops = build_hole_operators(g, cfg, params, mask, t_end=0.5)
         assert isinstance(ops, rect_module.RectOperators)
         assert ops.cfg == cfg.scheme() and ops.hole.cfg is cfg
         assert ops.start.hole is ops.hole and ops.start.cfg.order == "euler"
         assert ops.hole.t_end == 0.5
         empty = DomainMask(np.zeros(g.counts, dtype=bool))
-        bare = build_hole_operators(g, cfg, params, empty, build_correction_matrices(g, empty))
+        bare = build_hole_operators(g, cfg, params, empty)
         assert bare.hole is None and bare.start.hole is None
 
         # The budget eps2 * t / t_end stops the c loop (no stagnation stop with
@@ -155,29 +190,29 @@ class TestOperators:
         euler = iter_cfg(variant="imex-e", eps3=1e-30)
         k_c = []
         for t_end in (euler.dt, 1e3 * euler.dt):
-            ops = build_hole_operators(g, euler, params, mask, corr, t_end=t_end)
+            ops = build_hole_operators(g, euler, params, mask, t_end=t_end)
             _, rep = step_iter_euler(state, ops)
             assert rep.max_c_theta < euler.eps2 * rep.t / t_end
             k_c.append(rep.k_c)
         assert k_c[0] < k_c[1]
 
     def test_2sbdf_run_factorizes_each_axis_once(self, pit_setup, params):
-        g, mask, corr = pit_setup
+        g, mask, _ = pit_setup
         before = factorization_count()
         cfg = iter_cfg(variant="imex-e", order="2sbdf", dt=6e-3)
-        run_holes(pit_state(g, mask), cfg, params, g, mask, corr,
+        run_holes(pit_state(g, mask), cfg, params, g, mask,
                   BoundaryData(), 3 * cfg.dt)
         assert factorization_count() - before == g.ndim
 
     def test_exact_builds_capacitances_with_the_operators(self, pit_setup, params):
-        g, mask, corr = pit_setup
+        g, mask, _ = pit_setup
         loop_cfg = iter_cfg(variant="imex-e", order="2sbdf", dt=6e-3)
-        loop = build_hole_operators(g, loop_cfg, params, mask, corr)
+        loop = build_hole_operators(g, loop_cfg, params, mask)
         solvers = [loop.phi, loop.c, loop.start.phi, loop.start.c]
         assert all(op.capacitance is None for op in solvers)
 
         before = factorization_count()
-        ops = build_hole_operators(g, replace(loop_cfg, stop_mode="exact"), params, mask, corr)
+        ops = build_hole_operators(g, replace(loop_cfg, stop_mode="exact"), params, mask)
         assert factorization_count() == before
         solvers = [ops.phi, ops.c, ops.start.phi, ops.start.c]
         caps = [op.capacitance for op in solvers]
@@ -199,13 +234,12 @@ class TestTrivialMask:
     def test_empty_theta_delegates_to_rect(self, params):
         g = build_grid(GridSpec((8e-6, 8e-6), (9, 9), (NN, NN)))
         mask = DomainMask(np.zeros(g.counts, dtype=bool))
-        corr = build_correction_matrices(g, mask)
         bdata = BoundaryData()
         rng = np.random.default_rng(1)
         state = FieldPair(rng.uniform(0, 1, g.counts), rng.uniform(0, 1, g.counts))
 
         cfg = iter_cfg()
-        ops = build_hole_operators(g, cfg, params, mask, corr, bdata)
+        ops = build_hole_operators(g, cfg, params, mask, bdata)
         out, rep = step_iter_euler(state, ops)
         assert ops.hole is None
         ref = step_imex_euler_rect(state, build_rect_operators(g, cfg.scheme(), params, bdata))
@@ -216,14 +250,13 @@ class TestTrivialMask:
     def test_empty_theta_run_matches_rect_run(self, params):
         g = build_grid(GridSpec((8e-6, 8e-6), (9, 9), (NN, NN)))
         mask = DomainMask(np.zeros(g.counts, dtype=bool))
-        corr = build_correction_matrices(g, mask)
         bdata = BoundaryData()
         rng = np.random.default_rng(2)
         state = FieldPair(rng.uniform(0, 1, g.counts), rng.uniform(0, 1, g.counts))
 
         cfg = iter_cfg(order="2sbdf", dt=2.0)
         final, reports = run_holes(
-            state, cfg, params, g, mask, corr, bdata, 10.0
+            state, cfg, params, g, mask, bdata, 10.0
         )
         ref = run_rect(state, cfg.scheme(), params, g, bdata, 10.0)
         np.testing.assert_array_equal(final.Phi, ref.Phi)
@@ -279,7 +312,7 @@ class TestIterativeStepsMatchDense:
         state = pit_state(g, mask)
         cfg = iter_cfg(variant=variant, eps1=1e-13, eps2=1e-30, eps3=1e-14,
                        max_iters=500, stop_mode=self.stop_mode)
-        ops = build_hole_operators(g, cfg, params, mask, corr, bdata)
+        ops = build_hole_operators(g, cfg, params, mask, bdata)
         out, rep = step_iter_euler(state, ops)
         phi_ref, c_ref = converged_dense_euler(
             state, g, mask, corr, cfg, params, bdata
@@ -298,7 +331,7 @@ class TestIterativeStepsMatchDense:
         curr = FieldPair(curr_fields.Phi, curr_fields.C, t=dt, step_index=1)
         cfg = iter_cfg(variant="imex-e", order="2sbdf", dt=dt,
                        eps1=1e-13, eps2=1e-30, eps3=1e-14, stop_mode=self.stop_mode)
-        ops = build_hole_operators(g, cfg, params, mask, corr, bdata)
+        ops = build_hole_operators(g, cfg, params, mask, bdata)
         out, _ = step_iter_2sbdf(prev, curr, ops)
 
         # The converged iterate solves the masked two-step system directly.
@@ -363,7 +396,7 @@ class TestCavity3D:
         state = pit_state(g, mask)
         cfg = iter_cfg(variant=variant, eps1=1e-13, eps2=1e-30, eps3=1e-14,
                        stop_mode=stop_mode)
-        ops = build_hole_operators(g, cfg, params, mask, corr, bdata)
+        ops = build_hole_operators(g, cfg, params, mask, bdata)
         out, rep = step_iter_euler(state, ops)
         phi_ref, c_ref = converged_dense_euler(state, g, mask, corr, cfg, params, bdata)
         assert np.abs(out.Phi - phi_ref).max() / np.abs(phi_ref).max() < 1e-10
@@ -441,9 +474,9 @@ class TestSemicylinderExact:
 
 class TestFailureModes:
     def test_max_iters_exhaustion_raises(self, pit_setup, params):
-        g, mask, corr = pit_setup
+        g, mask, _ = pit_setup
         cfg = iter_cfg(eps1=1e-30, eps2=1e-30, eps3=1e-30, max_iters=3)
-        ops = build_hole_operators(g, cfg, params, mask, corr, BoundaryData())
+        ops = build_hole_operators(g, cfg, params, mask, BoundaryData())
         state = pit_state(g, mask)
         with pytest.raises(ConvergenceError) as exc:
             step_iter_euler(state, ops)
@@ -462,9 +495,8 @@ class TestBootstrap:
         # where the start takes 8 substeps.
         g = build_grid(GridSpec((100e-6, 100e-6), (11, 11), (NN, NN)))
         mask = rasterize_mask(g, (Circle((50e-6, 50e-6), 15e-6),))
-        corr = build_correction_matrices(g, mask)
         cfg = iter_cfg(variant="imex-e", order="2sbdf", dt=0.5, stop_mode=self.stop_mode)
-        ops = build_hole_operators(g, cfg, params, mask, corr, BoundaryData())
+        ops = build_hole_operators(g, cfg, params, mask, BoundaryData())
         state0 = pit_state(g, mask)
 
         curr = bootstrap_2sbdf(state0, ops, lambda state, sub: step_iter_euler(state, sub)[0])
@@ -522,8 +554,8 @@ def test_2sbdf_run_builds_every_solver_in_set_up(domain, params, monkeypatch):
         expected = {"SylvesterOperator.__init__": 4}
     else:
         cfg = iter_cfg(variant="imex-e", order="2sbdf", dt=0.5, stop_mode="exact")
-        run_holes(pit_state(g, mask), cfg, params, g, mask,
-                  build_correction_matrices(g, mask), bdata, 3 * cfg.dt, hooks=(hook,))
+        run_holes(pit_state(g, mask), cfg, params, g, mask, bdata, 3 * cfg.dt,
+                  hooks=(hook,))
         # The main and start pairs, their corrected copies and capacitances.
         expected = {"SylvesterOperator.__init__": 4, "SylvesterOperator.corrected": 4,
                     "Capacitance.__init__": 4}
@@ -558,20 +590,56 @@ def test_2sbdf_start_freed_after_start(domain, params, monkeypatch):
                  3 * 0.5, hooks=(hook,))
     else:
         cfg = iter_cfg(variant="imex-e", order="2sbdf", dt=0.5, stop_mode="exact")
-        run_holes(pit_state(g, mask), cfg, params, g, mask,
-                  build_correction_matrices(g, mask), bdata, 3 * cfg.dt, hooks=(hook,))
+        run_holes(pit_state(g, mask), cfg, params, g, mask, bdata, 3 * cfg.dt,
+                  hooks=(hook,))
     assert len(start_phi) == 1
     assert alive_at_step_2 == [False]
 
 
+@pytest.mark.parametrize("stop_mode", ["full", "exact"])
+def test_correction_matrices_freed_after_set_up(stop_mode, monkeypatch):
+    # The hole keeps the nonzero rows of N1 and N2, not the set-up's matrices:
+    # by the first main-loop step nothing of a cavity run holds them.
+    built = []
+    original = build_correction_matrices
+
+    def build(grid, mask):
+        correction = original(grid, mask)
+        built.append(weakref.ref(correction))
+        return correction
+
+    for module in list(sys.modules.values()):
+        if module is not None and module.__name__.startswith("pitcorr"):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, build)
+    alive_at_step_2 = []
+
+    def hook(state):
+        if state.step_index == 2:
+            gc.collect()
+            alive_at_step_2.append([ref() is not None for ref in built])
+
+    run = scenarios_module.run_holes
+    monkeypatch.setattr(scenarios_module, "run_holes",
+                        lambda *args, hooks, **kw: run(*args, hooks=hooks + (hook,), **kw))
+    raw = builtin_scenarios()["circular_pit"]
+    raw["scheme"]["stop_mode"] = stop_mode
+    raw["horizon"] = 3 * raw["scheme"]["dt"]
+    raw["snapshot_times"] = [0.0]
+    run_scenario(parse_config(raw))
+    assert len(built) == 1
+    assert alive_at_step_2 == [[False]]
+
+
 class TestRunHoles:
     def test_report_sequence_and_budget(self, pit_setup, params):
-        g, mask, corr = pit_setup
+        g, mask, _ = pit_setup
         cfg = iter_cfg(variant="imex-e", dt=2e-3)
         state = pit_state(g, mask)
         horizon = 10 * cfg.dt
         final, reports = run_holes(
-            state, cfg, params, g, mask, corr,
+            state, cfg, params, g, mask,
             BoundaryData(), horizon,
         )
         assert len(reports) == 10
@@ -586,9 +654,9 @@ class TestRunHoles:
         assert reports[-1].max_c_theta <= cfg.eps2
 
     def test_horizon_validation(self, pit_setup, params):
-        g, mask, corr = pit_setup
+        g, mask, _ = pit_setup
         cfg = iter_cfg()
         state = pit_state(g, mask)
         with pytest.raises(ValueError):
-            run_holes(state, cfg, params, g, mask, corr,
+            run_holes(state, cfg, params, g, mask,
                       BoundaryData(), 0.003)

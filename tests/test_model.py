@@ -2,14 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from pitcorr.model import (
-    CorrosionParameters,
-    double_well_slope,
-    interpolant,
-    interpolant_slope,
-    reaction_f1,
-    reaction_f2,
-)
+from pitcorr.model import CorrosionParameters, reaction_f1, reaction_f2
 
 
 @pytest.fixture
@@ -17,8 +10,22 @@ def params():
     return CorrosionParameters()
 
 
+# The model's polynomials, written out: h interpolates between the phases and
+# g is the double well; F1 reads h, h' and g', F2 reads h.
+def interpolant(phi):
+    return phi * phi * (3.0 - 2.0 * phi)
+
+
+def interpolant_slope(phi):
+    return 6.0 * phi * (1.0 - phi)
+
+
 def double_well(x):
     return x * x * (1.0 - x) ** 2
+
+
+def double_well_slope(phi):
+    return 2.0 * phi * (1.0 - phi) * (1.0 - 2.0 * phi)
 
 
 class TestInterpolationFamilies:
@@ -142,3 +149,7 @@ class TestParameters:
             CorrosionParameters(D_phi=-1.0)
         with pytest.raises(ValueError):
             CorrosionParameters(c_L=1.5)
+        for name in ("L", "A", "D_phi", "D_c", "c_L", "omega"):
+            for value in (0.0, -1.0, np.nan, np.inf, -np.inf):
+                with pytest.raises(ValueError):
+                    CorrosionParameters(**{name: value})

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import tracemalloc
 
@@ -168,6 +169,29 @@ class TestConfigParsing:
         # Times off the dt grid, which a run used to round.
         lambda raw: raw.update(horizon=0.0111, snapshot_times=[0.0]),
         lambda raw: raw.update(snapshot_times=[0.0, 0.0031]),
+        # Numbers that were coerced, or ran with non-finite values.
+        lambda raw: raw["scheme"].update(eps=[math.nan, 1e-3, 1e-8]),
+        lambda raw: raw["scheme"].update(eps=[math.inf, 1e-3, 1e-8]),
+        lambda raw: raw["scheme"].update(eps=[1e-4, math.nan, 1e-8]),
+        lambda raw: raw["scheme"].update(eps=[1e-4, 1e-3, math.nan]),
+        lambda raw: raw["scheme"].update(eps=[1e-4, 1e-3, math.inf]),
+        lambda raw: raw["scheme"].update(max_iters=2.7),
+        lambda raw: raw["scheme"].update(max_iters=True),
+        lambda raw: raw["initial"].update(phi=math.nan),
+        lambda raw: raw["initial"].update(c=math.inf),
+        lambda raw: (raw["grid"]["bc"].update(y=["dirichlet", "dirichlet"]),
+                     raw.update(boundary_values={"y": [math.nan, 0.0]})),
+        lambda raw: (raw["grid"]["bc"].update(y=["dirichlet", "dirichlet"]),
+                     raw.update(boundary_values={"y": [0.0, -math.inf]})),
+        lambda raw: raw["geometry"][0]["circle"].update(radius_um=-1.5),
+        lambda raw: raw["geometry"][0]["circle"].update(radius_um=0.0),
+        lambda raw: raw["geometry"][0]["circle"].update(radius_um=math.nan),
+        lambda raw: raw["geometry"][0]["circle"].update(center_um=[math.nan, 10.0]),
+        lambda raw: raw["geometry"][0]["circle"].update(center_um=[10.0, math.inf]),
+        lambda raw: raw.update(geometry=[{"cylinder": {"axis": "z", "center_um": [10.0, 10.0],
+                                                       "radius_um": -1.5}}],
+                               grid=dict(raw["grid"], extents_um=[20.0, 20.0, 20.0],
+                                         bc=dict(raw["grid"]["bc"], z=["neumann", "neumann"]))),
     ])
     def test_invalid_configs_rejected(self, mutate):
         raw = tiny_pit_config()
@@ -244,6 +268,8 @@ class TestConfigParsing:
                                     "radius_um": 1.5}}], "geometry"),
         ("geometry", [{"rough_edge": {"amplitude_um": 15.0, "wavelength_um": 10.0,
                                       "base_height_um": 500.0}}], "geometry"),
+        ("geometry.0.circle.radius_um", -1.5, "geometry"),
+        ("initial.c", math.inf, "initial"),
     ])
     def test_malformed_circular_pit_exits_with_config_error(self, key, value, section,
                                                             tmp_path, capsys):

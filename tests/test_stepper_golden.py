@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pitcorr.grid import Circle, GridSpec, build_correction_matrices, build_grid, rasterize_mask
+from pitcorr.grid import Circle, GridSpec, build_grid, rasterize_mask
 from pitcorr.holes import IterSchemeConfig, run_holes
 from pitcorr.model import DEFAULT_FIXED_W, CorrosionParameters
 from pitcorr.rect import BoundaryData, FieldPair, SchemeConfig, run_rect
@@ -56,10 +56,9 @@ def _rect_2sbdf_3d():
 def _pit(variant, order, dt, n_steps, stop_mode="full"):
     grid = build_grid(GridSpec((40e-6, 40e-6), (41, 41), (NN, NN)))
     mask = rasterize_mask(grid, (Circle((20e-6, 20e-6), 1.5e-6),))
-    correction = build_correction_matrices(grid, mask)
     cfg = IterSchemeConfig(variant, order, dt, DEFAULT_FIXED_W, stop_mode=stop_mode)
-    return run_holes(_solid(grid, mask.theta), cfg, PARAMS, grid, mask, correction,
-                     BoundaryData(), n_steps * dt)
+    return run_holes(_solid(grid, mask.theta), cfg, PARAMS, grid, mask, BoundaryData(),
+                     n_steps * dt)
 
 
 RUNS = {
