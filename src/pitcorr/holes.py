@@ -38,7 +38,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .grid import build_correction_matrices
-from .linalg import support_images, support_work
+from .linalg import support_images
 from .model import CorrosionParameters
 from .rect import (
     BoundaryData,
@@ -240,15 +240,13 @@ def build_hole_operators(grid, cfg: IterSchemeConfig, params: CorrosionParameter
                          chi=(~mask.theta).astype(float), t_end=t_end)
     images = (support_images(grid.factorizations, lagged) if cfg.stop_mode == EXACT
               else None)
-    # Scratch arrays that every capacitance build overwrites; they go with the
-    # set-up.  Without a support the plain solve is exact.
-    work = support_work(images) if images is not None and images.support.size else None
 
     def with_hole(ops):
-        if work is None:
+        # Without a support the plain solve is exact.
+        if images is None or not images.support.size:
             return replace(ops, hole=hole)
-        return replace(ops, phi=ops.phi.corrected(images, work),
-                       c=ops.c.corrected(images, work), hole=hole)
+        return replace(ops, phi=ops.phi.corrected(images),
+                       c=ops.c.corrected(images), hole=hole)
 
     return replace(with_hole(ops), start=ops.start and with_hole(ops.start))
 

@@ -92,7 +92,6 @@ __all__ = [
     "Capacitance",
     "support_images",
     "support_inverse",
-    "support_work",
     "laplacian_1d",
     "spectral_factorize",
     "build_operator",
@@ -254,11 +253,11 @@ class SylvesterOperator:
     def shape(self):
         return tuple(f.lam.size for f in self.facts)
 
-    def corrected(self, images: SupportImages, work: tuple | None = None) -> "SylvesterOperator":
+    def corrected(self, images: SupportImages) -> "SylvesterOperator":
         """The solver of (a*I + b*(M - N)) for the N of `images`: a copy on the
-        same `facts` and `Upsilon` that holds the `Capacitance` of N (`work`)."""
+        same `facts` and `Upsilon` that holds the `Capacitance` of N."""
         out = copy.copy(self)
-        out.capacitance = Capacitance(self, images, work)
+        out.capacitance = Capacitance(self, images)
         return out
 
     def solve(self, Y: np.ndarray) -> np.ndarray:
@@ -422,17 +421,7 @@ def _head_product(factors) -> np.ndarray:
 _CHUNK_RANGE_BITS = 500.0
 
 
-def support_work(images: SupportImages) -> tuple:
-    """Scratch arrays for `support_inverse` on `images`: R x H, s x H and two
-    R x s.  Builds that share them spare the page faults of fresh memory and
-    must not run concurrently."""
-    s, R = images.support.size, images.rows.size
-    H = images.head_rows.shape[1]
-    return np.empty((R, H)), np.empty((s, H)), np.empty((R, s)), np.empty((R, s))
-
-
-def support_inverse(op: SylvesterOperator, images: SupportImages,
-                    work: tuple | None = None) -> np.ndarray:
+def support_inverse(op: SylvesterOperator, images: SupportImages) -> np.ndarray:
     """The capacitance K = (A^{-1} N_S)_S of `op` = A, with no solve.
 
     K = (A^{-1})[S, rows] N[rows, S], and (A^{-1})[k, r] sums, over the head
@@ -449,7 +438,6 @@ def support_inverse(op: SylvesterOperator, images: SupportImages,
     Upsilon.  S is sorted by level (flat order); it is cut into chunks of
     consecutive points where D would leave 2**500 within one, so that no
     factor overflows, which takes levels far apart under a strong decay.
-    `work`, from `support_work(images)`, is overwritten; None allocates it.
     Raises ArithmeticError when K is not finite.
     """
     if images.support.size == 0:
@@ -460,7 +448,8 @@ def support_inverse(op: SylvesterOperator, images: SupportImages,
     diagonal = G[:W]
     rise = G[W:2 * W - 1] / diagonal[1:]  # G(z, z+1) / G(z+1, z+1)
     fall = G[2 * W - 1:] / diagonal[:-1]  # G(z+1, z) / G(z, z)
-    right, left_work, inverse_t, lower = support_work(images) if work is None else work
+    right, left_work = np.empty(images.head_rows.shape), np.empty(images.head_support.shape)
+    inverse_t, lower = np.empty(images.below.shape), np.empty(images.below.shape)
     zs, zr = images.level_support, images.level_rows
     for a, b in _chunks(zs, rise, fall):
         left = left_work[: b - a]
@@ -534,15 +523,14 @@ class Capacitance:
     (`SupportImages`): on `electropolish` 15 distinct y instead of 207
     points, on `semicylinder3d` 3 distinct z instead of 182.
 
-    `work` is passed to `support_inverse`.  Immutable after construction.
+    Immutable after construction.
     """
 
-    def __init__(self, op: SylvesterOperator, images: SupportImages,
-                 work: tuple | None = None):
+    def __init__(self, op: SylvesterOperator, images: SupportImages):
         self.images = images
         self.Upsilon = op.Upsilon
         self.alpha = -op.b
-        C = support_inverse(op, images, work)
+        C = support_inverse(op, images)
         C *= self.alpha
         b = np.linalg.norm(C)  # Frobenius
         if _series_terms(b) is None:
@@ -670,13 +658,8 @@ def apply_laplacian(laplacians, U: np.ndarray) -> np.ndarray:
         raise ValueError(f"field shape {U.shape} != {shape}")
     u = np.ascontiguousarray(U, dtype=float).reshape(-1)
     n = u.size
-    # `work` is allocated before `total`, so that freeing it on return leaves
-    # a hole below the result, not a free top of the heap, which the C
-    # allocator hands back to the system and a later array faults in again:
-    # in the other order the median `polish2d-2sbdf` step took 4% longer
-    # (glibc, 2-vCPU host).
-    work = np.empty(n)
     total = np.multiply(sum(M.main[0] for M in laplacians), u)
+    work = np.empty(n)
     for axis, M in enumerate(laplacians):
         st = math.prod(shape[axis + 1:])
         s = -0.5 * M.main[0]

@@ -39,11 +39,25 @@ calls the hole's `subtract` and `iterate`, and this module holds no sparse
 code.  One run loop and one 2SBDF start serve both domains: ceil(4/dt) fine
 IMEX Euler substeps up to t = dt, under the operators' `start`, which set-up
 builds with the run's own, so that no step builds a solver.
+
+A step allocates its fields anew, and on the builtin grids each is larger
+than glibc's default mmap threshold of 128 KiB.  So that freed fields stay in the process for the next
+step, instead of going back to the kernel and faulting in again page by page,
+`build_rect_operators` first calls `_keep_heap`: once per process, it raises
+glibc's mmap threshold to 32 MiB and its trim threshold to 1 GiB through
+`mallopt`.  Fields of up to 32 MiB then come from the heap and go back to
+it, and the heap top is kept.  The memory a run freed stays with the process
+until it exits.  The helper changes no arithmetic, and it does nothing where
+the C library has no `mallopt` or where the user set one of glibc's own
+MALLOC_MMAP_THRESHOLD_, MALLOC_TRIM_THRESHOLD_ or MALLOC_TOP_PAD_.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
+import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -223,9 +237,39 @@ def _shifted_solvers(grid, cfg: SchemeConfig, params: CorrosionParameters):
     return dict(phi=operator("phi"), c=operator("c"))
 
 
+# glibc's mallopt parameters (malloc.h), and the variables by which a user
+# sets the heap policy that `_keep_heap` would otherwise set.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_MALLOC_VARIABLES = ("MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_", "MALLOC_TOP_PAD_")
+
+
+def _mallopt():
+    """The C library's `mallopt`, or None where it has none (not glibc)."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return None
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    return mallopt
+
+
+@functools.cache
+def _keep_heap():
+    """Keeps freed field memory in the process: allocations of up to 32 MiB
+    come from the heap, and its top is trimmed only past 1 GiB free.  Once
+    per process; see the module docstring."""
+    if any(name in os.environ for name in _MALLOC_VARIABLES):
+        return
+    mallopt = _mallopt()
+    if mallopt is not None:
+        mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+        mallopt(_M_TRIM_THRESHOLD, 1 << 30)
+
+
 def build_rect_operators(grid, cfg: SchemeConfig, params: CorrosionParameters,
                          bdata: BoundaryData = BoundaryData()) -> RectOperators:
     """The solvers of one scheme, with a 2SBDF run's `start`, and the loads of `bdata`."""
+    _keep_heap()
     ops = RectOperators(
         grid=grid, params=params, cfg=cfg, **_shifted_solvers(grid, cfg, params),
         load_phi=boundary_contribution(grid, bdata, "phi"),

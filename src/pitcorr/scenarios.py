@@ -261,6 +261,13 @@ def _require(mapping, key, where):
     return mapping[key]
 
 
+def _whole(value, where: str, least: int) -> int:
+    """`value` itself if it is an int of at least `least`; no coercion."""
+    if type(value) is not int or value < least:
+        raise ConfigError(f"{where} must be a whole number >= {least}, not {value!r}")
+    return value
+
+
 def _axis_indices(bc_map, ndim):
     names = AXIS_NAMES[:ndim]
     for name in bc_map:
@@ -377,7 +384,7 @@ def _parse_shapes(raw_geometry, ndim):
                     amplitude=float(_require(body, "amplitude_um", kind)) * MICRON,
                     wavelength=float(_require(body, "wavelength_um", kind)) * MICRON,
                     base_height=float(_require(body, "base_height_um", kind)) * MICRON,
-                    seed=int(body.get("seed", 0)),
+                    seed=_whole(body.get("seed", 0), "geometry rough_edge.seed", 0),
                 )
             )
     return tuple(shapes)
@@ -453,9 +460,8 @@ def parse_config(raw: dict) -> ScenarioConfig:
         if fmt not in ("csv", "raw-f64"):
             raise ConfigError(f"unknown output format {fmt!r}")
     with _section("reference"):
-        ref_div = int(_known(raw.get("reference") or {}, "reference").get("dt_divisor", 8))
-    if ref_div < 2:
-        raise ConfigError("reference dt_divisor must be at least 2")
+        ref_div = _whole(_known(raw.get("reference") or {}, "reference").get("dt_divisor", 8),
+                         "reference dt_divisor", 2)
     return ScenarioConfig(
         name=name,
         grid_spec=grid_spec,

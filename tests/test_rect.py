@@ -1,5 +1,7 @@
 import gc
 import itertools
+import os
+import platform
 import weakref
 
 import numpy as np
@@ -491,3 +493,81 @@ class TestReactionCarry:
                                     FieldPair(nxt.Phi, nxt.C, nxt.t, nxt.step_index), ops)
         assert got.Phi.tobytes() == want.Phi.tobytes()
         assert got.C.tobytes() == want.C.tobytes()
+
+
+def _no_c_library(name):
+    raise OSError("no C library to load")
+
+
+class TestKeptHeap:
+    """`rect._keep_heap`: freed field memory stays in the process."""
+
+    @pytest.fixture
+    def fresh(self, monkeypatch):
+        """The helper as in a new process, with none of glibc's variables set."""
+        for name in pitcorr.rect._MALLOC_VARIABLES:
+            monkeypatch.delenv(name, raising=False)
+        pitcorr.rect._keep_heap.cache_clear()
+        yield
+        pitcorr.rect._keep_heap.cache_clear()  # the next build sets the real policy
+
+    @pytest.fixture
+    def mallopt_calls(self, fresh, monkeypatch):
+        calls = []
+
+        def mallopt(param, value):
+            calls.append((param, value))
+            return 1
+
+        monkeypatch.setattr(pitcorr.rect, "_mallopt", lambda: mallopt)
+        return calls
+
+    def test_thresholds_set_once_per_process(self, mallopt_calls, params):
+        build_rect_operators(small_grid(), SchemeConfig("euler", 1e-3, 4.43e8), params)
+        pitcorr.rect._keep_heap()
+        build_rect_operators(small_grid(), SchemeConfig("2sbdf", 1e-3, 4.43e8), params)
+        assert mallopt_calls == [(pitcorr.rect._M_MMAP_THRESHOLD, 32 << 20),
+                                 (pitcorr.rect._M_TRIM_THRESHOLD, 1 << 30)]
+
+    @pytest.mark.parametrize("name", ["MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_",
+                                      "MALLOC_TOP_PAD_"])
+    def test_glibc_variables_take_precedence(self, mallopt_calls, monkeypatch, name):
+        monkeypatch.setenv(name, "131072")
+        pitcorr.rect._keep_heap()
+        assert mallopt_calls == []
+
+    @pytest.mark.parametrize("library", [lambda name: object(), _no_c_library])
+    def test_no_mallopt_is_a_no_op(self, fresh, monkeypatch, library):
+        monkeypatch.setattr(pitcorr.rect.ctypes, "CDLL", library)
+        assert pitcorr.rect._mallopt() is None
+        pitcorr.rect._keep_heap()
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc"
+                        or any(v in os.environ for v in pitcorr.rect._MALLOC_VARIABLES),
+                        reason="the heap policy is set through glibc's mallopt")
+    def test_late_steps_fault_few_pages(self, monkeypatch):
+        # Without the kept heap, glibc returns freed 162 KB fields to the
+        # kernel, and every third main-loop step of this run faults 168-208
+        # pages back in.  The run keeps no snapshot past t = 0, so that no
+        # step needs more memory than the steps before it.
+        import resource
+
+        from pitcorr import holes, scenarios
+
+        marks = []
+
+        def count(state):
+            marks.append((state.step_index, resource.getrusage(resource.RUSAGE_SELF).ru_minflt))
+
+        def run_holes(*args, hooks=(), **kwargs):
+            return holes.run_holes(*args, hooks=tuple(hooks) + (count,), **kwargs)
+
+        monkeypatch.setattr(scenarios, "run_holes", run_holes)
+        raw = scenarios.builtin_scenarios()["electropolish"]
+        raw["snapshot_times"] = [0.0]
+        scenarios.run_scenario(scenarios.load_config(raw), horizon_scale=0.026)
+        faults = {step: b - a for (_, a), (step, b) in zip(marks, marks[1:])}
+        assert len(faults) == 104
+        # Step 1 is the 2SBDF start; the first 10 main-loop steps may fault.
+        late = {step: n for step, n in faults.items() if step > 11}
+        assert max(late.values()) <= 8, {step: n for step, n in late.items() if n > 8}

@@ -51,6 +51,12 @@ def tiny_pit_config(dt=2e-3, n_steps=5, **scheme_extra):
     }
 
 
+def rough_edge(seed):
+    """A rough-edge geometry entry for the 20 x 20 um grid of `tiny_pit_config`."""
+    return {"rough_edge": {"amplitude_um": 2.0, "wavelength_um": 5.0,
+                           "base_height_um": 15.0, "seed": seed}}
+
+
 def tiny_rect_config(n_steps=5):
     dt = 1e-3
     return {
@@ -177,6 +183,13 @@ class TestConfigParsing:
         lambda raw: raw["scheme"].update(eps=[1e-4, 1e-3, math.inf]),
         lambda raw: raw["scheme"].update(max_iters=2.7),
         lambda raw: raw["scheme"].update(max_iters=True),
+        lambda raw: raw.update(reference={"dt_divisor": 2.7}),
+        lambda raw: raw.update(reference={"dt_divisor": True}),
+        lambda raw: raw.update(reference={"dt_divisor": "8"}),
+        lambda raw: raw.update(geometry=[rough_edge(2.7)]),
+        lambda raw: raw.update(geometry=[rough_edge(True)]),
+        lambda raw: raw.update(geometry=[rough_edge("8")]),
+        lambda raw: raw.update(geometry=[rough_edge(-1)]),
         lambda raw: raw["initial"].update(phi=math.nan),
         lambda raw: raw["initial"].update(c=math.inf),
         lambda raw: (raw["grid"]["bc"].update(y=["dirichlet", "dirichlet"]),
