@@ -190,12 +190,14 @@ def front_position(state, grid, axis: int) -> float:
     line = state.C[tuple(idx)]
     coords = grid.axes[axis]
     diff = line - 0.5
-    for i in range(line.size - 1):
+    # The first node that lies on the crossing or before a sign change.
+    hits = np.flatnonzero((diff[:-1] == 0.0) | (diff[:-1] * diff[1:] < 0.0))
+    if hits.size:
+        i = hits[0]
         if diff[i] == 0.0:
             return float(coords[i])
-        if diff[i] * diff[i + 1] < 0.0:
-            frac = diff[i] / (diff[i] - diff[i + 1])
-            return float(coords[i] + frac * (coords[i + 1] - coords[i]))
+        frac = diff[i] / (diff[i] - diff[i + 1])
+        return float(coords[i] + frac * (coords[i + 1] - coords[i]))
     if diff[-1] == 0.0:
         return float(coords[-1])
     raise ValueError("no c = 0.5 crossing found along the probed line")

@@ -220,13 +220,22 @@ class RoughEdgeProfile:
 
 @dataclass
 class DomainMask:
-    """Node indicator of the holes."""
+    """Node indicator of the holes.
+
+    `theta_index` and `omega_index` are the C-order flat indices of Theta
+    and of the physical region, computed on first use; `theta` is not
+    written after that.
+    """
 
     theta: np.ndarray  # boolean, grid-shaped
 
-    @property
-    def omega(self) -> np.ndarray:
-        return ~self.theta
+    @cached_property
+    def theta_index(self) -> np.ndarray:
+        return np.flatnonzero(self.theta)
+
+    @cached_property
+    def omega_index(self) -> np.ndarray:
+        return np.flatnonzero(~self.theta)
 
 
 def rasterize_mask(grid: Grid, shapes) -> DomainMask:

@@ -125,19 +125,28 @@ class IterationReport:
 @dataclass(frozen=True)
 class SparseRows:
     """A sparse n x n matrix A acting on column-stacked (Fortran-order)
-    fields, kept as its nonzero rows: `rows` holds their C-order flat
-    indices in the field, and `block` is A[rows, :] with its columns
-    renumbered to C-order flat indices and each row's entries in A's order,
-    so that its products read a C-ordered field directly and sum as A's do."""
+    fields, kept as its nonzero rows and columns: `rows` and `cols` hold
+    their C-order flat indices in the field, and `block` is A[rows, cols]
+    with each row's entries in A's order, so that its products read a
+    C-ordered field's values at `cols` and sum as A's do."""
 
     rows: np.ndarray
+    cols: np.ndarray
     block: sp.csr_matrix
+
+    def take(self, U: np.ndarray) -> np.ndarray:
+        """The values of the field U at `cols`."""
+        return U.reshape(-1)[self.cols]
+
+    def product(self, values: np.ndarray) -> np.ndarray:
+        """(A U)[rows] from U's values at `cols` (`take`)."""
+        return self.block @ values
 
     def subtract(self, target, U: np.ndarray, scale: float = 1.0) -> np.ndarray:
         """target - scale * (A U) as a new array, for a positive `scale` and
         a `target` array or the scalar 0.0; only A's rows are computed."""
         out = target.copy() if isinstance(target, np.ndarray) else np.zeros(U.shape)
-        out.reshape(-1)[self.rows] -= scale * (self.block @ U.reshape(-1))
+        out.reshape(-1)[self.rows] -= scale * self.product(self.take(U))
         return out
 
 
@@ -145,14 +154,20 @@ def sparse_rows(A, shape) -> SparseRows:
     """The `SparseRows` of A on fields of `shape`."""
     A = A.tocsr()
     rows = np.flatnonzero(np.diff(A.indptr))
+    used = np.zeros(A.shape[1], dtype=bool)
+    used[A.indices] = True
+    cols = np.flatnonzero(used)
+    renumber = np.empty(A.shape[1], dtype=A.indices.dtype)
+    renumber[cols] = np.arange(cols.size)
 
     def flat(index):  # column-stacked index -> C-order index
         return np.ravel_multi_index(np.unravel_index(index, shape, order="F"), shape)
 
     return SparseRows(
         rows=flat(rows),
-        block=sp.csr_matrix((A.data, flat(A.indices), np.append(0, A.indptr[rows + 1])),
-                            shape=(rows.size, A.shape[1])),
+        cols=flat(cols),
+        block=sp.csr_matrix((A.data, renumber[A.indices], np.append(0, A.indptr[rows + 1])),
+                            shape=(rows.size, cols.size)),
     )
 
 
@@ -172,7 +187,6 @@ class HoleOperators:
     N: SparseRows  # lagged on the running iterate
     G: SparseRows | None  # lagged on known time levels; None for imex-i
     N12: SparseRows  # N1 + N2, for the masked Laplacian action
-    chi: np.ndarray  # indicator of the physical region
     t_end: float | None = None
 
     def iterate(self, field, op, base, warm, t):
@@ -236,8 +250,7 @@ def build_hole_operators(grid, cfg: IterSchemeConfig, params: CorrosionParameter
     else:
         lagged = correction.N1
         N, G = (sparse_rows(A, grid.counts) for A in (correction.N1, correction.N2))
-    hole = HoleOperators(cfg=cfg, mask=mask, N=N, G=G, N12=N12,
-                         chi=(~mask.theta).astype(float), t_end=t_end)
+    hole = HoleOperators(cfg=cfg, mask=mask, N=N, G=G, N12=N12, t_end=t_end)
     images = (support_images(grid.factorizations, lagged) if cfg.stop_mode == EXACT
               else None)
 
@@ -251,26 +264,27 @@ def build_hole_operators(grid, cfg: IterSchemeConfig, params: CorrosionParameter
     return replace(with_hole(ops), start=ops.start and with_hole(ops.start))
 
 
-def _masked_max(delta: np.ndarray, region: np.ndarray) -> float:
-    if not region.any():
+def _masked_max(u: np.ndarray, index: np.ndarray) -> float:
+    """max |u| over the C-order flat indices `index`; 0.0 over none."""
+    if not index.size:
         return 0.0
-    return float(np.abs(delta[region]).max())
+    return float(np.abs(u.reshape(-1)[index]).max())
 
 
 def check_stop_criteria(u_prev: np.ndarray, u_next: np.ndarray, mask,
                         eps1: float, eps2_budget: float, eps3: float):
     """Full stopping rule; returns (stop, residual_on_omega)."""
     delta = u_next - u_prev
-    resid = _masked_max(delta, mask.omega)
+    resid = _masked_max(delta, mask.omega_index)
     if resid >= eps1:
         return False, resid
-    theta_level = _masked_max(u_next, mask.theta)
-    theta_delta = _masked_max(delta, mask.theta)
+    theta_level = _masked_max(u_next, mask.theta_index)
+    theta_delta = _masked_max(delta, mask.theta_index)
     return (theta_level < eps2_budget or theta_delta < eps3), resid
 
 
 def _theta_max(u: np.ndarray, hole) -> float:
-    return 0.0 if hole is None else _masked_max(u, hole.mask.theta)
+    return 0.0 if hole is None else _masked_max(u, hole.mask.theta_index)
 
 
 def _step(levels, ops: RectOperators):

@@ -25,19 +25,28 @@ Neumann edges contribute nothing.  The boundary values are constant, so the
 loads are built once with the operators (`RectOperators.load_phi`,
 `load_c`) and a step reads only its time levels and the operators.
 
-F1 is evaluated once per time level.  A 2SBDF step evaluates F1(u^n) and
-carries it on the level u^n (`FieldPair`) to the next step, where u^n is the
-older level; that step takes it, so no level keeps an F1 longer.  Each step
-builds its right-hand sides in place, in arrays of its own, with the
-operations and association of the formulas above.
+h(phi) and F1 are evaluated once per time level.  The step that makes a
+level forms h(Phi_new) in `reaction_f2` and leaves it on the level
+(`FieldPair`); the next step reads it in that level's F1.  A 2SBDF step
+also carries F1(u^n) on the level u^n to the next step, where u^n is the
+older level.  A step takes what it reads, so no level keeps either longer;
+`bootstrap_2sbdf` hands its last substep's h to the level it returns, and
+`run_loop` drops what the last levels carry.  Each step builds its
+right-hand sides in place, in arrays of its own, with the operations and
+association of the formulas above, and makes no pass that adds or
+computes nothing: a zero load (0.0) is not added.
 
 A rectangle is the case without correction: one direct solve per field.  A
 cavity domain (`pitcorr.holes`) is the same `RectOperators` with a `hole`,
-which owns the sparse corrections and their products, and an inner loop per
-solve, or in its exact stop mode one capacitance-corrected solve; the step
-calls the hole's `subtract` and `iterate`, and this module holds no sparse
-code.  One run loop and one 2SBDF start serve both domains: ceil(4/dt) fine
-IMEX Euler substeps up to t = dt, under the operators' `start`, which set-up
+which owns the sparse corrections and an inner loop per solve, or in its
+exact stop mode one capacitance-corrected solve.  The step applies the
+corrections only on their rows (`holes.SparseRows`): chi is a zero factor
+on Theta's flat indices, N12 and G subtract in place, and with a zero load
+the phi-side G term is added on G's rows alone.  The 2SBDF extrapolation
+that G reads is formed only at G's columns.
+
+One run loop and one 2SBDF start serve both domains: ceil(4/dt) fine IMEX
+Euler substeps up to t = dt, under the operators' `start`, which set-up
 builds with the run's own, so that no step builds a solver.
 
 A step allocates its fields anew, and on the builtin grids each is larger
@@ -117,9 +126,10 @@ class InstabilityError(RuntimeError):
 class FieldPair:
     """The (Phi, C) grid state at one time level.
 
-    `_f1` is the level's carried reaction: (params, F1(Phi, C)) from the
-    2SBDF step that read this level as its newest, for the next step, which
-    reads it as its older level and takes it (`imex_step`).  It is the only
+    A level carries what a step formed for the next one (`imex_step`):
+    `_h` is h(Phi) from the step that made the level, and `_f1` is
+    (params, F1(Phi, C)) from the 2SBDF step that read it as its newest.
+    The next step that reads the level takes both.  They are the only
     mutable part of a level, left out of `replace`, equality and the repr.
     """
 
@@ -128,6 +138,7 @@ class FieldPair:
     t: float = 0.0
     step_index: int = 0
     _f1: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _h: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def validate(self):
         if self.Phi.shape != self.C.shape:
@@ -305,10 +316,11 @@ def imex_step(levels, ops: RectOperators):
     Returns (state, loops), with loops the (iterations, last residual) of the
     phi and the c solve.  Without `ops.hole` each field takes one direct
     solve.  With it the step confines the explicit terms to the physical
-    region (`chi`), subtracts the known-level correction `G` on the
-    extrapolated levels and `N12` from the Laplacian of F2, and solves each
-    field by the hole's inner loop, which reads its Theta budget from the
-    hole and the step's target time.
+    region (`chi`, a zero factor on Theta), subtracts the known-level
+    correction `G` on the extrapolated levels and `N12` from the Laplacian
+    of F2, each on its own rows, and solves each field by the hole's inner
+    loop, which reads its Theta budget from the hole and the step's target
+    time.
     """
     cfg, p, grid, hole = ops.cfg, ops.params, ops.grid, ops.hole
     coef = COEFFICIENTS[cfg.order]
@@ -320,24 +332,29 @@ def imex_step(levels, ops: RectOperators):
     curr = levels[0]
     t = curr.t + cfg.dt
     sdt = coef.s * cfg.dt
+    G = None if hole is None else hole.G
 
     def combine(weights, name):
         return _combine(zip(weights, [getattr(u, name) for u in levels]))
 
-    def known(load, name):
-        if hole is None or hole.G is None:
-            return load
-        return hole.G.subtract(load, combine(coef.extrap, name))
+    def known_rows(name):
+        # G S_e(u) on G's rows, with S_e(u) formed only at G's columns.
+        return G.product(_combine((e, G.take(getattr(u, name)))
+                                  for e, u in zip(coef.extrap, levels)))
+
+    def add_load(rhs, load, scale):
+        # rhs + scale * load, in place; a zero load (0.0) adds nothing.
+        if isinstance(load, np.ndarray):
+            np.add(rhs, scale * load, out=rhs)
 
     def solve(op, base, field, warm):
         if hole is None:
             return op.solve(base), (1, 0.0)
         return hole.iterate(field, op, base, warm, t)
 
-    # F1 once per time level (module docstring): take what the levels carry,
-    # evaluate the rest, and carry the newest level's F1 to the next step.
-    f1 = [_take_f1(u, p) for u in levels]
-    f1 = [reaction_f1(u.Phi, u.C, p) if f is None else f for u, f in zip(levels, f1)]
+    # F1 once per time level (module docstring): take the F1 or the h that
+    # the levels carry, evaluate the rest, and carry the newest level's F1.
+    f1 = [_level_f1(u, p) for u in levels]
     if len(levels) > 1:
         object.__setattr__(curr, "_f1", (p, f1[0]))
 
@@ -352,31 +369,57 @@ def imex_step(levels, ops: RectOperators):
         # region: on the holes it would exactly cancel the implicit shift and
         # preserve any injected round-off forever, while the masked form damps
         # hole values by the implicit shift every step.
-        np.multiply(hole.chi, rhs, out=rhs)
-    np.add(rhs, p.D_phi * known(ops.load_phi, "Phi"), out=rhs)
+        flat = rhs.reshape(-1)  # a view: rhs's first term, an F1, is C-ordered
+        theta = hole.mask.theta_index
+        flat[theta] = np.multiply(0.0, flat[theta])
+    if G is None:
+        add_load(rhs, ops.load_phi, p.D_phi)
+    elif isinstance(ops.load_phi, np.ndarray):
+        known = ops.load_phi.copy()
+        _subtract_rows(known, G.rows, known_rows("Phi"))
+        np.add(rhs, p.D_phi * known, out=rhs)
+    else:
+        flat[G.rows] += p.D_phi * (0.0 - known_rows("Phi"))
     np.multiply(sdt, rhs, out=rhs)
     base_phi = np.add(combine(coef.history, "Phi"), rhs, out=rhs)
     phi, phi_loop = solve(ops.phi, base_phi, "phi", curr.Phi)
 
-    f2 = reaction_f2(phi, p)
-    lap_f2 = apply_laplacian(grid.laplacians, f2)
+    f2, h = reaction_f2(phi, p, with_h=True)
+    rhs = apply_laplacian(grid.laplacians, f2)  # a new array
     if hole is not None:
-        lap_f2 = hole.N12.subtract(lap_f2, f2)
-    rhs = known(np.add(lap_f2, ops.load_c, out=lap_f2), "C")
+        _subtract_rows(rhs, hole.N12.rows, hole.N12.product(hole.N12.take(f2)))
+    add_load(rhs, ops.load_c, 1.0)
+    if G is not None:
+        _subtract_rows(rhs, G.rows, known_rows("C"))
     np.multiply(sdt * p.D_c, rhs, out=rhs)
     base_c = np.add(combine(coef.history, "C"), rhs, out=rhs)
     c, c_loop = solve(ops.c, base_c, "c", curr.C)
 
     out = FieldPair(phi, c, t, curr.step_index + 1)
     out.validate()
+    object.__setattr__(out, "_h", h)
     return out, (phi_loop, c_loop)
 
 
-def _take_f1(level: FieldPair, params):
-    """The F1 that `level` carries under `params`, or None; the level lets it go."""
-    carried = level._f1
+def _subtract_rows(target, rows, values):
+    """target[rows] -= values, on the C-order flat indices `rows` of a
+    C-ordered `target`."""
+    target.reshape(-1)[rows] -= values
+
+
+def _level_f1(level: FieldPair, params):
+    """F1 of `level` under `params`: the F1 it carries under them, else one
+    evaluated with the h it carries, if any.  The level lets both go."""
+    carried, h = level._f1, level._h
+    _drop_carry(level)
+    if carried is not None and carried[0] == params:
+        return carried[1]
+    return reaction_f1(level.Phi, level.C, params, h=h)
+
+
+def _drop_carry(level: FieldPair):
     object.__setattr__(level, "_f1", None)
-    return carried[1] if carried is not None and carried[0] == params else None
+    object.__setattr__(level, "_h", None)
 
 
 def step_imex_euler_rect(state: FieldPair, ops: RectOperators) -> FieldPair:
@@ -402,7 +445,10 @@ def bootstrap_2sbdf(state0: FieldPair, ops, substep) -> FieldPair:
     start, state = ops.start, state0
     for _ in range(bootstrap_substeps(ops.cfg.dt)[0]):
         state = substep(state, start)
-    return replace(state, t=state0.t + ops.cfg.dt, step_index=state0.step_index + 1)
+    out = replace(state, t=state0.t + ops.cfg.dt, step_index=state0.step_index + 1)
+    object.__setattr__(out, "_h", state._h)  # the same Phi, so the same h
+    _drop_carry(state)
+    return out
 
 
 def whole_steps(span: float, dt: float) -> int:
@@ -440,8 +486,9 @@ def run_loop(state0: FieldPair, ops, horizon: float, hooks, euler, two_step,
         prev, curr = curr, nxt
         for hook in hooks:
             hook(curr)
-    if prev is not None:
-        _take_f1(prev, None)  # the last step's carry has no next step
+    for level in (prev, curr):
+        if level is not None:
+            _drop_carry(level)  # the last levels' carry has no next step
     return curr
 
 

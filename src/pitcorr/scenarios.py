@@ -504,14 +504,13 @@ def load_config(source) -> ScenarioConfig:
 _CSV_BLOCK_ROWS = 1000
 
 
-def _write_csv(fh, state: FieldPair, grid):
-    """The rows "x,y[,z],phi,c" of `state` to the binary file `fh`, x fastest,
-    every value as "%.17g".
+def _csv_text(grid):
+    """The coordinate text of a CSV export on `grid`, block by block.
 
-    The bytes are those of `np.savetxt(fmt="%.17g", delimiter=",")`, but one
-    bytes `%` formats a block of whole x-lines: each row of its template holds
-    the coordinate text and leaves "%.17g,%.17g" for phi and c.  Bytes, not
-    str, spare a text file's encoded copy of every block.
+    Yields (rows, template) for each block of whole x-lines: a bytes `%`
+    template whose rows hold the "x,y[,z]" text and leave "%.17g,%.17g" for
+    phi and c.  A run makes it a list once for all its snapshots
+    (`export_snapshot`'s `text`); a single export formats it as it writes.
     """
     texts = [[b"%.17g" % v for v in axis.tolist()] for axis in grid.axes]
     # "\0" stands for the y[,z] text of an x-line; "%.17g" never prints it.
@@ -520,27 +519,42 @@ def _write_csv(fh, state: FieldPair, grid):
     rest = texts[1] if grid.ndim == 2 else [y + b"," + z for z in texts[2] for y in texts[1]]
     m_x = len(texts[0])
     lines_per_block = max(1, _CSV_BLOCK_ROWS // m_x)
+    for first in range(0, len(rest), lines_per_block):
+        block = rest[first:first + lines_per_block]
+        yield len(block) * m_x, b"".join(line.replace(b"\0", yz) for yz in block)
+
+
+def _write_csv(fh, state: FieldPair, text):
+    """The rows "x,y[,z],phi,c" of `state` to the binary file `fh`, x fastest,
+    every value as "%.17g", from the grid's `_csv_text`.
+
+    The bytes are those of `np.savetxt(fmt="%.17g", delimiter=",")`, but one
+    bytes `%` formats a block of rows.  Bytes, not str, spare a text file's
+    encoded copy of every block.
+    """
     # The C order of the reversed-axes views is the fields' F order, so a
     # block reads its rows without a copy of the whole field.
     phi, c = state.Phi.T.flat, state.C.T.flat
-    values = np.empty((lines_per_block * m_x, 2))
-    for first in range(0, len(rest), lines_per_block):
-        block = rest[first:first + lines_per_block]
-        rows = slice(first * m_x, (first + len(block)) * m_x)
-        pairs = values[: len(block) * m_x]
-        pairs[:, 0], pairs[:, 1] = phi[rows], c[rows]
-        template = b"".join(line.replace(b"\0", yz) for yz in block)
+    first = 0
+    for n, template in text:
+        pairs = np.empty((n, 2))
+        pairs[:, 0], pairs[:, 1] = phi[first:first + n], c[first:first + n]
         fh.write(template % tuple(pairs.ravel().tolist()))
+        first += n
 
 
 def export_snapshot(state: FieldPair, grid, path: str, fmt: str = "csv",
-                    metadata: dict | None = None) -> str:
-    """Write one (Phi, C) state; returns the file path."""
+                    metadata: dict | None = None, text: list | None = None) -> str:
+    """Write one (Phi, C) state; returns the file path.
+
+    A CSV export reads `text`, the grid's `_csv_text` as a list, if given,
+    and formats it as it writes otherwise.
+    """
     if fmt == "csv":
         path = path if path.endswith(".csv") else path + ".csv"
         with open(path, "wb") as fh:
             fh.write(",".join(AXIS_NAMES[: grid.ndim] + ("phi", "c")).encode() + b"\n")
-            _write_csv(fh, state, grid)
+            _write_csv(fh, state, _csv_text(grid) if text is None else text)
         return path
     if fmt == "raw-f64":
         path = path if path.endswith(".f64") else path + ".f64"
@@ -714,10 +728,12 @@ def _write_artifacts(artifacts: RunArtifacts, grid, output_root: str) -> str:
     out_dir = os.path.join(output_root, cfg.name)
     os.makedirs(out_dir, exist_ok=True)
 
+    # The coordinate text, formatted once for every CSV snapshot of the run.
+    text = list(_csv_text(grid)) if artifacts.snapshots and "csv" in cfg.formats else None
     for t, state in artifacts.snapshots:
         base = os.path.join(out_dir, f"snapshot_t{_format_time(t)}")
         for fmt in cfg.formats:
-            export_snapshot(state, grid, base, fmt, metadata=artifacts.metadata)
+            export_snapshot(state, grid, base, fmt, metadata=artifacts.metadata, text=text)
 
     if artifacts.reports:
         with open(os.path.join(out_dir, "iterations.csv"), "w", encoding="utf-8") as fh:

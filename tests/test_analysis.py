@@ -204,6 +204,49 @@ class TestFrontPosition:
         assert front_position(state, g, 1) == pytest.approx(6e-6)
 
 
+    @staticmethod
+    def scanned(line, coords):
+        """The node-by-node scan that `front_position` vectorizes."""
+        diff = line - 0.5
+        for i in range(line.size - 1):
+            if diff[i] == 0.0:
+                return float(coords[i])
+            if diff[i] * diff[i + 1] < 0.0:
+                frac = diff[i] / (diff[i] - diff[i + 1])
+                return float(coords[i] + frac * (coords[i + 1] - coords[i]))
+        if diff[-1] == 0.0:
+            return float(coords[-1])
+        raise ValueError("no c = 0.5 crossing found along the probed line")
+
+    def test_matches_the_node_scan(self):
+        # Random lines with NaN, exact 0.5 nodes (last node included),
+        # one-sided lines and no-crossing lines: same value, same error.
+        g = build_grid(GridSpec((9e-6, 40e-6), (9, 40), (NN, NN)))
+        rng = np.random.default_rng(11)
+        values = np.array([0.5, 0.5, np.nan, 0.0, 1.0, 0.25, 0.75, 0.5 + 1e-17])
+        errors = 0
+        for trial in range(400):
+            line = rng.uniform(0.4, 0.6, 40) if trial % 2 else rng.choice(values, 40)
+            if trial % 5 == 0:
+                line = np.abs(line - 0.5) + 0.5  # no sign change
+                line[rng.integers(0, 40, rng.integers(0, 2))] = np.nan
+            if trial % 7 == 0:
+                line[-1] = 0.5
+            c = np.ones(g.counts)
+            c[4, :] = line
+            state = FieldPair(np.ones(g.counts), c)
+            try:
+                want = self.scanned(line, g.axes[1])
+            except ValueError:
+                errors += 1
+                with pytest.raises(ValueError, match="no c = 0.5 crossing"):
+                    front_position(state, g, 1)
+                continue
+            got = front_position(state, g, 1)
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
+        assert 0 < errors < 400
+
+
 class TestErrorNormsAndFits:
     def test_trivial_norms(self):
         rng = np.random.default_rng(0)

@@ -168,10 +168,13 @@ class TestShapes:
 
 class TestDomainMask:
     def test_omega_is_complement(self):
-        theta = np.zeros((4, 4), dtype=bool)
-        theta[0, 0] = True
-        mask = DomainMask(theta)
-        np.testing.assert_array_equal(mask.omega, ~theta)
+        # The flat indices are C-order, whatever the layout of theta.
+        theta = np.zeros((4, 5), dtype=bool)
+        theta[0, 0] = theta[2, 3] = True
+        for t in (theta, np.asfortranarray(theta)):
+            mask = DomainMask(t)
+            np.testing.assert_array_equal(mask.theta_index, [0, 13])
+            np.testing.assert_array_equal(mask.omega_index, np.flatnonzero(~theta))
 
 
 class TestCorrectionOperators:

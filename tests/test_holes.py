@@ -124,6 +124,43 @@ class TestStopCriteria:
         stop, _ = check_stop_criteria(u1, u1.copy(), mask, 1e-4, 1e-3, 1e-8)
         assert stop  # stagnated on the hole
 
+    @staticmethod
+    def boolean_rule(u_prev, u_next, theta, eps1, eps2_budget, eps3):
+        """The rule on boolean masks, as it read before the mask's flat indices."""
+        def masked_max(delta, region):
+            return float(np.abs(delta[region]).max()) if region.any() else 0.0
+
+        delta = u_next - u_prev
+        resid = masked_max(delta, ~theta)
+        if resid >= eps1:
+            return False, resid
+        return (masked_max(u_next, theta) < eps2_budget
+                or masked_max(delta, theta) < eps3), resid
+
+    @pytest.mark.parametrize("shape", [(7, 6), (4, 5, 3)])
+    def test_flat_indices_give_the_boolean_rule(self, shape):
+        # Random fields and masks (empty and full Theta included) with NaN
+        # on either region, and steps around each tolerance: the same
+        # (stop, resid), bit for bit, and nothing written to the mask.
+        rng = np.random.default_rng(len(shape))
+        outcomes = set()
+        for trial in range(300):
+            theta = rng.random(shape) < rng.choice([0.0, 0.2, 0.6, 1.0])
+            mask = DomainMask(theta.copy())
+            u0 = rng.standard_normal(shape)
+            u1 = u0 + rng.choice([1e-9, 1e-6, 1e-4, 1e-2]) * rng.standard_normal(shape)
+            u1[theta] = rng.choice([0.0, 1e-9, 1e-4]) * rng.standard_normal(theta.sum())
+            if trial % 4 == 0:
+                u1.flat[rng.integers(u1.size)] = np.nan
+            eps = (1e-4, rng.choice([1e-10, 1e-3]), 1e-8)
+            got = check_stop_criteria(u0, u1, mask, *eps)
+            want = self.boolean_rule(u0, u1, theta, *eps)
+            assert got[0] == want[0]
+            assert np.float64(got[1]).tobytes() == np.float64(want[1]).tobytes()
+            assert np.array_equal(mask.theta, theta)
+            outcomes.add((got[0], bool(np.isnan(got[1]))))
+        assert outcomes >= {(True, False), (False, False), (False, True), (True, True)}
+
     def test_theta_within_budget_stops(self):
         theta = np.zeros((4, 4), dtype=bool)
         theta[1, 1] = True
@@ -338,7 +375,7 @@ class TestIterativeStepsMatchDense:
         M = kronecker_sum(g.laplacians)
         n = M.shape[0]
         p, w = params, cfg.w
-        chi = ops.hole.chi
+        chi = (~mask.theta).astype(float)  # the indicator of the physical region
         extrap_phi = 2.0 * curr.Phi - prev.Phi
         extrap_c = 2.0 * curr.C - prev.C
 

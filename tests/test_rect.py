@@ -392,6 +392,29 @@ class TestStepLayout:
         out, _ = imex_step(levels, ops)
         assert out.Phi.flags.c_contiguous and out.C.flags.c_contiguous
 
+    @pytest.mark.parametrize("order", ["euler", "2sbdf"])
+    def test_fortran_ordered_levels_give_the_same_bits(self, params, order):
+        # The cavity terms are written on the rows of the step's own arrays;
+        # levels in another layout must not leave them unwritten.
+        counts = (6, 5, 7)
+        g = build_grid(GridSpec(tuple(1e-6 * (m - 1) for m in counts), counts, (NN, NN, ND)))
+        theta = np.zeros(counts, dtype=bool)
+        theta[2:4, 1:3, 3:] = True
+        ops = build_hole_operators(g, IterSchemeConfig("imex-e", order, 1e-3, 4.43e8,
+                                                       stop_mode="exact"),
+                                   params, DomainMask(theta))
+        rng = np.random.default_rng(22)
+        fields = []
+        for k in range(1 if order == "euler" else 2):
+            state = random_state(rng, counts)
+            state.Phi[theta] = state.C[theta] = 0.0
+            fields.insert(0, (state.Phi, state.C, k * 1e-3, k))
+        want, _ = imex_step([FieldPair(*f) for f in fields], ops)
+        got, _ = imex_step([FieldPair(np.asfortranarray(phi), np.asfortranarray(c), t, k)
+                            for phi, c, t, k in fields], ops)
+        assert got.Phi.tobytes() == want.Phi.tobytes()
+        assert got.C.tobytes() == want.C.tobytes()
+
 
 class TestReactionCarry:
     """A 2SBDF run evaluates F1 once per time level: the step that reads a
@@ -409,9 +432,9 @@ class TestReactionCarry:
         calls = []
         original = pitcorr.rect.reaction_f1
 
-        def counting(phi, c, p):
+        def counting(phi, c, p, h=None):
             calls.append(1)
-            return original(phi, c, p)
+            return original(phi, c, p, h=h)
 
         monkeypatch.setattr(pitcorr.rect, "reaction_f1", counting)
         dt, n = 0.5, 5
@@ -493,6 +516,107 @@ class TestReactionCarry:
                                     FieldPair(nxt.Phi, nxt.C, nxt.t, nxt.step_index), ops)
         assert got.Phi.tobytes() == want.Phi.tobytes()
         assert got.C.tobytes() == want.C.tobytes()
+
+
+    @pytest.mark.parametrize("order", ["euler", "2sbdf"])
+    @pytest.mark.parametrize("domain", ["rect", "full", "exact"])
+    def test_one_h_per_level(self, params, monkeypatch, domain, order):
+        # reaction_f2 forms h(Phi) of every level a step makes, and that
+        # level's F1 reads it: F1 forms h itself only on the initial level,
+        # which a 2SBDF run's start and its first main step both read.
+        f1_phis, f2_phis = [], []
+        f1, f2 = pitcorr.rect.reaction_f1, pitcorr.rect.reaction_f2
+
+        def counting_f1(phi, c, p, h=None):
+            if h is None:
+                f1_phis.append(phi)
+            return f1(phi, c, p, h=h)
+
+        def counting_f2(phi, p, **kw):
+            f2_phis.append(phi)
+            return f2(phi, p, **kw)
+
+        monkeypatch.setattr(pitcorr.rect, "reaction_f1", counting_f1)
+        monkeypatch.setattr(pitcorr.rect, "reaction_f2", counting_f2)
+        dt, n, levels = 0.5, 5, []
+        if domain == "rect":
+            g = small_grid(counts=(6, 7), extents=(6e-6, 7e-6))
+            state = random_state(np.random.default_rng(4), g.counts)
+            run_rect(state, SchemeConfig(order, dt, 4.43e8), params, g, BoundaryData(),
+                     n * dt, hooks=(levels.append,))
+        else:
+            g, mask = self.cavity()
+            u = np.where(mask.theta, 0.0, 1.0)
+            state = FieldPair(u, u.copy())
+            run_holes(state, IterSchemeConfig("imex-e", order, dt, 4.43e8, stop_mode=domain),
+                      params, g, mask, BoundaryData(), n * dt, hooks=(levels.append,))
+        substeps = bootstrap_substeps(dt)[0] if order == "2sbdf" else 0
+        assert len(f2_phis) == substeps + (n - 1 if substeps else n)
+        assert len({id(phi) for phi in f2_phis}) == len(f2_phis)
+        assert all(level.Phi is phi for level, phi in zip(levels[1 + bool(substeps):],
+                                                          f2_phis[substeps:]))
+        assert len(f1_phis) == (2 if substeps else 1)
+        assert all(phi is state.Phi for phi in f1_phis)
+
+    def test_kept_level_lets_its_h_go(self, params):
+        g = small_grid(counts=(6, 7), extents=(6e-6, 7e-6))
+        ops = build_rect_operators(g, SchemeConfig("euler", 1e-3, 4.43e8), params,
+                                   BoundaryData())
+        state = random_state(np.random.default_rng(9), g.counts)
+        nxt = step_imex_euler_rect(state, ops)
+        ref = weakref.ref(nxt._h)
+        step_imex_euler_rect(nxt, ops)
+        gc.collect()
+        assert nxt._h is None and ref() is None
+
+        # No level a hook keeps holds an h once the run is over.
+        for order in ("euler", "2sbdf"):
+            kept = []
+            run_rect(random_state(np.random.default_rng(7), g.counts),
+                     SchemeConfig(order, 0.5, 4.43e8), params, g, BoundaryData(), 2.0,
+                     hooks=(kept.append,))
+            assert len(kept) == 5 and all(level._h is None for level in kept)
+
+    @pytest.mark.parametrize("cavity", [False, True])
+    def test_carried_h_shares_no_memory(self, params, cavity):
+        cfg = SchemeConfig("2sbdf", 1e-3, 4.43e8)
+        if cavity:
+            g, mask = self.cavity()
+            ops = build_hole_operators(
+                g, IterSchemeConfig("imex-e", "2sbdf", 1e-3, 4.43e8, stop_mode="exact"),
+                params, mask)
+            levels = self.levels(np.random.default_rng(10), g.counts, mask.theta)
+        else:
+            g = small_grid(counts=(6, 7), extents=(6e-6, 7e-6))
+            ops = build_rect_operators(g, cfg, params, BoundaryData())
+            levels = self.levels(np.random.default_rng(10), g.counts)
+        curr, prev = levels
+        out, _ = imex_step((curr, prev), ops)
+        h = out._h
+        assert h.tobytes() == (out.Phi * out.Phi * (3.0 - 2.0 * out.Phi)).tobytes()
+        for a in (out.Phi, out.C, curr._f1[1], curr.Phi, curr.C, prev.Phi, prev.C):
+            assert not np.shares_memory(h, a)
+
+    @pytest.mark.parametrize("shape", [(23, 17), (9, 7, 13)])
+    def test_f1_with_h_has_the_bits_of_f1(self, params, shape):
+        # The inputs of test_model's test_f1_bits_are_the_formula, with h
+        # as the step takes it from reaction_f2.
+        special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324,
+                            2.2250738585072014e-308, 1e-310, -1e-310, 1e200, -1e200,
+                            0.5, 1.0, -1.0])
+        rng = np.random.default_rng(len(shape))
+        values = np.concatenate([special, rng.uniform(-0.5, 1.5, 64)])
+        phi, c = (rng.choice(values, size=shape) for _ in range(2))
+        views = [(phi, c), (phi.T, c.T), (phi[1::2, 1:], c[:-1:2, :-1]),
+                 (np.asfortranarray(phi), c[..., ::-1])]
+        with np.errstate(all="ignore"):
+            for a, b in views:
+                _, h = reaction_f2(a, params, with_h=True)
+                kept = h.copy()
+                got = reaction_f1(a, b, params, h=h)
+                want = reaction_f1(a, b, params)
+                assert got.tobytes() == want.tobytes()
+                assert h.tobytes() == kept.tobytes()  # read, not written
 
 
 def _no_c_library(name):

@@ -369,6 +369,30 @@ class TestSnapshotFormats:
                      b",1.0000000000000001e+300,"):
             assert text in written
 
+    def test_run_formats_coordinate_text_once(self, tmp_path, monkeypatch):
+        # A run's CSV snapshots share one coordinate text, and each has the
+        # bytes of a single export of its state.
+        calls = []
+        original = scenarios._csv_text
+
+        def counting(grid):
+            calls.append(grid)
+            return original(grid)
+
+        monkeypatch.setattr(scenarios, "_csv_text", counting)
+        raw = tiny_rect_config(n_steps=4)
+        raw["snapshot_times"] = [0.0, 1e-3, 3e-3, 4e-3]
+        cfg = load_config(raw)
+        artifacts = run_scenario(cfg, str(tmp_path / "run"))
+        assert len(calls) == 1 and len(artifacts.snapshots) == 4
+        grid = build_grid(cfg.grid_spec)
+        for t, state in artifacts.snapshots:
+            name = f"snapshot_t{scenarios._format_time(t)}.csv"
+            single = export_snapshot(state, grid, str(tmp_path / "single"), "csv")
+            with open(os.path.join(artifacts.output_dir, name), "rb") as fh, \
+                    open(single, "rb") as ref:
+                assert fh.read() == ref.read()
+
     def test_raw_round_trip_bit_exact(self, tmp_path, grid_state):
         grid, state = grid_state
         path = export_snapshot(state, grid, str(tmp_path / "snap"), "raw-f64")
