@@ -31,6 +31,7 @@ rectangle step, and a run starts 2SBDF as a rectangle does.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, replace
 
@@ -38,11 +39,12 @@ import numpy as np
 import scipy.sparse as sp
 
 from .grid import build_correction_matrices
-from .linalg import support_images
+from .linalg import csr_product, support_images
 from .model import CorrosionParameters
 from .rect import (
     BoundaryData,
     FieldPair,
+    InstabilityError,
     RectOperators,
     SchemeConfig,
     build_rect_operators,
@@ -140,7 +142,7 @@ class SparseRows:
 
     def product(self, values: np.ndarray) -> np.ndarray:
         """(A U)[rows] from U's values at `cols` (`take`)."""
-        return self.block @ values
+        return csr_product(self.block, values)
 
     def subtract(self, target, U: np.ndarray, scale: float = 1.0) -> np.ndarray:
         """target - scale * (A U) as a new array, for a positive `scale` and
@@ -202,7 +204,8 @@ class HoleOperators:
         stagnation; accepting a phi iterate on the level budget instead would
         freeze a hole-region residual of the budget's size permanently,
         because the converged step map preserves whatever phi values the
-        holes carry.
+        holes carry.  An iterate whose residual on Omega is NaN raises
+        `InstabilityError` for `field` at `t`, whatever the Theta tests say.
         """
         cfg = self.cfg
         if cfg.stop_mode == EXACT:
@@ -216,6 +219,10 @@ class HoleOperators:
             stop, resid = check_stop_criteria(
                 u, u_next, self.mask, cfg.eps1, eps2_budget, cfg.eps3
             )
+            if math.isnan(resid):  # the Theta tests must not accept it
+                raise InstabilityError(
+                    f"non-finite {field} iterate on Omega (iteration {k}) in the step "
+                    f"to t={t:.6g}s", field, t)
             if stop:
                 return u_next, (k, resid)
             u = u_next

@@ -71,7 +71,11 @@ Both are grouped by coordinate along one axis g: y_S is one mode-g product
 with the Gamma_g rows at the n_D distinct coordinates of S, then one slice
 of it per point, n_D * nodes + s * nodes / m_g products instead of
 s * nodes; the image sums the weights per distinct row coordinate first,
-then takes one mode-g product with the Gamma_g^{-1} columns there.
+then takes one mode-g product with the Gamma_g^{-1} columns there.  What
+those groups index is built once per grid, with the images; a correction
+solves I + alpha*K with LAPACK's dgetrs or a Neumann series and multiplies
+by N's rows with the CSR kernel itself (`csr_product`), so that a call
+adds little to its arithmetic.
 """
 
 from __future__ import annotations
@@ -83,6 +87,12 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as spla
 import scipy.sparse as sp
+from scipy.linalg.lapack import dgetrs
+
+try:  # the kernel of a CSR matrix-vector product in scipy.sparse
+    from scipy.sparse._sparsetools import csr_matvec as _csr_matvec
+except ImportError:  # a scipy that keeps it elsewhere: `csr_product` uses `@`
+    _csr_matvec = None
 
 __all__ = [
     "Laplacian1D",
@@ -96,6 +106,7 @@ __all__ = [
     "spectral_factorize",
     "build_operator",
     "apply_laplacian",
+    "csr_product",
     "kronecker_sum",
     "factorization_count",
 ]
@@ -247,11 +258,8 @@ class SylvesterOperator:
         if not np.all(denom):
             raise ArithmeticError("singular shift: zero denominator in Upsilon")
         self.Upsilon = np.reciprocal(denom, out=denom)
+        self.shape = denom.shape
         self.capacitance = None
-
-    @property
-    def shape(self):
-        return tuple(f.lam.size for f in self.facts)
 
     def corrected(self, images: SupportImages) -> "SylvesterOperator":
         """The solver of (a*I + b*(M - N)) for the N of `images`: a copy on the
@@ -286,7 +294,10 @@ def _mode_product(A: np.ndarray, V: np.ndarray, axis: int) -> np.ndarray:
 
     One GEMM for the first and the last axis, one per leading index for the
     middle axis of three.  V is read in place when the merged axes are a
-    view of it (always for a C-ordered V), else reshape copies it."""
+    view of it (always for a C-ordered V), else reshape copies it.  In 2D
+    the product is A @ V or V @ A^T, with no reshape."""
+    if V.ndim == 2:
+        return A @ V if axis == 0 else V @ A.T
     shape = V.shape[:axis] + (A.shape[0],) + V.shape[axis + 1:]
     # The widths are explicit: reshape cannot infer them for an empty axis.
     if axis == 0:
@@ -313,7 +324,15 @@ class SupportImages:
     coordinates of S (n_D x m_g) and `support_group` each point's index
     among them; `rows_distinct` holds the columns of Gamma_g^{-1} at the n_E
     distinct coordinates of the rows (m_g x n_E) and `rows_group` each row's
-    index among them.  See `_grouping` for the choice of g.
+    index among them.  See `_grouping` for the choice of g.  What the
+    grouped reads and image need beyond that is built here too, once per
+    grid: in 2D `support_other`, the Gamma rows at S along the axis that is
+    not g, `rows_other_t`, the transposed Gamma^{-1} columns at the rows
+    along it, and `rows_onehot`, the flat indices of (rows_group[r], r) in
+    the n_E x R one-hot matrix of the groups; in 3D `support_blocks` and
+    `rows_blocks`, per distinct coordinate the indices of its points or rows
+    and their factors along the two other axes (None in 2D, as the 2D fields
+    are in 3D).
 
     For `support_inverse`: `head_support` (s x H) and `head_rows` (R x H)
     are the products of the same factors over the head axes (all but the
@@ -336,6 +355,11 @@ class SupportImages:
     rows_axis: int
     rows_distinct: np.ndarray
     rows_group: np.ndarray
+    support_other: np.ndarray | None
+    support_blocks: tuple | None
+    rows_other_t: np.ndarray | None
+    rows_onehot: np.ndarray | None
+    rows_blocks: tuple | None
     head_support: np.ndarray
     head_rows: np.ndarray
     level_support: np.ndarray
@@ -361,6 +385,19 @@ def support_images(facts, N: sp.spmatrix) -> SupportImages:
     images = tuple(f.GammaInv.T[i].T for f, i in zip(facts, at_rows))
     support_axis, support_coords, support_group = _grouping(at_support, shape)
     rows_axis, rows_coords, rows_group = _grouping(at_rows, shape)
+    # The factors along the axes that are not grouped, as the grouped reads
+    # and image index them (`_grouped_reads`, `_grouped_image`).
+    reads = [r for axis, r in enumerate(gamma_rows) if axis != support_axis]
+    factors = [f for axis, f in enumerate(images) if axis != rows_axis]
+    if len(shape) == 2:
+        support_blocks = rows_blocks = None
+        rows_onehot = rows_group * rows.size + np.arange(rows.size)
+    else:
+        support_blocks = tuple((ks, reads[0][ks], reads[1][ks])
+                               for ks in _members(support_group, support_coords.size))
+        rows_blocks = tuple((rs, factors[0][:, rs], factors[1][:, rs].T)
+                            for rs in _members(rows_group, rows_coords.size))
+        rows_onehot = None
     z = np.concatenate((at_support[-1], at_rows[-1]))
     low = z.min() if z.size else 0
     levels = np.arange(low, z.max() + 1 if z.size else 1)
@@ -380,6 +417,11 @@ def support_images(facts, N: sp.spmatrix) -> SupportImages:
         rows_axis=rows_axis,
         rows_distinct=facts[rows_axis].GammaInv[:, rows_coords],
         rows_group=rows_group,
+        support_other=reads[0] if support_blocks is None else None,
+        support_blocks=support_blocks,
+        rows_other_t=factors[0].T if rows_blocks is None else None,
+        rows_onehot=rows_onehot,
+        rows_blocks=rows_blocks,
         head_support=_head_product(gamma_rows[:-1]),
         head_rows=_head_product([I.T for I in images[:-1]]),
         level_support=at_support[-1] - low,
@@ -503,7 +545,8 @@ class Capacitance:
     """The exact solve of (a*I + b*(M - N)) X = Y for one `SylvesterOperator`.
 
     Holds N's `SupportImages`, the operator's Upsilon and a solver for
-    I + alpha*K, with alpha = -b and K = `support_inverse(op, images)`.  The
+    I + alpha*K, with alpha = -b and K = `support_inverse(op, images)`: the
+    LU factors of I + alpha*K or the matrix -alpha*K of a Neumann series.  The
     norm bound b = min(|alpha*K|_F, sqrt(|alpha*K|_1 |alpha*K|_inf)) >=
     |alpha*K|_2 chooses it:
 
@@ -538,7 +581,7 @@ class Capacitance:
             b = min(b, np.sqrt(magnitude.sum(axis=0).max() * magnitude.sum(axis=1).max()))
         self.terms = _series_terms(b)
         if self.terms is not None:
-            self.lu, self.alpha_K = None, C
+            self.lu, self.minus_alpha_K = None, np.negative(C, out=C)
             return
         certified = b < 1.0 and (1.0 + b) / (1.0 - b) < 1e12
         C.flat[:: C.shape[0] + 1] += 1.0  # I + alpha*K
@@ -551,20 +594,28 @@ class Capacitance:
         for, minus the spectral image of alpha*N_S x_S."""
         images = self.images
         y_S = _grouped_reads(images, self.Upsilon * W)
-        weights = -self.alpha * (images.block @ self._solve(y_S))
+        weights = -self.alpha * csr_product(images.block, self._solve(y_S))
         image = _grouped_image(images, weights)
         image += W
         return image
 
     def _solve(self, y: np.ndarray) -> np.ndarray:
-        """x with (I + alpha*K) x = y."""
+        """x with (I + alpha*K) x = y, from a y that it may overwrite.
+
+        The LU branch calls LAPACK's dgetrs on the stored factors, the
+        routine that `scipy.linalg.lu_solve` wraps, without its checks: a
+        non-finite right-hand side reaches the step's finiteness check as it
+        does without a capacitance.  The series sums its terms
+        (-alpha*K)^n y with the stored -alpha*K, with the bits of
+        -(alpha*K @ term)."""
         if self.lu is not None:
-            # Unchecked, so that a non-finite right-hand side reaches the
-            # step's finiteness check as it does without a capacitance.
-            return spla.lu_solve(self.lu, y, check_finite=False)
-        x, term = y.copy(), y
+            x, info = dgetrs(*self.lu, y, overwrite_b=True)
+            if info:
+                raise ValueError(f"dgetrs: illegal value in argument {-info}")
+            return x
+        x, term = y, y  # each term is read before x is added to
         for _ in range(self.terms):
-            term = -(self.alpha_K @ term)
+            term = self.minus_alpha_K @ term
             x += term
         return x
 
@@ -595,16 +646,13 @@ def _grouped_reads(images: SupportImages, V: np.ndarray) -> np.ndarray:
     last axis, and copies it for the middle axis of three.  For y in 2D it
     is Gamma_y-rows @ V^T, which is not bit-equal to (V @ Gamma_y-rows^T)^T;
     2D results keep their bits through this order."""
-    g = images.support_axis
     # np.rollaxis(V, g) is np.moveaxis(V, g, 0) at about a quarter of its Python cost.
-    T = _mode_product(images.support_distinct, np.rollaxis(V, g), 0)
-    rows = [r for axis, r in enumerate(images.at_support) if axis != g]
-    group = images.support_group
-    if len(rows) == 1:
-        return np.einsum("kp,kp->k", T[group], rows[0])
-    y = np.empty(group.size)
-    for d, ks in enumerate(_members(group, T.shape[0])):
-        y[ks] = np.einsum("kp,kp->k", rows[0][ks] @ T[d], rows[1][ks])
+    T = _mode_product(images.support_distinct, np.rollaxis(V, images.support_axis), 0)
+    if images.support_blocks is None:
+        return np.einsum("kp,kp->k", T[images.support_group], images.support_other)
+    y = np.empty(images.support_group.size)
+    for d, (ks, left, right) in enumerate(images.support_blocks):
+        y[ks] = np.einsum("kp,kp->k", left @ T[d], right)
     return y
 
 
@@ -618,19 +666,33 @@ def _grouped_image(images: SupportImages, weights: np.ndarray) -> np.ndarray:
     GEMM per group.  One mode-g product with the Gamma_g^{-1} columns at the
     distinct coordinates, on a view of H that moves its group axis to g,
     then forms the image, C-ordered; no axis of H is copied."""
-    g = images.rows_axis
-    Q, group = images.rows_distinct, images.rows_group
-    factors = [f for axis, f in enumerate(images.images) if axis != g]
-    if len(factors) == 1:
-        onehot = np.zeros((Q.shape[1], group.size))
-        onehot[group, np.arange(group.size)] = weights
-        H = onehot @ factors[0].T
+    g, Q = images.rows_axis, images.rows_distinct
+    if images.rows_blocks is None:
+        onehot = np.zeros((Q.shape[1], weights.size))
+        onehot.reshape(-1)[images.rows_onehot] = weights
+        H = onehot @ images.rows_other_t
     else:
-        a, b = factors
+        a, b = (f for axis, f in enumerate(images.images) if axis != g)
         H = np.empty((Q.shape[1], a.shape[0], b.shape[0]))
-        for e, rs in enumerate(_members(group, Q.shape[1])):
-            np.matmul(a[:, rs] * weights[rs], b[:, rs].T, out=H[e])
+        for e, (rs, left, right) in enumerate(images.rows_blocks):
+            np.matmul(left * weights[rs], right, out=H[e])
     return _mode_product(Q, np.rollaxis(H, 0, g + 1), g)  # np.moveaxis(H, 0, g)
+
+
+def csr_product(A: sp.csr_matrix, x: np.ndarray) -> np.ndarray:
+    """A @ x for a CSR matrix A and a vector x, with its bits.
+
+    For float64 operands it calls the kernel that `A @ x` calls, on a zeroed
+    result, without the dispatch around it, which costs more than the
+    product of a sparse correction's rows.  The kernel reads x without
+    checking its length, so this does."""
+    if x.shape != (A.shape[1],):
+        raise ValueError(f"vector of shape {x.shape} for a matrix of shape {A.shape}")
+    if _csr_matvec is None or A.dtype != np.float64 or x.dtype != np.float64:
+        return A @ x
+    out = np.zeros(A.shape[0])
+    _csr_matvec(A.shape[0], A.shape[1], A.indptr, A.indices, A.data, x, out)
+    return out
 
 
 def build_operator(a: float, b: float, laplacians) -> SylvesterOperator:
@@ -660,8 +722,9 @@ def apply_laplacian(laplacians, U: np.ndarray) -> np.ndarray:
     n = u.size
     total = np.multiply(sum(M.main[0] for M in laplacians), u)
     work = np.empty(n)
+    st = n
     for axis, M in enumerate(laplacians):
-        st = math.prod(shape[axis + 1:])
+        st //= M.m  # the flat stride of the axis
         s = -0.5 * M.main[0]
         inner = np.add(u[:n - 2 * st], u[2 * st:], out=work[:n - 2 * st])
         inner *= s
@@ -670,8 +733,9 @@ def apply_laplacian(laplacians, U: np.ndarray) -> np.ndarray:
         total[:st] += np.multiply(s, u[st:2 * st], out=ends)
         total[n - st:] += np.multiply(s, u[n - 2 * st:n - st], out=ends)
         T, V = total.reshape(-1, M.m, st), u.reshape(-1, M.m, st)
-        T[1:, 0] -= s * V[:-1, -1]
-        T[:-1, -1] -= s * V[1:, 0]
+        if axis:  # the first axis has one line, so no neighbouring line
+            T[1:, 0] -= s * V[:-1, -1]
+            T[:-1, -1] -= s * V[1:, 0]
         for k, near, ghost in ((0, 1, M.upper[0] - s), (-1, -2, M.lower[-1] - s)):
             if ghost:
                 T[:, k] += ghost * V[:, near]

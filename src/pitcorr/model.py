@@ -82,8 +82,11 @@ def reaction_f1(phi, c, p: CorrosionParameters, h=None):
     and the result has the bits of the evaluation without it.
     """
     phi, c = np.asarray(phi), np.asarray(c)
-    shape, dtype = np.broadcast_shapes(phi.shape, c.shape), np.result_type(phi, c, 1.0)
-    f, a, one_minus = (np.empty(shape, dtype) for _ in range(3))
+    if phi.dtype == c.dtype == np.float64 and phi.shape == c.shape:  # two fields
+        shape, dtype = phi.shape, phi.dtype
+    else:
+        shape, dtype = np.broadcast_shapes(phi.shape, c.shape), np.result_type(phi, c, 1.0)
+    f, a, one_minus = np.empty(shape, dtype), np.empty(shape, dtype), np.empty(shape, dtype)
     if h is None:
         np.multiply(phi, phi, out=f)
         np.multiply(2.0, phi, out=a)
@@ -116,7 +119,7 @@ def reaction_f2(phi, p: CorrosionParameters, *, with_h=False):
     arrays, so that a step can hand h on to `reaction_f1` of the same level.
     """
     phi = np.asarray(phi)
-    dtype = np.result_type(phi, 1.0)
+    dtype = phi.dtype if phi.dtype == np.float64 else np.result_type(phi, 1.0)
     h, a = np.empty(phi.shape, dtype), np.empty(phi.shape, dtype)
     np.multiply(phi, phi, out=h)
     np.multiply(2.0, phi, out=a)

@@ -29,12 +29,13 @@ h(phi) and F1 are evaluated once per time level.  The step that makes a
 level forms h(Phi_new) in `reaction_f2` and leaves it on the level
 (`FieldPair`); the next step reads it in that level's F1.  A 2SBDF step
 also carries F1(u^n) on the level u^n to the next step, where u^n is the
-older level.  A step takes what it reads, so no level keeps either longer;
-`bootstrap_2sbdf` hands its last substep's h to the level it returns, and
-`run_loop` drops what the last levels carry.  Each step builds its
-right-hand sides in place, in arrays of its own, with the operations and
-association of the formulas above, and makes no pass that adds or
-computes nothing: a zero load (0.0) is not added.
+older level, and the 2SBDF start carries F1 of the initial level from its
+first substep to the first main step.  A step takes what it reads, so no
+level keeps either longer; `bootstrap_2sbdf` hands its last substep's h to
+the level it returns, and `run_loop` drops what the last levels carry.
+Each step builds its right-hand sides in place, in arrays of its own, with
+the operations and association of the formulas above, and makes no pass
+that adds or computes nothing: a zero load (0.0) is not added.
 
 A rectangle is the case without correction: one direct solve per field.  A
 cavity domain (`pitcorr.holes`) is the same `RectOperators` with a `hole`,
@@ -128,9 +129,11 @@ class FieldPair:
 
     A level carries what a step formed for the next one (`imex_step`):
     `_h` is h(Phi) from the step that made the level, and `_f1` is
-    (params, F1(Phi, C)) from the 2SBDF step that read it as its newest.
-    The next step that reads the level takes both.  They are the only
-    mutable part of a level, left out of `replace`, equality and the repr.
+    (params, F1(Phi, C)) from the 2SBDF step that read it as its newest, or
+    from the 2SBDF start's first substep, which `bootstrap_2sbdf` asks for
+    it with (params, None).  The next step that reads the level takes both.
+    They are the only mutable part of a level, left out of `replace`,
+    equality and the repr.
     """
 
     Phi: np.ndarray
@@ -409,12 +412,18 @@ def _subtract_rows(target, rows, values):
 
 def _level_f1(level: FieldPair, params):
     """F1 of `level` under `params`: the F1 it carries under them, else one
-    evaluated with the h it carries, if any.  The level lets both go."""
+    evaluated with the h it carries, if any.  The level lets both go, but
+    for an F1 it was asked to keep: a level that carries (params, None)
+    keeps the F1 evaluated under `params` for its next reader."""
     carried, h = level._f1, level._h
     _drop_carry(level)
-    if carried is not None and carried[0] == params:
+    wanted = carried is not None and carried[0] == params
+    if wanted and carried[1] is not None:
         return carried[1]
-    return reaction_f1(level.Phi, level.C, params, h=h)
+    f1 = reaction_f1(level.Phi, level.C, params, h=h)
+    if wanted:
+        object.__setattr__(level, "_f1", (params, f1))
+    return f1
 
 
 def _drop_carry(level: FieldPair):
@@ -440,9 +449,13 @@ def bootstrap_2sbdf(state0: FieldPair, ops, substep) -> FieldPair:
     """The second 2SBDF level, at t0 + dt, from ceil(4/dt) fine IMEX Euler substeps.
 
     `ops` are a 2SBDF run's operators, and `substep(state, ops.start)`
-    advances one substep.
+    advances one substep.  The initial level carries its F1 to the first
+    main step.
     """
+    # The first substep evaluates F1 of the initial level under the
+    # parameters of the first main step, and keeps it there for that step.
     start, state = ops.start, state0
+    object.__setattr__(state0, "_f1", (ops.params, None))
     for _ in range(bootstrap_substeps(ops.cfg.dt)[0]):
         state = substep(state, start)
     out = replace(state, t=state0.t + ops.cfg.dt, step_index=state0.step_index + 1)

@@ -34,6 +34,7 @@ from pitcorr.model import CorrosionParameters, reaction_f1, reaction_f2
 from pitcorr.rect import (
     BoundaryData,
     FieldPair,
+    InstabilityError,
     SchemeConfig,
     bootstrap_2sbdf,
     bootstrap_substeps,
@@ -522,6 +523,35 @@ class TestFailureModes:
         assert exc.value.field == "phi"
         assert exc.value.t == pytest.approx(cfg.dt)
         assert "phi iteration" in str(exc.value) and "t=0.002 s" in str(exc.value)
+
+    def test_nan_on_omega_raises_instability(self, pit_setup, params):
+        # A NaN residual fails every comparison, so the Theta tests alone
+        # would decide the stop; the loop reports the field and time instead.
+        g, mask, _ = pit_setup
+        ops = build_hole_operators(g, iter_cfg(max_iters=5), params, mask, BoundaryData())
+        state = pit_state(g, mask)
+        node = mask.omega_index[0]
+        base = state.C.copy()
+        base.reshape(-1)[node] = np.nan
+        with pytest.raises(InstabilityError) as exc:
+            ops.hole.iterate("c", ops.c, base, state.C, 0.5)
+        assert (exc.value.field, exc.value.t) == ("c", 0.5)
+        assert "non-finite c iterate" in str(exc.value) and "t=0.5s" in str(exc.value)
+
+        class NanOnOmega:
+            """A solver whose iterate is NaN at one node of Omega, 0 on Theta."""
+
+            b = -1.0
+
+            def solve(self, Y):
+                out = np.zeros(Y.shape)
+                out.reshape(-1)[node] = np.nan
+                return out
+
+        # Theta is unchanged, so the stagnation test alone would accept it.
+        with pytest.raises(InstabilityError) as exc:
+            ops.hole.iterate("phi", NanOnOmega(), state.Phi, np.zeros(g.counts), 0.25)
+        assert (exc.value.field, exc.value.t) == ("phi", 0.25)
 
 
 class TestBootstrap:

@@ -1,7 +1,10 @@
+import functools
 import itertools
+import math
 
 import numpy as np
 import pytest
+import scipy.linalg as spla
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
@@ -12,6 +15,7 @@ from pitcorr.linalg import (
     Capacitance,
     apply_laplacian,
     build_operator,
+    csr_product,
     factorization_count,
     kronecker_sum,
     laplacian_1d,
@@ -20,6 +24,7 @@ from pitcorr.linalg import (
     support_inverse,
 )
 from pitcorr.grid import build_correction_matrices, build_grid, rasterize_mask
+from pitcorr.holes import build_hole_operators
 from pitcorr.rect import build_rect_operators
 from pitcorr.scenarios import load_config
 
@@ -441,6 +446,125 @@ class TestGroupedCorrection:
         images = support_images(grid.factorizations, build_correction_matrices(grid, mask).N1)
         assert images.support_axis == axis
         assert images.support_distinct.shape == (distinct, grid.counts[axis])
+
+
+def _mode_product_as_written(A, V, axis):
+    """`_mode_product` as it was first written, with its reshapes in 2D too."""
+    shape = V.shape[:axis] + (A.shape[0],) + V.shape[axis + 1:]
+    if axis == 0:
+        return (A @ V.reshape(V.shape[0], math.prod(V.shape[1:]))).reshape(shape)
+    if axis == V.ndim - 1:
+        return (V.reshape(math.prod(V.shape[:-1]), V.shape[-1]) @ A.T).reshape(shape)
+    return np.matmul(A, V)
+
+
+def _members_as_written(group, count):
+    order = np.argsort(group, kind="stable")
+    return np.split(order, np.cumsum(np.bincount(group, minlength=count)))[:count]
+
+
+def _reads_as_written(images, V):
+    """The grouped reads of y_S, rebuilding their grouping data on each call."""
+    g = images.support_axis
+    T = _mode_product_as_written(images.support_distinct, np.rollaxis(V, g), 0)
+    rows = [r for axis, r in enumerate(images.at_support) if axis != g]
+    group = images.support_group
+    if len(rows) == 1:
+        return np.einsum("kp,kp->k", T[group], rows[0])
+    y = np.empty(group.size)
+    for d, ks in enumerate(_members_as_written(group, T.shape[0])):
+        y[ks] = np.einsum("kp,kp->k", rows[0][ks] @ T[d], rows[1][ks])
+    return y
+
+
+def _image_as_written(images, weights):
+    """The grouped spectral image, rebuilding its grouping data on each call."""
+    g = images.rows_axis
+    Q, group = images.rows_distinct, images.rows_group
+    factors = [f for axis, f in enumerate(images.images) if axis != g]
+    if len(factors) == 1:
+        onehot = np.zeros((Q.shape[1], group.size))
+        onehot[group, np.arange(group.size)] = weights
+        H = onehot @ factors[0].T
+    else:
+        a, b = factors
+        H = np.empty((Q.shape[1], a.shape[0], b.shape[0]))
+        for e, rs in enumerate(_members_as_written(group, Q.shape[1])):
+            np.matmul(a[:, rs] * weights[rs], b[:, rs].T, out=H[e])
+    return _mode_product_as_written(Q, np.rollaxis(H, 0, g + 1), g)
+
+
+@functools.cache
+def _builtin_hole_operators(name):
+    cfg = load_config(name)
+    grid = build_grid(cfg.grid_spec)
+    mask = rasterize_mask(grid, [shape.snapped(grid) for shape in cfg.shapes])
+    return build_hole_operators(grid, cfg.scheme, cfg.params, mask, cfg.bdata)
+
+
+def _check_capacitance_paths(cap, rng):
+    """Asserts that the solve of I + alpha*K and the correction of `cap`
+    have the bits of the calls they replace; returns the solve's branch."""
+    y = rng.standard_normal(cap.images.support.size)
+    if cap.lu is not None:
+        want = spla.lu_solve(cap.lu, y, check_finite=False)
+    else:
+        alpha_K = -cap.minus_alpha_K
+        want, term = y.copy(), y
+        for _ in range(cap.terms):
+            term = -(alpha_K @ term)
+            want += term
+    assert np.array_equal(cap._solve(y.copy()), want)
+
+    W = rng.standard_normal(cap.Upsilon.shape)
+    x = cap._solve(_reads_as_written(cap.images, cap.Upsilon * W))
+    want = _image_as_written(cap.images, -cap.alpha * (cap.images.block @ x))
+    want += W
+    assert np.array_equal(cap.corrected(W), want)
+    return "series" if cap.lu is None else "lu"
+
+
+class TestFastPathsMatchTheirReferences:
+    """Each per-call shortcut of the exact solve against the call it
+    replaces, bit for bit (np.array_equal)."""
+
+    @pytest.mark.parametrize("name", ["circular_pit", "electropolish"])
+    def test_builtin_capacitances(self, name):
+        ops = _builtin_hole_operators(name)
+        rng = np.random.default_rng(len(name))
+        branches = set()
+        for part in (ops, ops.start):
+            if part is None:  # circular_pit runs IMEX Euler, with no start
+                continue
+            for op in (part.phi, part.c):
+                branches.add(_check_capacitance_paths(op.capacitance, rng))
+        assert branches == {"lu", "series"}
+        for rows in (ops.hole.N, ops.hole.G, ops.hole.N12):
+            v = rng.standard_normal(rows.cols.size)
+            assert np.array_equal(rows.product(v), rows.block @ v)
+
+    @pytest.mark.parametrize("case", sorted(GROUPINGS))
+    def test_grouped_correction_cases(self, case):
+        shape, support, rows, _, _ = GROUPINGS[case]
+        rng = np.random.default_rng(sorted(GROUPINGS).index(case))
+        op = build_operator(2.0, -0.3, _random_operator(rng, shape, (NEUMANN,) * len(shape))[2])
+        n = int(np.prod(shape))
+        r, c = np.meshgrid(_flat(rows, shape), _flat(support, shape), indexing="ij")
+        N = sp.csr_matrix((rng.standard_normal(r.size), (r.ravel(), c.ravel())), shape=(n, n))
+        for size in (1.0, 1e-4):  # the LU and the series branch
+            if N.nnz:
+                N = N * (size / (abs(op.b) * np.abs(N).max()))
+            _check_capacitance_paths(op.corrected(support_images(op.facts, N)).capacitance, rng)
+
+    def test_csr_product(self, monkeypatch):
+        A = sp.random(9, 7, density=0.4, format="csr", random_state=1)
+        x = np.random.default_rng(2).standard_normal(14)
+        for v in (x[:7], x[::2], x[:7].astype(np.float32)):  # strided, other dtype
+            assert np.array_equal(csr_product(A, v), A @ v)
+        with pytest.raises(ValueError):
+            csr_product(A, x[:5])  # the kernel itself would read past it
+        monkeypatch.setattr(linalg, "_csr_matvec", None)
+        assert np.array_equal(csr_product(A, x[:7]), A @ x[:7])
 
 
 def _layouts(Y):

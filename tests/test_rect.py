@@ -523,7 +523,7 @@ class TestReactionCarry:
     def test_one_h_per_level(self, params, monkeypatch, domain, order):
         # reaction_f2 forms h(Phi) of every level a step makes, and that
         # level's F1 reads it: F1 forms h itself only on the initial level,
-        # which a 2SBDF run's start and its first main step both read.
+        # once, as a 2SBDF run's start carries that F1 to its first main step.
         f1_phis, f2_phis = [], []
         f1, f2 = pitcorr.rect.reaction_f1, pitcorr.rect.reaction_f2
 
@@ -555,7 +555,7 @@ class TestReactionCarry:
         assert len({id(phi) for phi in f2_phis}) == len(f2_phis)
         assert all(level.Phi is phi for level, phi in zip(levels[1 + bool(substeps):],
                                                           f2_phis[substeps:]))
-        assert len(f1_phis) == (2 if substeps else 1)
+        assert len(f1_phis) == 1
         assert all(phi is state.Phi for phi in f1_phis)
 
     def test_kept_level_lets_its_h_go(self, params):
