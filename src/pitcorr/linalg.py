@@ -72,10 +72,10 @@ with the Gamma_g rows at the n_D distinct coordinates of S, then one slice
 of it per point, n_D * nodes + s * nodes / m_g products instead of
 s * nodes; the image sums the weights per distinct row coordinate first,
 then takes one mode-g product with the Gamma_g^{-1} columns there.  What
-those groups index is built once per grid, with the images; a correction
-solves I + alpha*K with LAPACK's dgetrs or a Neumann series and multiplies
-by N's rows with the CSR kernel itself (`csr_product`), so that a call
-adds little to its arithmetic.
+those groups index is built once per grid, with the images.  I + alpha*K
+is LU-factored once per operator; a correction solves it with LAPACK's
+dgetrs on those factors and multiplies by N's rows with the CSR kernel
+itself (`csr_product`), so that a call adds little to its arithmetic.
 """
 
 from __future__ import annotations
@@ -537,29 +537,16 @@ def _decay(ratios, origin, upward):
     return out
 
 
-# Most Neumann-series terms a capacitance solve may take in place of an LU.
-_SERIES_TERMS = 8
-
-
 class Capacitance:
     """The exact solve of (a*I + b*(M - N)) X = Y for one `SylvesterOperator`.
 
-    Holds N's `SupportImages`, the operator's Upsilon and a solver for
-    I + alpha*K, with alpha = -b and K = `support_inverse(op, images)`: the
-    LU factors of I + alpha*K or the matrix -alpha*K of a Neumann series.  The
-    norm bound b = min(|alpha*K|_F, sqrt(|alpha*K|_1 |alpha*K|_inf)) >=
-    |alpha*K|_2 chooses it:
-
-    * when the Neumann series sum_n (-alpha*K)^n y reaches round-off within
-      _SERIES_TERMS terms (its remainder b^(n+1) / (1 - b) is at most 2^-53),
-      each solve sums that series, and no LU is formed.  This spares the
-      set-up an s^3 factorization for strongly shifted operators, such as
-      phi's and a 2SBDF start's, at a few s^2 products per solve;
-    * otherwise it holds the LU factors of I + alpha*K.  A numerically
-      singular I + alpha*K (condition number 1e12 or more) raises
-      ArithmeticError here, as a singular shift does in `SylvesterOperator`.
-      The condition number needs no SVD when b < 1 certifies it:
-      cond_2(I + alpha*K) <= (1 + b) / (1 - b).
+    Holds N's `SupportImages`, the operator's Upsilon and the LU factors of
+    I + alpha*K, with alpha = -b and K = `support_inverse(op, images)`.  A
+    numerically singular I + alpha*K (condition number 1e12 or more) raises
+    ArithmeticError here, as a singular shift does in `SylvesterOperator`.
+    The condition number needs no SVD when the norm bound
+    b = min(|alpha*K|_F, sqrt(|alpha*K|_1 |alpha*K|_inf)) >= |alpha*K|_2
+    certifies it: cond_2(I + alpha*K) <= (1 + b) / (1 - b) for b < 1.
 
     `corrected` applies the correction to a transformed right-hand side,
     reading y_S and forming the image by the coordinate groups of `images`
@@ -575,14 +562,10 @@ class Capacitance:
         self.alpha = -op.b
         C = support_inverse(op, images)
         C *= self.alpha
-        b = np.linalg.norm(C)  # Frobenius
-        if _series_terms(b) is None:
-            magnitude = np.abs(C)
-            b = min(b, np.sqrt(magnitude.sum(axis=0).max() * magnitude.sum(axis=1).max()))
-        self.terms = _series_terms(b)
-        if self.terms is not None:
-            self.lu, self.minus_alpha_K = None, np.negative(C, out=C)
-            return
+        magnitude = np.abs(C)
+        b = min(np.linalg.norm(C),  # Frobenius
+                np.sqrt(magnitude.sum(axis=0).max(initial=0.0)
+                        * magnitude.sum(axis=1).max(initial=0.0)))
         certified = b < 1.0 and (1.0 + b) / (1.0 - b) < 1e12
         C.flat[:: C.shape[0] + 1] += 1.0  # I + alpha*K
         if not certified and not np.linalg.cond(C) < 1e12:
@@ -602,31 +585,16 @@ class Capacitance:
     def _solve(self, y: np.ndarray) -> np.ndarray:
         """x with (I + alpha*K) x = y, from a y that it may overwrite.
 
-        The LU branch calls LAPACK's dgetrs on the stored factors, the
-        routine that `scipy.linalg.lu_solve` wraps, without its checks: a
-        non-finite right-hand side reaches the step's finiteness check as it
-        does without a capacitance.  The series sums its terms
-        (-alpha*K)^n y with the stored -alpha*K, with the bits of
-        -(alpha*K @ term)."""
-        if self.lu is not None:
-            x, info = dgetrs(*self.lu, y, overwrite_b=True)
-            if info:
-                raise ValueError(f"dgetrs: illegal value in argument {-info}")
-            return x
-        x, term = y, y  # each term is read before x is added to
-        for _ in range(self.terms):
-            term = self.minus_alpha_K @ term
-            x += term
+        Calls LAPACK's dgetrs on the stored factors, the routine that
+        `scipy.linalg.lu_solve` wraps, without its checks: a non-finite
+        right-hand side reaches the step's finiteness check as it does
+        without a capacitance."""
+        if not y.size:  # dgetrs rejects an empty system
+            return y
+        x, info = dgetrs(*self.lu, y, overwrite_b=True)
+        if info:
+            raise ValueError(f"dgetrs: illegal value in argument {-info}")
         return x
-
-
-def _series_terms(b: float) -> int | None:
-    """The fewest terms n after the first with b^(n+1) / (1 - b) <= 2^-53,
-    or None when that takes more than _SERIES_TERMS."""
-    for n in range(_SERIES_TERMS + 1):
-        if b ** (n + 1) <= 2.0 ** -53 * (1.0 - b):
-            return n
-    return None
 
 
 def _members(group: np.ndarray, count: int):

@@ -577,7 +577,9 @@ def export_snapshot(state: FieldPair, grid, path: str, fmt: str = "csv",
 
 
 def read_snapshot(path: str):
-    """Inverse of export_snapshot; returns (FieldPair, header dict)."""
+    """Inverse of export_snapshot.  A raw-f64 file returns (FieldPair, header
+    dict); a ".csv" file returns (table, {"columns": names}), the float rows,
+    one per node with x fastest, and the header line's column names."""
     if path.endswith(".csv"):
         with open(path, "r", encoding="utf-8") as fh:
             names = fh.readline().strip().split(",")

@@ -325,16 +325,16 @@ class TestCapacitance:
 
     @pytest.mark.parametrize("shape,kinds", SHAPES_AND_KINDS)
     @pytest.mark.parametrize("size", [1.0, 1e-4])
-    def test_lu_and_series_solves_match_dense(self, shape, kinds, size):
-        # Size 1 solves I + alpha*K by LU; 1e-4 makes alpha*K small enough
-        # for the Neumann series, which forms no LU.
+    def test_lu_solves_match_dense(self, shape, kinds, size):
+        # Both a unit-sized and a small alpha*K are solved by the LU factors
+        # of I + alpha*K.
         rng = np.random.default_rng(30 + len(shape))
         a, b, laps = _random_operator(rng, shape, kinds)
         op = build_operator(a, b, laps)
         N, _ = _random_correction(rng, shape)
         N = N * (size / (abs(b) * np.abs(N).max()))
         corrected = op.corrected(support_images(op.facts, N))
-        assert (corrected.capacitance.lu is None) == (size < 1.0)
+        _assert_lu_factors(corrected.capacitance)
         Y = rng.standard_normal(shape)
         n = int(np.prod(shape))
         A = a * sp.identity(n) + b * (kronecker_sum(laps) - N)
@@ -502,18 +502,19 @@ def _builtin_hole_operators(name):
     return build_hole_operators(grid, cfg.scheme, cfg.params, mask, cfg.bdata)
 
 
+def _assert_lu_factors(cap):
+    """Asserts that `cap` holds the LU factors of an s x s I + alpha*K."""
+    s = cap.images.support.size
+    lu, piv = cap.lu
+    assert lu.shape == (s, s) and piv.shape == (s,)
+
+
 def _check_capacitance_paths(cap, rng):
-    """Asserts that the solve of I + alpha*K and the correction of `cap`
-    have the bits of the calls they replace; returns the solve's branch."""
+    """Asserts that `cap` holds LU factors, and that its solve of
+    I + alpha*K and its correction have the bits of the calls they replace."""
+    _assert_lu_factors(cap)
     y = rng.standard_normal(cap.images.support.size)
-    if cap.lu is not None:
-        want = spla.lu_solve(cap.lu, y, check_finite=False)
-    else:
-        alpha_K = -cap.minus_alpha_K
-        want, term = y.copy(), y
-        for _ in range(cap.terms):
-            term = -(alpha_K @ term)
-            want += term
+    want = spla.lu_solve(cap.lu, y, check_finite=False)
     assert np.array_equal(cap._solve(y.copy()), want)
 
     W = rng.standard_normal(cap.Upsilon.shape)
@@ -521,24 +522,21 @@ def _check_capacitance_paths(cap, rng):
     want = _image_as_written(cap.images, -cap.alpha * (cap.images.block @ x))
     want += W
     assert np.array_equal(cap.corrected(W), want)
-    return "series" if cap.lu is None else "lu"
 
 
 class TestFastPathsMatchTheirReferences:
     """Each per-call shortcut of the exact solve against the call it
     replaces, bit for bit (np.array_equal)."""
 
-    @pytest.mark.parametrize("name", ["circular_pit", "electropolish"])
+    @pytest.mark.parametrize("name", ["circular_pit", "electropolish", "semicylinder3d"])
     def test_builtin_capacitances(self, name):
         ops = _builtin_hole_operators(name)
         rng = np.random.default_rng(len(name))
-        branches = set()
         for part in (ops, ops.start):
             if part is None:  # circular_pit runs IMEX Euler, with no start
                 continue
             for op in (part.phi, part.c):
-                branches.add(_check_capacitance_paths(op.capacitance, rng))
-        assert branches == {"lu", "series"}
+                _check_capacitance_paths(op.capacitance, rng)
         for rows in (ops.hole.N, ops.hole.G, ops.hole.N12):
             v = rng.standard_normal(rows.cols.size)
             assert np.array_equal(rows.product(v), rows.block @ v)
@@ -551,7 +549,7 @@ class TestFastPathsMatchTheirReferences:
         n = int(np.prod(shape))
         r, c = np.meshgrid(_flat(rows, shape), _flat(support, shape), indexing="ij")
         N = sp.csr_matrix((rng.standard_normal(r.size), (r.ravel(), c.ravel())), shape=(n, n))
-        for size in (1.0, 1e-4):  # the LU and the series branch
+        for size in (1.0, 1e-4):  # a unit-sized and a small alpha*K
             if N.nnz:
                 N = N * (size / (abs(op.b) * np.abs(N).max()))
             _check_capacitance_paths(op.corrected(support_images(op.facts, N)).capacitance, rng)
