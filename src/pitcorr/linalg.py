@@ -61,8 +61,10 @@ GEMM of their "lift" Gz[z, q] Gz^{-1}[q, z'] with Upsilon.  G_h is
 semiseparable, so those entries give all others as products of ratios, and
 each triangle of (A^{-1})[S, rows] becomes one GEMM over the H = nodes / m_z
 head modes.  K thus costs 2 * s * R * nodes / m_z products plus the lift
-GEMM, (3W - 2) * nodes.  The grid-only parts (`support_images`) are shared
-by phi, c and every shift; `support_inverse` does the per-operator part.
+GEMM, (3W - 2) * nodes.  `support_inverse` forms P, I and the lift from the
+operator's factorizations at set-up, in chunks of head modes whose work
+arrays stay under a fixed byte bound; `support_images` holds only what the
+correction of every step reads, shared by phi, c and every shift.
 The `corrected` copy of a `SylvesterOperator` holds the `Capacitance` of N,
 and its `solve` applies all three formulas inside the one forward and one
 backward transform of a plain solve: y_S is read off the transformed
@@ -309,63 +311,45 @@ def _mode_product(A: np.ndarray, V: np.ndarray, axis: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SupportImages:
-    """A sparse correction N seen from the eigenbasis of its factorizations.
+    """A sparse correction N seen from the eigenbasis of its factorizations,
+    as `Capacitance.corrected` reads it, once per grid.
 
     `support` holds the flat (column-stacked) indices S of N's nonzero
     columns and `rows` those of the nonzero rows of N_S; `block` is
-    N[rows, S], sparse.  Per axis, `at_support` holds the rows of Gamma at
-    the coordinates of S (s x m) and `images` the columns of Gamma^{-1} at
-    the coordinates of `rows` (m x R): the spectral image of the unit vector
-    at rows[r] is the outer product of the images' r-th columns.
+    N[rows, S], sparse.  A value at a point of S is read with the Gamma rows
+    at its coordinates, and the spectral image of the unit vector at a row is
+    the outer product of the Gamma^{-1} columns at its coordinates.
 
-    For `Capacitance.corrected`, S and the rows are each grouped by their
-    coordinate along one axis g, `support_axis` and `rows_axis`.
-    `support_distinct` holds the rows of Gamma_g at the n_D distinct
-    coordinates of S (n_D x m_g) and `support_group` each point's index
-    among them; `rows_distinct` holds the columns of Gamma_g^{-1} at the n_E
-    distinct coordinates of the rows (m_g x n_E) and `rows_group` each row's
-    index among them.  See `_grouping` for the choice of g.  What the
-    grouped reads and image need beyond that is built here too, once per
-    grid: in 2D `support_other`, the Gamma rows at S along the axis that is
-    not g, `rows_other_t`, the transposed Gamma^{-1} columns at the rows
-    along it, and `rows_onehot`, the flat indices of (rows_group[r], r) in
-    the n_E x R one-hot matrix of the groups; in 3D `support_blocks` and
+    S and the rows are each grouped by their coordinate along one axis g,
+    `support_axis` and `rows_axis`.  `support_distinct` holds the rows of
+    Gamma_g at the n_D distinct coordinates of S (n_D x m_g) and
+    `support_group` each point's index among them; `rows_distinct` holds the
+    columns of Gamma_g^{-1} at the n_E distinct coordinates of the rows
+    (m_g x n_E).  See `_grouping` for the choice of g.  The factors along the
+    other axes are kept as the grouped reads and image use them: in 2D
+    `support_other`, the Gamma rows at S along the axis that is not g,
+    `rows_other_t`, the transposed Gamma^{-1} columns at the rows along it,
+    and `rows_onehot`, the flat indices of (e, r) in the n_E x R one-hot
+    matrix of the groups, e the group of row r; in 3D `support_blocks` and
     `rows_blocks`, per distinct coordinate the indices of its points or rows
     and their factors along the two other axes (None in 2D, as the 2D fields
-    are in 3D).
-
-    For `support_inverse`: `head_support` (s x H) and `head_rows` (R x H)
-    are the products of the same factors over the head axes (all but the
-    last, H modes in C order).  `level_support` and `level_rows` are the
-    last-axis coordinates less their smallest, so that the W levels
-    0..W-1 span S and the rows, and `below` (R x s) marks the pairs with
-    level_rows < level_support.  `lift` holds Gz[z, q] * Gz^{-1}[q, z'] for
-    the pairs (z, z) of the W levels, then (z, z + 1) and (z + 1, z) of the
-    W - 1 lower ones ((3W - 2) x m_z).
+    are in 3D).  `support_inverse` forms what it needs from S, the rows and
+    the operator's factorizations, so nothing here is read only at set-up.
     """
 
     support: np.ndarray
     rows: np.ndarray
     block: sp.csr_matrix
-    at_support: tuple
-    images: tuple
     support_axis: int
     support_distinct: np.ndarray
     support_group: np.ndarray
     rows_axis: int
     rows_distinct: np.ndarray
-    rows_group: np.ndarray
     support_other: np.ndarray | None
     support_blocks: tuple | None
     rows_other_t: np.ndarray | None
     rows_onehot: np.ndarray | None
     rows_blocks: tuple | None
-    head_support: np.ndarray
-    head_rows: np.ndarray
-    level_support: np.ndarray
-    level_rows: np.ndarray
-    below: np.ndarray
-    lift: np.ndarray
 
 
 def support_images(facts, N: sp.spmatrix) -> SupportImages:
@@ -380,15 +364,14 @@ def support_images(facts, N: sp.spmatrix) -> SupportImages:
     support, col_index = np.unique(N.indices, return_inverse=True)
     at_support = np.unravel_index(support, shape, order="F")
     at_rows = np.unravel_index(rows, shape, order="F")
-    gamma_rows = tuple(f.Gamma[i] for f, i in zip(facts, at_support))
-    # Fortran order, so that the head product of a 2D grid is a view.
-    images = tuple(f.GammaInv.T[i].T for f, i in zip(facts, at_rows))
     support_axis, support_coords, support_group = _grouping(at_support, shape)
     rows_axis, rows_coords, rows_group = _grouping(at_rows, shape)
     # The factors along the axes that are not grouped, as the grouped reads
     # and image index them (`_grouped_reads`, `_grouped_image`).
-    reads = [r for axis, r in enumerate(gamma_rows) if axis != support_axis]
-    factors = [f for axis, f in enumerate(images) if axis != rows_axis]
+    reads = [f.Gamma[i] for axis, (f, i) in enumerate(zip(facts, at_support))
+             if axis != support_axis]
+    factors = [f.GammaInv.T[i].T for axis, (f, i) in enumerate(zip(facts, at_rows))
+               if axis != rows_axis]
     if len(shape) == 2:
         support_blocks = rows_blocks = None
         rows_onehot = rows_group * rows.size + np.arange(rows.size)
@@ -398,36 +381,21 @@ def support_images(facts, N: sp.spmatrix) -> SupportImages:
         rows_blocks = tuple((rs, factors[0][:, rs], factors[1][:, rs].T)
                             for rs in _members(rows_group, rows_coords.size))
         rows_onehot = None
-    z = np.concatenate((at_support[-1], at_rows[-1]))
-    low = z.min() if z.size else 0
-    levels = np.arange(low, z.max() + 1 if z.size else 1)
-    last = facts[-1]
-    pairs = (np.concatenate((levels, levels[:-1], levels[1:])),
-             np.concatenate((levels, levels[1:], levels[:-1])))
     return SupportImages(
         support=support,
         rows=rows,
         block=sp.csr_matrix((N.data, col_index, np.append(0, N.indptr[rows + 1])),
                             shape=(rows.size, support.size)),
-        at_support=gamma_rows,
-        images=images,
         support_axis=support_axis,
         support_distinct=facts[support_axis].Gamma[support_coords],
         support_group=support_group,
         rows_axis=rows_axis,
         rows_distinct=facts[rows_axis].GammaInv[:, rows_coords],
-        rows_group=rows_group,
         support_other=reads[0] if support_blocks is None else None,
         support_blocks=support_blocks,
         rows_other_t=factors[0].T if rows_blocks is None else None,
         rows_onehot=rows_onehot,
         rows_blocks=rows_blocks,
-        head_support=_head_product(gamma_rows[:-1]),
-        head_rows=_head_product([I.T for I in images[:-1]]),
-        level_support=at_support[-1] - low,
-        level_rows=at_rows[-1] - low,
-        below=at_rows[-1][:, None] < at_support[-1][None, :],
-        lift=last.Gamma[pairs[0]] * last.GammaInv[:, pairs[1]].T,
     )
 
 
@@ -462,6 +430,12 @@ def _head_product(factors) -> np.ndarray:
 # chunk of S levels, far from float64 overflow.
 _CHUNK_RANGE_BITS = 500.0
 
+# The bytes that the head products and work arrays of `support_inverse` may
+# take, 16 * (s + R) per head mode, unless the modes of one index of the
+# first axis take more: every builtin fits in one chunk (semicylinder3d's N1
+# in 26 MB).
+_CHUNK_BYTES = 32 * 2**20
+
 
 def support_inverse(op: SylvesterOperator, images: SupportImages) -> np.ndarray:
     """The capacitance K = (A^{-1} N_S)_S of `op` = A, with no solve.
@@ -476,33 +450,59 @@ def support_inverse(op: SylvesterOperator, images: SupportImages) -> np.ndarray:
         G_h(z, z') = G_h(z', z') D_h(z') / D_h(z),
 
     and each triangle (z_r >= z_k, z_r < z_k) of (A^{-1})[S, rows] is one
-    GEMM over the head modes.  The ratios come from one GEMM of `lift` with
-    Upsilon.  S is sorted by level (flat order); it is cut into chunks of
-    consecutive points where D would leave 2**500 within one, so that no
-    factor overflows, which takes levels far apart under a strong decay.
+    GEMM over the head modes.  The ratios come from one GEMM of the "lift"
+    Gz[z, q] Gz^{-1}[q, z'] of the W levels that S and the rows span, for
+    the pairs (z, z), (z, z + 1) and (z + 1, z), with Upsilon.  S is sorted
+    by level (flat order); it is cut into chunks of consecutive points where
+    D would leave 2**500 within one, so that no factor overflows, which takes
+    levels far apart under a strong decay.  The head modes are cut into
+    ranges of the first axis whose P, I and work arrays stay under
+    `_CHUNK_BYTES`, and the GEMMs of later ranges are added to the first's.
     Raises ArithmeticError when K is not finite.
     """
-    if images.support.size == 0:
+    support, rows = images.support, images.rows
+    if support.size == 0:
         return np.zeros((0, 0))
-    W = (images.lift.shape[0] + 2) // 3
-    m_z = op.Upsilon.shape[-1]
-    G = images.lift @ op.Upsilon.reshape(-1, m_z).T
+    facts = op.facts
+    at_support = np.unravel_index(support, op.shape, order="F")
+    at_rows = np.unravel_index(rows, op.shape, order="F")
+    low = min(at_support[-1].min(), at_rows[-1].min())
+    levels = np.arange(low, max(at_support[-1].max(), at_rows[-1].max()) + 1)
+    pairs = (np.concatenate((levels, levels[:-1], levels[1:])),
+             np.concatenate((levels, levels[1:], levels[:-1])))
+    lift = facts[-1].Gamma[pairs[0]] * facts[-1].GammaInv[:, pairs[1]].T
+    G = lift @ op.Upsilon.reshape(-1, op.shape[-1]).T
+    W = levels.size
     diagonal = G[:W]
     rise = G[W:2 * W - 1] / diagonal[1:]  # G(z, z+1) / G(z+1, z+1)
     fall = G[2 * W - 1:] / diagonal[:-1]  # G(z+1, z) / G(z, z)
-    right, left_work = np.empty(images.head_rows.shape), np.empty(images.head_support.shape)
-    inverse_t, lower = np.empty(images.below.shape), np.empty(images.below.shape)
-    zs, zr = images.level_support, images.level_rows
-    for a, b in _chunks(zs, rise, fall):
-        left = left_work[: b - a]
-        for D, out in ((_decay(rise, zs[a], upward=True), inverse_t[:, a:b]),
-                       (_decay(fall, zs[b - 1], upward=False), lower[:, a:b])):
-            np.take(D * diagonal, zr, axis=0, out=right)
-            right *= images.head_rows
-            np.take(D, zs[a:b], axis=0, out=left)
-            np.divide(images.head_support[a:b], left, out=left)
-            np.matmul(right, left.T, out=out)
-        np.copyto(inverse_t[:, a:b], lower[:, a:b], where=images.below[:, a:b])
+    zs, zr = at_support[-1] - low, at_rows[-1] - low
+    # The Gamma rows at S and the Gamma^{-1} columns at the rows, per head axis.
+    gamma_rows = [f.Gamma[i] for f, i in zip(facts[:-1], at_support)]
+    inverse_cols = [f.GammaInv.T[i] for f, i in zip(facts[:-1], at_rows)]
+    per_index = math.prod(op.shape[1:-1])  # head modes per first-axis index
+    step = max(1, _CHUNK_BYTES // (16 * (support.size + rows.size) * per_index))
+    inverse_t, lower = np.empty((rows.size, support.size)), np.empty((rows.size, support.size))
+    chunks = _chunks(zs, rise, fall)
+    for i in range(0, op.shape[0], step):
+        modes = slice(i * per_index, (i + step) * per_index)
+        head_rows = _head_product([inverse_cols[0][:, i:i + step]] + inverse_cols[1:])
+        right = np.empty(head_rows.shape)
+        for a, b in chunks:
+            head_support = _head_product([gamma_rows[0][a:b, i:i + step]]
+                                         + [f[a:b] for f in gamma_rows[1:]])
+            left = np.empty(head_support.shape)
+            for D, out in ((_decay(rise[:, modes], zs[a], upward=True), inverse_t[:, a:b]),
+                           (_decay(fall[:, modes], zs[b - 1], upward=False), lower[:, a:b])):
+                np.take(D * diagonal[:, modes], zr, axis=0, out=right)
+                right *= head_rows
+                np.take(D, zs[a:b], axis=0, out=left)
+                np.divide(head_support, left, out=left)
+                if i:
+                    out += right @ left.T
+                else:
+                    np.matmul(right, left.T, out=out)
+    np.copyto(inverse_t, lower, where=zr[:, None] < zs[None, :])
     K = (images.block.T @ inverse_t).T
     if not np.isfinite(K).all():
         raise ArithmeticError("capacitance is not finite for this shift")
@@ -578,7 +578,7 @@ class Capacitance:
         images = self.images
         y_S = _grouped_reads(images, self.Upsilon * W)
         weights = -self.alpha * csr_product(images.block, self._solve(y_S))
-        image = _grouped_image(images, weights)
+        image = _grouped_image(images, weights, W.shape)
         image += W
         return image
 
@@ -624,24 +624,25 @@ def _grouped_reads(images: SupportImages, V: np.ndarray) -> np.ndarray:
     return y
 
 
-def _grouped_image(images: SupportImages, weights: np.ndarray) -> np.ndarray:
-    """sum_r weights_r * (x)_axis images[axis][:, r], the spectral image of
-    the rows of N_S weighted by `weights`.
+def _grouped_image(images: SupportImages, weights: np.ndarray, shape) -> np.ndarray:
+    """sum_r weights_r * (x)_axis Gamma_axis^{-1}[:, r's coordinate], the
+    spectral image on a field of `shape` of the rows of N_S weighted by
+    `weights`.
 
     The weights are first summed per distinct row coordinate e along g,
-    H_e = sum_{r in e} weights_r (x)_{axis != g} images[axis][:, r]: in 2D
-    by one GEMM with the weighted one-hot matrix of the groups, in 3D by one
-    GEMM per group.  One mode-g product with the Gamma_g^{-1} columns at the
-    distinct coordinates, on a view of H that moves its group axis to g,
-    then forms the image, C-ordered; no axis of H is copied."""
+    H_e = sum_{r in e} weights_r (x)_{axis != g} Gamma_axis^{-1}[:, r's
+    coordinate]: in 2D by one GEMM with the weighted one-hot matrix of the
+    groups, in 3D by one GEMM per group.  One mode-g product with the
+    Gamma_g^{-1} columns at the distinct coordinates, on a view of H that
+    moves its group axis to g, then forms the image, C-ordered; no axis of H
+    is copied."""
     g, Q = images.rows_axis, images.rows_distinct
     if images.rows_blocks is None:
         onehot = np.zeros((Q.shape[1], weights.size))
         onehot.reshape(-1)[images.rows_onehot] = weights
         H = onehot @ images.rows_other_t
     else:
-        a, b = (f for axis, f in enumerate(images.images) if axis != g)
-        H = np.empty((Q.shape[1], a.shape[0], b.shape[0]))
+        H = np.empty((Q.shape[1],) + shape[:g] + shape[g + 1:])
         for e, (rs, left, right) in enumerate(images.rows_blocks):
             np.matmul(left * weights[rs], right, out=H[e])
     return _mode_product(Q, np.rollaxis(H, 0, g + 1), g)  # np.moveaxis(H, 0, g)

@@ -379,14 +379,17 @@ def _parse_shapes(raw_geometry, ndim):
                 span = tuple(float(v) * MICRON for v in body["span_um"])
             shapes.append(CylinderSegment(axis, center, radius, span, half))
         else:
-            shapes.append(
-                RoughEdgeProfile(
-                    amplitude=float(_require(body, "amplitude_um", kind)) * MICRON,
-                    wavelength=float(_require(body, "wavelength_um", kind)) * MICRON,
-                    base_height=float(_require(body, "base_height_um", kind)) * MICRON,
-                    seed=_whole(body.get("seed", 0), "geometry rough_edge.seed", 0),
-                )
-            )
+            amplitude, wavelength, base = (
+                float(_require(body, key, kind)) * MICRON
+                for key in ("amplitude_um", "wavelength_um", "base_height_um"))
+            for key, value in (("amplitude_um", amplitude), ("base_height_um", base)):
+                if not np.isfinite(value):
+                    raise ConfigError(f"geometry rough_edge.{key} must be finite")
+            if not 0.0 < wavelength < np.inf:
+                raise ConfigError("geometry rough_edge.wavelength_um must be positive and finite")
+            shapes.append(RoughEdgeProfile(
+                amplitude, wavelength, base,
+                seed=_whole(body.get("seed", 0), "geometry rough_edge.seed", 0)))
     return tuple(shapes)
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import itertools
 import math
@@ -243,17 +244,35 @@ class TestCapacitance:
         assert np.abs(X - Xd).max() / np.abs(Xd).max() < 1e-10
 
     @pytest.mark.parametrize("shape,kinds", SHAPES_AND_KINDS)
-    def test_support_inverse_in_chunks(self, shape, kinds, monkeypatch):
-        # A range limit of a few bits splits S into many level chunks; the
-        # chunked K matches the single-chunk one and the per-column solves.
+    @pytest.mark.parametrize("limit", ["range", "bytes", "both"])
+    def test_support_inverse_in_chunks(self, shape, kinds, limit, monkeypatch):
+        # A range limit of a few bits splits S into many level chunks, and a
+        # byte bound below one head mode gives every index of the first axis
+        # a chunk of its own; the chunked K matches the single-chunk one and
+        # the per-column solves.
         rng = np.random.default_rng(20 + len(shape))
         a, b, laps = _random_operator(rng, shape, kinds)
         op = build_operator(a, b, laps)
         N, cols = _random_correction(rng, shape, n_cols=8)
         images = support_images(op.facts, N)
         whole = support_inverse(op, images)
-        monkeypatch.setattr(linalg, "_CHUNK_RANGE_BITS", 2.0)
+        widths = []
+        head_product = linalg._head_product
+        monkeypatch.setattr(linalg, "_head_product",
+                            lambda f: widths.append(f[0].shape[1]) or head_product(f))
+        if limit != "bytes":
+            monkeypatch.setattr(linalg, "_CHUNK_RANGE_BITS", 2.0)
+        if limit != "range":
+            monkeypatch.setattr(linalg, "_CHUNK_BYTES", 1)
         chunked = support_inverse(op, images)
+        # One head product of the rows per chunk of modes, one of S per chunk
+        # of modes and of S.
+        if limit == "range":
+            assert widths[0] == shape[0] and len(widths) > 2
+        elif limit == "bytes":
+            assert widths == [1] * (2 * shape[0])
+        else:
+            assert set(widths) == {1} and len(widths) > 2 * shape[0]
         assert np.abs(chunked - whole).max() <= 1e-13 * np.abs(whole).max()
         ref = np.empty_like(whole)
         for col, j in enumerate(cols):
@@ -348,7 +367,19 @@ class TestCapacitance:
         op = build_operator(2.0, -0.3, _random_operator(np.random.default_rng(0), shape, kinds)[2])
         images = support_images(op.facts, sp.csr_matrix((n, n)))
         assert images.support.size == images.rows.size == 0
-        assert images.head_support.shape == (0, n // shape[-1])
+        at_support = np.unravel_index(images.support, shape, order="F")
+        head = linalg._head_product([f.Gamma[i] for f, i in zip(op.facts[:-1], at_support)])
+        assert head.shape == (0, n // shape[-1])
+        assert support_inverse(op, images).shape == (0, 0)
+
+    def test_capacitance_keeps_less_than_a_head_product(self):
+        # semicylinder3d: s = 182 points on 201 x 26 x 101 nodes.  What the
+        # correction of a step reads takes less than one head product over
+        # the H = 201 * 26 head modes, s * H * 8 B = 7.26 MiB, which only
+        # set-up reads.
+        op = _builtin_hole_operators("semicylinder3d").phi
+        images = op.capacitance.images
+        assert _reachable_bytes(images) < images.support.size * math.prod(op.shape[:-1]) * 8
 
     def test_singular_capacitance_raises(self):
         lap = laplacian_1d(NEUMANN, 6, 0.2)
@@ -362,10 +393,42 @@ class TestCapacitance:
         Capacitance(op, support_images(op.facts, unit))
 
 
+def _reachable_bytes(obj):
+    """The bytes of the distinct arrays reachable from `obj` through
+    dataclass fields, tuples and sparse matrices, a view counted as its base."""
+    seen, total, todo = set(), 0, [obj]
+    while todo:
+        x = todo.pop()
+        if isinstance(x, np.ndarray):
+            while isinstance(x.base, np.ndarray):
+                x = x.base
+            if id(x) not in seen:
+                seen.add(id(x))
+                total += x.nbytes
+        elif sp.issparse(x):
+            todo += [x.data, x.indices, x.indptr]
+        elif isinstance(x, tuple):
+            todo += x
+        elif dataclasses.is_dataclass(x):
+            todo += [getattr(x, f.name) for f in dataclasses.fields(x)]
+    return total
+
+
 def _flat(points, shape):
     """Column-stacked indices of the grid points (rows of coordinates)."""
     points = np.asarray(points, dtype=int).reshape(-1, len(shape))
     return np.ravel_multi_index(tuple(points.T), shape, order="F")
+
+
+def _factors_at(facts, images):
+    """Per axis, the Gamma rows at the coordinates of S (s x m) and the
+    Gamma^{-1} columns at those of the rows (m x R), from the factorizations
+    and the flat indices."""
+    shape = tuple(f.lam.size for f in facts)
+    at_support = np.unravel_index(images.support, shape, order="F")
+    at_rows = np.unravel_index(images.rows, shape, order="F")
+    return ([f.Gamma[i] for f, i in zip(facts, at_support)],
+            [f.GammaInv.T[i].T for f, i in zip(facts, at_rows)])
 
 
 def _per_point_corrected(op, images, W):
@@ -373,12 +436,13 @@ def _per_point_corrected(op, images, W):
     each point's Gamma rows, (I + alpha*K) x_S = y_S solved densely, and the
     weighted rank-one images of the rows summed."""
     axes = "abc"[: W.ndim]
+    at_support, at_rows = _factors_at(op.facts, images)
     V = op.Upsilon * W
-    y = np.einsum(",".join("k" + a for a in axes) + f",{axes}->k", *images.at_support, V)
+    y = np.einsum(",".join("k" + a for a in axes) + f",{axes}->k", *at_support, V)
     alpha = -op.b
     x = np.linalg.solve(np.eye(y.size) + alpha * support_inverse(op, images), y)
     weights = -alpha * (images.block @ x)
-    return W + np.einsum(",".join(a + "r" for a in axes) + f",r->{axes}", *images.images, weights)
+    return W + np.einsum(",".join(a + "r" for a in axes) + f",r->{axes}", *at_rows, weights)
 
 
 # (shape, support points, row points, grouping axis of the support, of the rows)
@@ -463,11 +527,11 @@ def _members_as_written(group, count):
     return np.split(order, np.cumsum(np.bincount(group, minlength=count)))[:count]
 
 
-def _reads_as_written(images, V):
+def _reads_as_written(facts, images, V):
     """The grouped reads of y_S, rebuilding their grouping data on each call."""
     g = images.support_axis
     T = _mode_product_as_written(images.support_distinct, np.rollaxis(V, g), 0)
-    rows = [r for axis, r in enumerate(images.at_support) if axis != g]
+    rows = [r for axis, r in enumerate(_factors_at(facts, images)[0]) if axis != g]
     group = images.support_group
     if len(rows) == 1:
         return np.einsum("kp,kp->k", T[group], rows[0])
@@ -477,11 +541,13 @@ def _reads_as_written(images, V):
     return y
 
 
-def _image_as_written(images, weights):
+def _image_as_written(facts, images, weights):
     """The grouped spectral image, rebuilding its grouping data on each call."""
     g = images.rows_axis
-    Q, group = images.rows_distinct, images.rows_group
-    factors = [f for axis, f in enumerate(images.images) if axis != g]
+    shape = tuple(f.lam.size for f in facts)
+    at_rows = np.unravel_index(images.rows, shape, order="F")
+    Q, group = images.rows_distinct, np.unique(at_rows[g], return_inverse=True)[1]
+    factors = [f for axis, f in enumerate(_factors_at(facts, images)[1]) if axis != g]
     if len(factors) == 1:
         onehot = np.zeros((Q.shape[1], group.size))
         onehot[group, np.arange(group.size)] = weights
@@ -509,17 +575,19 @@ def _assert_lu_factors(cap):
     assert lu.shape == (s, s) and piv.shape == (s,)
 
 
-def _check_capacitance_paths(cap, rng):
-    """Asserts that `cap` holds LU factors, and that its solve of
-    I + alpha*K and its correction have the bits of the calls they replace."""
+def _check_capacitance_paths(op, rng):
+    """Asserts that the capacitance of `op` holds LU factors, and that its
+    solve of I + alpha*K and its correction have the bits of the calls they
+    replace."""
+    cap = op.capacitance
     _assert_lu_factors(cap)
     y = rng.standard_normal(cap.images.support.size)
     want = spla.lu_solve(cap.lu, y, check_finite=False)
     assert np.array_equal(cap._solve(y.copy()), want)
 
     W = rng.standard_normal(cap.Upsilon.shape)
-    x = cap._solve(_reads_as_written(cap.images, cap.Upsilon * W))
-    want = _image_as_written(cap.images, -cap.alpha * (cap.images.block @ x))
+    x = cap._solve(_reads_as_written(op.facts, cap.images, cap.Upsilon * W))
+    want = _image_as_written(op.facts, cap.images, -cap.alpha * (cap.images.block @ x))
     want += W
     assert np.array_equal(cap.corrected(W), want)
 
@@ -536,7 +604,7 @@ class TestFastPathsMatchTheirReferences:
             if part is None:  # circular_pit runs IMEX Euler, with no start
                 continue
             for op in (part.phi, part.c):
-                _check_capacitance_paths(op.capacitance, rng)
+                _check_capacitance_paths(op, rng)
         for rows in (ops.hole.N, ops.hole.G, ops.hole.N12):
             v = rng.standard_normal(rows.cols.size)
             assert np.array_equal(rows.product(v), rows.block @ v)
@@ -552,7 +620,7 @@ class TestFastPathsMatchTheirReferences:
         for size in (1.0, 1e-4):  # a unit-sized and a small alpha*K
             if N.nnz:
                 N = N * (size / (abs(op.b) * np.abs(N).max()))
-            _check_capacitance_paths(op.corrected(support_images(op.facts, N)).capacitance, rng)
+            _check_capacitance_paths(op.corrected(support_images(op.facts, N)), rng)
 
     def test_csr_product(self, monkeypatch):
         A = sp.random(9, 7, density=0.4, format="csr", random_state=1)

@@ -212,6 +212,24 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             load_config(raw)
 
+    @pytest.mark.parametrize("key, value", [
+        ("amplitude_um", math.inf),
+        ("amplitude_um", math.nan),
+        ("base_height_um", -math.inf),
+        ("base_height_um", math.nan),
+        ("wavelength_um", 0.0),
+        ("wavelength_um", -3.0),
+        ("wavelength_um", math.inf),
+        ("wavelength_um", math.nan),
+    ])
+    def test_bad_rough_edge_numbers_rejected(self, key, value):
+        # Before, amplitude_um: .inf on electropolish made every node a hole,
+        # and a wavelength_um of 0 or -3 failed in numpy.
+        raw = builtin_scenarios()["electropolish"]
+        raw["geometry"][0]["rough_edge"][key] = value
+        with pytest.raises(ConfigError, match=f"geometry rough_edge.{key} must be"):
+            load_config(raw)
+
     @pytest.mark.parametrize("scenario, section, key", [
         ("circular_pit", (), "horizn"),
         ("pencil3d", (), "front_from_high_end"),
@@ -282,6 +300,8 @@ class TestConfigParsing:
         ("geometry", [{"rough_edge": {"amplitude_um": 15.0, "wavelength_um": 10.0,
                                       "base_height_um": 500.0}}], "geometry"),
         ("geometry.0.circle.radius_um", -1.5, "geometry"),
+        ("geometry", [{"rough_edge": {"amplitude_um": math.inf, "wavelength_um": 10.0,
+                                      "base_height_um": 95.0}}], "geometry"),
         ("initial.c", math.inf, "initial"),
     ])
     def test_malformed_circular_pit_exits_with_config_error(self, key, value, section,
