@@ -29,7 +29,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .holes import IMEX_E, IMEX_I
-from .linalg import SylvesterOperator, support_images, support_inverse
+from .linalg import SylvesterOperator, sparse_rows, support_images, support_inverse
 from .model import CorrosionParameters
 from .rect import COEFFICIENTS, iteration_shifts
 
@@ -172,8 +172,8 @@ def actual_spectral_radius(alpha: float, beta: float, grid,
     column support S, with K = `linalg.support_inverse`, the capacitance of
     the exact cavity solve, built on the grid's factorizations.
     """
-    images = support_images(grid.factorizations, N)
-    if images.support.size == 0:
+    images = support_images(grid.factorizations, sparse_rows(N, grid.counts))
+    if images.N.cols.size == 0:
         return 0.0
     K = support_inverse(SylvesterOperator(beta, -alpha, grid.factorizations), images)
     return float(np.max(np.abs(np.linalg.eigvals(-alpha * K))))

@@ -7,7 +7,7 @@ therefore keeps the rectangle's operators and step (`rect.RectOperators`,
 `HoleOperators` as `RectOperators.hole`.  The mask is the run's only
 geometry input: `build_hole_operators` builds N1 and N2 from it
 (`grid.build_correction_matrices`), keeps their nonzero rows as
-`SparseRows`, and lags them:
+`linalg.SparseRows`, and lags them:
 
     variant 'imex-i':  N = N1 + N2 applied to the previous iterate, no G,
     variant 'imex-e':  N = N1 applied to the previous iterate, G = N2
@@ -23,10 +23,11 @@ eps2 * t/T (T is `HoleOperators.t_end`) or have stagnated below eps3.
 The exact mode, which every cavity builtin runs, solves the loop's limit
 directly: `build_hole_operators` replaces every solver of the run, the 2SBDF
 start's included, by its `corrected` copy, which holds the capacitance of N
-(`linalg.Capacitance`), and each field takes one solve per step.  It needs no
-tolerances and leaves Theta at round-off, but its set-up grows with the
-support of N.  With an empty Theta there is no hole: the step is the
-rectangle step, and a run starts 2SBDF as a rectangle does.
+(`linalg.Capacitance`) built on the hole's own `SparseRows` of N, and each
+field takes one solve per step.  It needs no tolerances and leaves Theta at
+round-off, but its set-up grows with the support of N.  With an empty Theta
+there is no hole: the step is the rectangle step, and a run starts 2SBDF as a
+rectangle does.
 """
 
 from __future__ import annotations
@@ -36,10 +37,9 @@ import time
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.sparse as sp
 
 from .grid import build_correction_matrices
-from .linalg import csr_product, support_images
+from .linalg import SparseRows, sparse_rows, support_images
 from .model import CorrosionParameters
 from .rect import (
     BoundaryData,
@@ -58,8 +58,6 @@ __all__ = [
     "IterSchemeConfig",
     "IterationReport",
     "HoleOperators",
-    "SparseRows",
-    "sparse_rows",
     "build_hole_operators",
     "step_iter_euler",
     "step_iter_2sbdf",
@@ -122,55 +120,6 @@ class IterationReport:
     max_phi_theta: float
     max_c_theta: float
     wall_ms: float = 0.0
-
-
-@dataclass(frozen=True)
-class SparseRows:
-    """A sparse n x n matrix A acting on column-stacked (Fortran-order)
-    fields, kept as its nonzero rows and columns: `rows` and `cols` hold
-    their C-order flat indices in the field, and `block` is A[rows, cols]
-    with each row's entries in A's order, so that its products read a
-    C-ordered field's values at `cols` and sum as A's do."""
-
-    rows: np.ndarray
-    cols: np.ndarray
-    block: sp.csr_matrix
-
-    def take(self, U: np.ndarray) -> np.ndarray:
-        """The values of the field U at `cols`."""
-        return U.reshape(-1)[self.cols]
-
-    def product(self, values: np.ndarray) -> np.ndarray:
-        """(A U)[rows] from U's values at `cols` (`take`)."""
-        return csr_product(self.block, values)
-
-    def subtract(self, target, U: np.ndarray, scale: float = 1.0) -> np.ndarray:
-        """target - scale * (A U) as a new array, for a positive `scale` and
-        a `target` array or the scalar 0.0; only A's rows are computed."""
-        out = target.copy() if isinstance(target, np.ndarray) else np.zeros(U.shape)
-        out.reshape(-1)[self.rows] -= scale * self.product(self.take(U))
-        return out
-
-
-def sparse_rows(A, shape) -> SparseRows:
-    """The `SparseRows` of A on fields of `shape`."""
-    A = A.tocsr()
-    rows = np.flatnonzero(np.diff(A.indptr))
-    used = np.zeros(A.shape[1], dtype=bool)
-    used[A.indices] = True
-    cols = np.flatnonzero(used)
-    renumber = np.empty(A.shape[1], dtype=A.indices.dtype)
-    renumber[cols] = np.arange(cols.size)
-
-    def flat(index):  # column-stacked index -> C-order index
-        return np.ravel_multi_index(np.unravel_index(index, shape, order="F"), shape)
-
-    return SparseRows(
-        rows=flat(rows),
-        cols=flat(cols),
-        block=sp.csr_matrix((A.data, renumber[A.indices], np.append(0, A.indptr[rows + 1])),
-                            shape=(rows.size, cols.size)),
-    )
 
 
 @dataclass(frozen=True)
@@ -253,17 +202,15 @@ def build_hole_operators(grid, cfg: IterSchemeConfig, params: CorrosionParameter
     correction = build_correction_matrices(grid, mask)
     N12 = sparse_rows(correction.N12, grid.counts)
     if cfg.variant == IMEX_I:
-        lagged, N, G = correction.N12, N12, None
+        N, G = N12, None
     else:
-        lagged = correction.N1
         N, G = (sparse_rows(A, grid.counts) for A in (correction.N1, correction.N2))
     hole = HoleOperators(cfg=cfg, mask=mask, N=N, G=G, N12=N12, t_end=t_end)
-    images = (support_images(grid.factorizations, lagged) if cfg.stop_mode == EXACT
-              else None)
+    images = support_images(grid.factorizations, N) if cfg.stop_mode == EXACT else None
 
     def with_hole(ops):
         # Without a support the plain solve is exact.
-        if images is None or not images.support.size:
+        if images is None or not N.cols.size:
             return replace(ops, hole=hole)
         return replace(ops, phi=ops.phi.corrected(images),
                        c=ops.c.corrected(images), hole=hole)

@@ -63,8 +63,10 @@ each triangle of (A^{-1})[S, rows] becomes one GEMM over the H = nodes / m_z
 head modes.  K thus costs 2 * s * R * nodes / m_z products plus the lift
 GEMM, (3W - 2) * nodes.  `support_inverse` forms P, I and the lift from the
 operator's factorizations at set-up, in chunks of head modes whose work
-arrays stay under a fixed byte bound; `support_images` holds only what the
-correction of every step reads, shared by phi, c and every shift.
+arrays stay under a fixed byte bound.  N is held once, as the `SparseRows`
+of its nonzero rows and columns that a cavity's fixed-point loop also
+applies; `support_images` adds to it only what the correction of every step
+reads, shared by phi, c and every shift.
 The `corrected` copy of a `SylvesterOperator` holds the `Capacitance` of N,
 and its `solve` applies all three formulas inside the one forward and one
 backward transform of a plain solve: y_S is read off the transformed
@@ -73,8 +75,9 @@ Both are grouped by coordinate along one axis g: y_S is one mode-g product
 with the Gamma_g rows at the n_D distinct coordinates of S, then one slice
 of it per point, n_D * nodes + s * nodes / m_g products instead of
 s * nodes; the image sums the weights per distinct row coordinate first,
-then takes one mode-g product with the Gamma_g^{-1} columns there.  What
-those groups index is built once per grid, with the images.  I + alpha*K
+then takes one mode-g product with the Gamma_g^{-1} columns there.  Each
+group's indices and factors along the other axes are built once per grid,
+with the images, in one layout for 2D and 3D.  I + alpha*K
 is LU-factored once per operator; a correction solves it with LAPACK's
 dgetrs on those factors and multiplies by N's rows with the CSR kernel
 itself (`csr_product`), so that a call adds little to its arithmetic.
@@ -100,8 +103,10 @@ __all__ = [
     "Laplacian1D",
     "SpectralFactorization",
     "SylvesterOperator",
+    "SparseRows",
     "SupportImages",
     "Capacitance",
+    "sparse_rows",
     "support_images",
     "support_inverse",
     "laplacian_1d",
@@ -310,93 +315,122 @@ def _mode_product(A: np.ndarray, V: np.ndarray, axis: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
+class SparseRows:
+    """A sparse n x n matrix A acting on column-stacked (Fortran-order)
+    fields, kept as its nonzero rows and columns: `rows` and `cols` hold
+    their C-order flat indices in the field, in column-stacked order, and
+    `block` is A[rows, cols] with each row's entries in A's order, so that
+    its products read a C-ordered field's values at `cols` and sum as A's
+    do."""
+
+    rows: np.ndarray
+    cols: np.ndarray
+    block: sp.csr_matrix
+
+    def take(self, U: np.ndarray) -> np.ndarray:
+        """The values of the field U at `cols`."""
+        return U.reshape(-1)[self.cols]
+
+    def product(self, values: np.ndarray) -> np.ndarray:
+        """(A U)[rows] from U's values at `cols` (`take`)."""
+        return csr_product(self.block, values)
+
+    def subtract(self, target, U: np.ndarray, scale: float = 1.0) -> np.ndarray:
+        """target - scale * (A U) as a new array, for a positive `scale` and
+        a `target` array or the scalar 0.0; only A's rows are computed."""
+        out = target.copy() if isinstance(target, np.ndarray) else np.zeros(U.shape)
+        out.reshape(-1)[self.rows] -= scale * self.product(self.take(U))
+        return out
+
+
+def sparse_rows(A, shape) -> SparseRows:
+    """The `SparseRows` of A on fields of `shape`, without A's explicitly
+    stored zeros."""
+    A = A.tocsr()
+    if not A.data.all():
+        A = A.copy()
+        A.eliminate_zeros()
+    rows = np.flatnonzero(np.diff(A.indptr))
+    used = np.zeros(A.shape[1], dtype=bool)
+    used[A.indices] = True
+    cols = np.flatnonzero(used)
+    renumber = np.empty(A.shape[1], dtype=A.indices.dtype)
+    renumber[cols] = np.arange(cols.size)
+
+    def flat(index):  # column-stacked index -> C-order index
+        return np.ravel_multi_index(np.unravel_index(index, shape, order="F"), shape)
+
+    return SparseRows(
+        rows=flat(rows),
+        cols=flat(cols),
+        block=sp.csr_matrix((A.data, renumber[A.indices], np.append(0, A.indptr[rows + 1])),
+                            shape=(rows.size, cols.size)),
+    )
+
+
+@dataclass(frozen=True)
 class SupportImages:
     """A sparse correction N seen from the eigenbasis of its factorizations,
     as `Capacitance.corrected` reads it, once per grid.
 
-    `support` holds the flat (column-stacked) indices S of N's nonzero
-    columns and `rows` those of the nonzero rows of N_S; `block` is
-    N[rows, S], sparse.  A value at a point of S is read with the Gamma rows
-    at its coordinates, and the spectral image of the unit vector at a row is
-    the outer product of the Gamma^{-1} columns at its coordinates.
+    `N` is the correction's `SparseRows`; its columns are the support S.  A
+    value at a point of S is read with the Gamma rows at its coordinates,
+    and the spectral image of the unit vector at a row of N is the outer
+    product of the Gamma^{-1} columns at its coordinates.
 
     S and the rows are each grouped by their coordinate along one axis g,
-    `support_axis` and `rows_axis`.  `support_distinct` holds the rows of
-    Gamma_g at the n_D distinct coordinates of S (n_D x m_g) and
-    `support_group` each point's index among them; `rows_distinct` holds the
-    columns of Gamma_g^{-1} at the n_E distinct coordinates of the rows
-    (m_g x n_E).  See `_grouping` for the choice of g.  The factors along the
-    other axes are kept as the grouped reads and image use them: in 2D
-    `support_other`, the Gamma rows at S along the axis that is not g,
-    `rows_other_t`, the transposed Gamma^{-1} columns at the rows along it,
-    and `rows_onehot`, the flat indices of (e, r) in the n_E x R one-hot
-    matrix of the groups, e the group of row r; in 3D `support_blocks` and
-    `rows_blocks`, per distinct coordinate the indices of its points or rows
-    and their factors along the two other axes (None in 2D, as the 2D fields
-    are in 3D).  `support_inverse` forms what it needs from S, the rows and
+    `support_axis` and `rows_axis` (`_grouping`).  `support_distinct` holds
+    the rows of Gamma_g at the n_D distinct coordinates of S (n_D x m_g), and
+    `rows_distinct` the columns of Gamma_g^{-1} at the n_E distinct
+    coordinates of the rows (m_g x n_E).  `support_blocks` and `rows_blocks`
+    hold per group the indices of its points and their factors along the
+    other axes (`_groups`).  `support_inverse` forms what it needs from N and
     the operator's factorizations, so nothing here is read only at set-up.
     """
 
-    support: np.ndarray
-    rows: np.ndarray
-    block: sp.csr_matrix
+    N: SparseRows
     support_axis: int
     support_distinct: np.ndarray
-    support_group: np.ndarray
+    support_blocks: tuple
     rows_axis: int
     rows_distinct: np.ndarray
-    support_other: np.ndarray | None
-    support_blocks: tuple | None
-    rows_other_t: np.ndarray | None
-    rows_onehot: np.ndarray | None
-    rows_blocks: tuple | None
+    rows_blocks: tuple
 
 
-def support_images(facts, N: sp.spmatrix) -> SupportImages:
-    """The `SupportImages` of N, without its explicitly stored zeros."""
+def support_images(facts, N: SparseRows) -> SupportImages:
+    """The `SupportImages` of the correction N."""
     facts = tuple(facts)
     shape = tuple(f.lam.size for f in facts)
-    N = sp.csr_matrix(N)
-    if not N.data.all():
-        N = N.copy()
-        N.eliminate_zeros()
-    rows = np.flatnonzero(np.diff(N.indptr))
-    support, col_index = np.unique(N.indices, return_inverse=True)
-    at_support = np.unravel_index(support, shape, order="F")
-    at_rows = np.unravel_index(rows, shape, order="F")
-    support_axis, support_coords, support_group = _grouping(at_support, shape)
-    rows_axis, rows_coords, rows_group = _grouping(at_rows, shape)
-    # The factors along the axes that are not grouped, as the grouped reads
-    # and image index them (`_grouped_reads`, `_grouped_image`).
-    reads = [f.Gamma[i] for axis, (f, i) in enumerate(zip(facts, at_support))
-             if axis != support_axis]
-    factors = [f.GammaInv.T[i].T for axis, (f, i) in enumerate(zip(facts, at_rows))
-               if axis != rows_axis]
-    if len(shape) == 2:
-        support_blocks = rows_blocks = None
-        rows_onehot = rows_group * rows.size + np.arange(rows.size)
-    else:
-        support_blocks = tuple((ks, reads[0][ks], reads[1][ks])
-                               for ks in _members(support_group, support_coords.size))
-        rows_blocks = tuple((rs, factors[0][:, rs], factors[1][:, rs].T)
-                            for rs in _members(rows_group, rows_coords.size))
-        rows_onehot = None
+    support_axis, support_coords, support_blocks = _groups(
+        [f.Gamma for f in facts], np.unravel_index(N.cols, shape), shape, 1)
+    rows_axis, rows_coords, rows_blocks = _groups(
+        [f.GammaInv.T for f in facts], np.unravel_index(N.rows, shape), shape, -1)
     return SupportImages(
-        support=support,
-        rows=rows,
-        block=sp.csr_matrix((N.data, col_index, np.append(0, N.indptr[rows + 1])),
-                            shape=(rows.size, support.size)),
+        N=N,
         support_axis=support_axis,
         support_distinct=facts[support_axis].Gamma[support_coords],
-        support_group=support_group,
+        support_blocks=support_blocks,
         rows_axis=rows_axis,
         rows_distinct=facts[rows_axis].GammaInv[:, rows_coords],
-        support_other=reads[0] if support_blocks is None else None,
-        support_blocks=support_blocks,
-        rows_other_t=factors[0].T if rows_blocks is None else None,
-        rows_onehot=rows_onehot,
         rows_blocks=rows_blocks,
     )
+
+
+def _groups(tables, coords, shape, cut):
+    """(g, the distinct coordinates along g, (order, first, rest, spans)) for
+    the points with the per-axis `coords`, grouped along g (`_grouping`).
+    `order` lists the points group by group and spans[d] is the slice of
+    group d in it; first and rest hold, in that order, the row-wise outer
+    products of the points' rows of the `tables` of the axes other than g,
+    cut after the `cut`-th of them (a column of ones for none)."""
+    g, distinct, group = _grouping(coords, shape)
+    order = np.argsort(group, kind="stable")
+    ends = np.cumsum(np.bincount(group, minlength=distinct.size)).tolist()
+    spans = tuple(slice(a, b) for a, b in zip([0] + ends[:-1], ends))
+    other = [t[c[order]] for axis, (t, c) in enumerate(zip(tables, coords)) if axis != g]
+    first, rest = (_head_product([np.ones((order.size, 1))] + side)
+                   for side in (other[:cut], other[cut:]))
+    return g, distinct, (order, first, rest, spans)
 
 
 def _grouping(coords, shape):
@@ -453,19 +487,20 @@ def support_inverse(op: SylvesterOperator, images: SupportImages) -> np.ndarray:
     GEMM over the head modes.  The ratios come from one GEMM of the "lift"
     Gz[z, q] Gz^{-1}[q, z'] of the W levels that S and the rows span, for
     the pairs (z, z), (z, z + 1) and (z + 1, z), with Upsilon.  S is sorted
-    by level (flat order); it is cut into chunks of consecutive points where
-    D would leave 2**500 within one, so that no factor overflows, which takes
-    levels far apart under a strong decay.  The head modes are cut into
+    by level (`N.cols` keeps N's column-stacked order); it is cut into
+    chunks of consecutive points where D would leave 2**500 within one, so
+    that no factor overflows, which takes levels far apart under a strong
+    decay.  The head modes are cut into
     ranges of the first axis whose P, I and work arrays stay under
     `_CHUNK_BYTES`, and the GEMMs of later ranges are added to the first's.
     Raises ArithmeticError when K is not finite.
     """
-    support, rows = images.support, images.rows
+    support, rows = images.N.cols, images.N.rows
     if support.size == 0:
         return np.zeros((0, 0))
     facts = op.facts
-    at_support = np.unravel_index(support, op.shape, order="F")
-    at_rows = np.unravel_index(rows, op.shape, order="F")
+    at_support = np.unravel_index(support, op.shape)
+    at_rows = np.unravel_index(rows, op.shape)
     low = min(at_support[-1].min(), at_rows[-1].min())
     levels = np.arange(low, max(at_support[-1].max(), at_rows[-1].max()) + 1)
     pairs = (np.concatenate((levels, levels[:-1], levels[1:])),
@@ -503,7 +538,7 @@ def support_inverse(op: SylvesterOperator, images: SupportImages) -> np.ndarray:
                 else:
                     np.matmul(right, left.T, out=out)
     np.copyto(inverse_t, lower, where=zr[:, None] < zs[None, :])
-    K = (images.block.T @ inverse_t).T
+    K = (images.N.block.T @ inverse_t).T
     if not np.isfinite(K).all():
         raise ArithmeticError("capacitance is not finite for this shift")
     return K
@@ -540,7 +575,8 @@ def _decay(ratios, origin, upward):
 class Capacitance:
     """The exact solve of (a*I + b*(M - N)) X = Y for one `SylvesterOperator`.
 
-    Holds N's `SupportImages`, the operator's Upsilon and the LU factors of
+    Holds N's `SupportImages`, which hold N itself as a `SparseRows`, the
+    operator's Upsilon and the LU factors of
     I + alpha*K, with alpha = -b and K = `support_inverse(op, images)`.  A
     numerically singular I + alpha*K (condition number 1e12 or more) raises
     ArithmeticError here, as a singular shift does in `SylvesterOperator`.
@@ -550,8 +586,9 @@ class Capacitance:
 
     `corrected` applies the correction to a transformed right-hand side,
     reading y_S and forming the image by the coordinate groups of `images`
-    (`SupportImages`): on `electropolish` 15 distinct y instead of 207
-    points, on `semicylinder3d` 3 distinct z instead of 182.
+    (`SupportImages`), one GEMM per group in 2D and 3D alike: on
+    `electropolish` 15 distinct y instead of 207 points, on
+    `semicylinder3d` 3 distinct z instead of 182.
 
     Immutable after construction.
     """
@@ -577,7 +614,7 @@ class Capacitance:
         for, minus the spectral image of alpha*N_S x_S."""
         images = self.images
         y_S = _grouped_reads(images, self.Upsilon * W)
-        weights = -self.alpha * csr_product(images.block, self._solve(y_S))
+        weights = -self.alpha * images.N.product(self._solve(y_S))
         image = _grouped_image(images, weights, W.shape)
         image += W
         return image
@@ -597,30 +634,25 @@ class Capacitance:
         return x
 
 
-def _members(group: np.ndarray, count: int):
-    """The indices of the points in each of the `count` groups."""
-    order = np.argsort(group, kind="stable")
-    return np.split(order, np.cumsum(np.bincount(group, minlength=count)))[:count]
-
-
 def _grouped_reads(images: SupportImages, V: np.ndarray) -> np.ndarray:
     """The values at S of the field with spectral coefficients V.
 
     The mode-g product with the Gamma_g rows at the n_D distinct coordinates
-    of S gives T, whose slice d(k) is contracted with point k's Gamma rows
-    along the other axes: in 2D one gathered row each, in 3D one GEMM per
-    group of points.  T is formed with g first, from a view of V that moves
-    g there.  The product reads that view in place for the first and the
-    last axis, and copies it for the middle axis of three.  For y in 2D it
-    is Gamma_y-rows @ V^T, which is not bit-equal to (V @ Gamma_y-rows^T)^T;
-    2D results keep their bits through this order."""
+    of S gives T.  Each group d of points takes one GEMM of their Gamma rows
+    along the first other axis with T's slice d, and each point's value is
+    then the row-wise dot product of that with its outer product along the
+    rest (ones in 2D).  T is formed with g first, from a view of V that
+    moves g there.  The product reads that view in place for the first and
+    the last axis, and copies it for the middle axis of three."""
+    order, first, rest, spans = images.support_blocks
     # np.rollaxis(V, g) is np.moveaxis(V, g, 0) at about a quarter of its Python cost.
     T = _mode_product(images.support_distinct, np.rollaxis(V, images.support_axis), 0)
-    if images.support_blocks is None:
-        return np.einsum("kp,kp->k", T[images.support_group], images.support_other)
-    y = np.empty(images.support_group.size)
-    for d, (ks, left, right) in enumerate(images.support_blocks):
-        y[ks] = np.einsum("kp,kp->k", left @ T[d], right)
+    T = T.reshape(T.shape[0], first.shape[1], rest.shape[1])
+    Z = np.empty(rest.shape)
+    for span, T_d in zip(spans, T):
+        np.dot(first[span], T_d, out=Z[span])
+    y = np.empty(order.size)
+    y[order] = np.einsum("kp,kp->k", Z, rest)
     return y
 
 
@@ -631,20 +663,17 @@ def _grouped_image(images: SupportImages, weights: np.ndarray, shape) -> np.ndar
 
     The weights are first summed per distinct row coordinate e along g,
     H_e = sum_{r in e} weights_r (x)_{axis != g} Gamma_axis^{-1}[:, r's
-    coordinate]: in 2D by one GEMM with the weighted one-hot matrix of the
-    groups, in 3D by one GEMM per group.  One mode-g product with the
+    coordinate], by one GEMM per group.  One mode-g product with the
     Gamma_g^{-1} columns at the distinct coordinates, on a view of H that
     moves its group axis to g, then forms the image, C-ordered; no axis of H
     is copied."""
+    order, first, rest, spans = images.rows_blocks
     g, Q = images.rows_axis, images.rows_distinct
-    if images.rows_blocks is None:
-        onehot = np.zeros((Q.shape[1], weights.size))
-        onehot.reshape(-1)[images.rows_onehot] = weights
-        H = onehot @ images.rows_other_t
-    else:
-        H = np.empty((Q.shape[1],) + shape[:g] + shape[g + 1:])
-        for e, (rs, left, right) in enumerate(images.rows_blocks):
-            np.matmul(left * weights[rs], right, out=H[e])
+    scaled = first.T * weights[order]
+    H = np.empty((Q.shape[1], first.shape[1], rest.shape[1]))
+    for span, H_e in zip(spans, H):
+        np.dot(scaled[:, span], rest[span], out=H_e)
+    H = H.reshape((Q.shape[1],) + shape[:g] + shape[g + 1:])
     return _mode_product(Q, np.rollaxis(H, 0, g + 1), g)  # np.moveaxis(H, 0, g)
 
 

@@ -41,7 +41,7 @@ A rectangle is the case without correction: one direct solve per field.  A
 cavity domain (`pitcorr.holes`) is the same `RectOperators` with a `hole`,
 which owns the sparse corrections and an inner loop per solve, or in its
 exact stop mode one capacitance-corrected solve.  The step applies the
-corrections only on their rows (`holes.SparseRows`): chi is a zero factor
+corrections only on their rows (`linalg.SparseRows`): chi is a zero factor
 on Theta's flat indices, N12 and G subtract in place, and with a zero load
 the phi-side G term is added on G's rows alone.  The 2SBDF extrapolation
 that G reads is formed only at G's columns.

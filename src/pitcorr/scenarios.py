@@ -10,6 +10,8 @@ one-line JSON header; both formats round-trip bit-exactly.
 
 from __future__ import annotations
 
+import ctypes
+import glob
 import json
 import os
 import time
@@ -458,10 +460,14 @@ def parse_config(raw: dict) -> ScenarioConfig:
             whole_steps(t, scheme.dt)
     front_axis = raw.get("front_axis")
     with _section("outputs"):
-        formats = tuple(_known(raw.get("outputs", {}), "outputs").get("formats", ["csv"]))
+        formats = _known(raw.get("outputs", {}), "outputs").get("formats", ["csv"])
+    if not isinstance(formats, (list, tuple)):
+        raise ConfigError(f"outputs.formats must list formats, not {formats!r}")
     for fmt in formats:
         if fmt not in ("csv", "raw-f64"):
-            raise ConfigError(f"unknown output format {fmt!r}")
+            raise ConfigError(f"unknown output format {fmt!r} in outputs.formats")
+    if len(set(formats)) < len(formats):
+        raise ConfigError(f"outputs.formats lists a format twice: {list(formats)!r}")
     with _section("reference"):
         ref_div = _whole(_known(raw.get("reference") or {}, "reference").get("dt_divisor", 8),
                          "reference dt_divisor", 2)
@@ -476,7 +482,7 @@ def parse_config(raw: dict) -> ScenarioConfig:
         horizon=horizon,
         snapshot_times=snaps,
         front_axis=None if front_axis is None else _axis_index(front_axis, "front_axis", ndim),
-        formats=formats,
+        formats=tuple(formats),
         reference_dt_divisor=ref_div,
         raw=raw,
     )
@@ -659,6 +665,27 @@ def _front_probe(cfg: ScenarioConfig, grid):
     return probe
 
 
+# The environment variables that set the BLAS and OpenMP thread counts.
+THREAD_VARIABLES = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                    "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
+
+
+def _thread_settings() -> dict:
+    """The thread variables (None where unset) and, under "blas", the thread
+    count of each OpenBLAS that numpy and scipy bundle (in the wheels'
+    `numpy.libs` and `scipy.libs`), where its library exports the query."""
+    blas = {}
+    for package in ("numpy", "scipy"):
+        libs = os.path.dirname(os.path.dirname(__import__(package).__file__))
+        for path in sorted(glob.glob(os.path.join(libs, f"{package}.libs", "*openblas*"))):
+            lib = ctypes.CDLL(path)
+            for name in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads"):
+                if hasattr(lib, name):
+                    blas[package] = int(getattr(lib, name)())
+                    break
+    return {"env": {name: os.environ.get(name) for name in THREAD_VARIABLES}, "blas": blas}
+
+
 def run_scenario(cfg: ScenarioConfig, output_root: str | None = None,
                  horizon_scale: float = 1.0) -> RunArtifacts:
     """Run one scenario end to end, writing artifacts when a root is given."""
@@ -709,6 +736,7 @@ def run_scenario(cfg: ScenarioConfig, output_root: str | None = None,
         "horizon_s": horizon,
         "dt": dt,
         "nodes": grid.n_nodes,
+        "threads": _thread_settings(),
     }
     artifacts = RunArtifacts(
         config=cfg,

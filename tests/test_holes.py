@@ -25,11 +25,16 @@ from pitcorr.holes import (
     build_hole_operators,
     check_stop_criteria,
     run_holes,
-    sparse_rows,
     step_iter_2sbdf,
     step_iter_euler,
 )
-from pitcorr.linalg import Capacitance, SylvesterOperator, factorization_count, kronecker_sum
+from pitcorr.linalg import (
+    Capacitance,
+    SylvesterOperator,
+    factorization_count,
+    kronecker_sum,
+    sparse_rows,
+)
 from pitcorr.model import CorrosionParameters, reaction_f1, reaction_f2
 from pitcorr.rect import (
     BoundaryData,

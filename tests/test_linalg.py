@@ -20,6 +20,7 @@ from pitcorr.linalg import (
     factorization_count,
     kronecker_sum,
     laplacian_1d,
+    sparse_rows,
     spectral_factorize,
     support_images,
     support_inverse,
@@ -210,8 +211,9 @@ class TestCapacitance:
         op = build_operator(a, b, laps)
         N, cols = _random_correction(rng, shape)
         before = factorization_count()
-        images = support_images(op.facts, N)
-        np.testing.assert_array_equal(images.support, cols)
+        images = _images(op, N)
+        np.testing.assert_array_equal(
+            images.N.cols, np.ravel_multi_index(np.unravel_index(cols, shape, order="F"), shape))
         K = support_inverse(op, images)
         assert factorization_count() == before
         # The construction it replaces: one solve per support column.
@@ -228,7 +230,7 @@ class TestCapacitance:
         op = build_operator(a, b, laps)
         N, _ = _random_correction(rng, shape)
         N = N * (0.1 / (abs(b) * np.abs(N).max()))  # keep I + alpha*K well conditioned
-        corrected = op.corrected(support_images(op.facts, N))
+        corrected = op.corrected(_images(op, N))
         # A copy that shares the plain solver's tables and leaves it plain.
         assert corrected.facts is op.facts and corrected.Upsilon is op.Upsilon
         assert isinstance(corrected.capacitance, Capacitance) and op.capacitance is None
@@ -254,7 +256,7 @@ class TestCapacitance:
         a, b, laps = _random_operator(rng, shape, kinds)
         op = build_operator(a, b, laps)
         N, cols = _random_correction(rng, shape, n_cols=8)
-        images = support_images(op.facts, N)
+        images = _images(op, N)
         whole = support_inverse(op, images)
         widths = []
         head_product = linalg._head_product
@@ -293,13 +295,13 @@ class TestCapacitance:
         rows = rng.integers(0, 200, size=(12, 3))
         N = sp.csc_matrix((rng.standard_normal(36), (rows.ravel(), np.repeat(cols, 3))),
                           shape=(200, 200))
-        images = support_images(op.facts, N)
+        images = _images(op, N)
         K = support_inverse(op, images)
         ref = np.empty_like(K)
         scale = 0.0
-        for col, j in enumerate(images.support):
-            w = op.solve(N[:, [j]].toarray().reshape(shape, order="F"))
-            ref[:, col] = w.ravel(order="F")[images.support]
+        for col, j in enumerate(images.N.cols):
+            w = op.solve(N[:, [_column_stacked(j, shape)]].toarray().reshape(shape, order="F"))
+            ref[:, col] = w.ravel()[images.N.cols]
             scale = max(scale, np.abs(w).max())
         assert np.abs(K - ref).max() <= 1e-12 * scale
 
@@ -311,13 +313,14 @@ class TestCapacitance:
         mask = rasterize_mask(grid, [shape.snapped(grid) for shape in cfg.shapes])
         N = build_correction_matrices(grid, mask).N1
         op = build_rect_operators(grid, cfg.scheme.scheme(), cfg.params).c
-        images = support_images(grid.factorizations, N)
-        assert images.support.size == images.rows.size == 207
+        images = support_images(grid.factorizations, sparse_rows(N, grid.counts))
+        assert images.N.cols.size == images.N.rows.size == 207
         K = support_inverse(op, images)
         ref = np.empty_like(K)
-        for col, j in enumerate(images.support):
-            w = op.solve(N[:, [j]].toarray().reshape(grid.counts, order="F"))
-            ref[:, col] = w.ravel(order="F")[images.support]
+        for col, j in enumerate(images.N.cols):
+            w = op.solve(N[:, [_column_stacked(j, grid.counts)]].toarray()
+                         .reshape(grid.counts, order="F"))
+            ref[:, col] = w.ravel()[images.N.cols]
         assert np.abs(K - ref).max() <= 1e-12 * np.abs(ref).max()
 
     def test_uncertified_capacitance_falls_back_to_cond(self, monkeypatch):
@@ -325,17 +328,17 @@ class TestCapacitance:
         op = build_operator(2.0, -0.3, (lap, lap))
         r = 14
         unit = sp.csc_matrix(([1.0], ([r], [r])), shape=(36, 36))
-        k = support_inverse(op, support_images(op.facts, unit))[0, 0]
+        k = support_inverse(op, _images(op, unit))[0, 0]
         calls = []
         cond = np.linalg.cond
         monkeypatch.setattr(np.linalg, "cond", lambda C: calls.append(C) or cond(C))
         # |alpha*K| = 0.3 k < 1 certifies I + alpha*K without an SVD.
-        Capacitance(op, support_images(op.facts, unit))
+        Capacitance(op, _images(op, unit))
         assert calls == []
         # 1 - b*c*k = -2 for c = 3 / (b*k): |alpha*K| = 3 fails the
         # certificate, but I + alpha*K is well conditioned and accepted.
         N = unit * (3.0 / (op.b * k))
-        corrected = op.corrected(support_images(op.facts, N))
+        corrected = op.corrected(_images(op, N))
         assert len(calls) == 1
         Y = np.random.default_rng(5).standard_normal((6, 6))
         A = op.a * sp.identity(36) + op.b * (kronecker_sum((lap, lap)) - N)
@@ -352,7 +355,7 @@ class TestCapacitance:
         op = build_operator(a, b, laps)
         N, _ = _random_correction(rng, shape)
         N = N * (size / (abs(b) * np.abs(N).max()))
-        corrected = op.corrected(support_images(op.facts, N))
+        corrected = op.corrected(_images(op, N))
         _assert_lu_factors(corrected.capacitance)
         Y = rng.standard_normal(shape)
         n = int(np.prod(shape))
@@ -365,9 +368,9 @@ class TestCapacitance:
         # imex-e's N1 is empty when Theta covers every node.
         n = int(np.prod(shape))
         op = build_operator(2.0, -0.3, _random_operator(np.random.default_rng(0), shape, kinds)[2])
-        images = support_images(op.facts, sp.csr_matrix((n, n)))
-        assert images.support.size == images.rows.size == 0
-        at_support = np.unravel_index(images.support, shape, order="F")
+        images = _images(op, sp.csr_matrix((n, n)))
+        assert images.N.cols.size == images.N.rows.size == 0
+        at_support = np.unravel_index(images.N.cols, shape)
         head = linalg._head_product([f.Gamma[i] for f, i in zip(op.facts[:-1], at_support)])
         assert head.shape == (0, n // shape[-1])
         assert support_inverse(op, images).shape == (0, 0)
@@ -379,18 +382,18 @@ class TestCapacitance:
         # set-up reads.
         op = _builtin_hole_operators("semicylinder3d").phi
         images = op.capacitance.images
-        assert _reachable_bytes(images) < images.support.size * math.prod(op.shape[:-1]) * 8
+        assert _reachable_bytes(images) < images.N.cols.size * math.prod(op.shape[:-1]) * 8
 
     def test_singular_capacitance_raises(self):
         lap = laplacian_1d(NEUMANN, 6, 0.2)
         op = build_operator(2.0, -0.3, (lap, lap))
         r = 14
         unit = sp.csc_matrix(([1.0], ([r], [r])), shape=(36, 36))
-        k = support_inverse(op, support_images(op.facts, unit))[0, 0]
+        k = support_inverse(op, _images(op, unit))[0, 0]
         # 1 + alpha * c * k = 1 - b * c * k vanishes for c = 1 / (b * k).
         with pytest.raises(ArithmeticError):
-            Capacitance(op, support_images(op.facts, unit / (op.b * k)))
-        Capacitance(op, support_images(op.facts, unit))
+            Capacitance(op, _images(op, unit / (op.b * k)))
+        Capacitance(op, _images(op, unit))
 
 
 def _reachable_bytes(obj):
@@ -414,6 +417,16 @@ def _reachable_bytes(obj):
     return total
 
 
+def _images(op, N):
+    """The `SupportImages` of the n x n correction N on `op`'s grid."""
+    return support_images(op.facts, sparse_rows(N, op.shape))
+
+
+def _column_stacked(index, shape):
+    """The column-stacked index of the point at the C-order index `index`."""
+    return np.ravel_multi_index(np.unravel_index(index, shape), shape, order="F")
+
+
 def _flat(points, shape):
     """Column-stacked indices of the grid points (rows of coordinates)."""
     points = np.asarray(points, dtype=int).reshape(-1, len(shape))
@@ -425,8 +438,8 @@ def _factors_at(facts, images):
     Gamma^{-1} columns at those of the rows (m x R), from the factorizations
     and the flat indices."""
     shape = tuple(f.lam.size for f in facts)
-    at_support = np.unravel_index(images.support, shape, order="F")
-    at_rows = np.unravel_index(images.rows, shape, order="F")
+    at_support = np.unravel_index(images.N.cols, shape)
+    at_rows = np.unravel_index(images.N.rows, shape)
     return ([f.Gamma[i] for f, i in zip(facts, at_support)],
             [f.GammaInv.T[i].T for f, i in zip(facts, at_rows)])
 
@@ -441,7 +454,7 @@ def _per_point_corrected(op, images, W):
     y = np.einsum(",".join("k" + a for a in axes) + f",{axes}->k", *at_support, V)
     alpha = -op.b
     x = np.linalg.solve(np.eye(y.size) + alpha * support_inverse(op, images), y)
-    weights = -alpha * (images.block @ x)
+    weights = -alpha * (images.N.block @ x)
     return W + np.einsum(",".join(a + "r" for a in axes) + f",r->{axes}", *at_rows, weights)
 
 
@@ -484,7 +497,7 @@ class TestGroupedCorrection:
         N = sp.csr_matrix((rng.standard_normal(r.size), (r.ravel(), c.ravel())), shape=(n, n))
         if N.nnz:
             N = N * (0.1 / (abs(b) * np.abs(N).max()))  # keep I + alpha*K well conditioned
-        images = support_images(op.facts, N)
+        images = _images(op, N)
         assert (images.support_axis, images.rows_axis) == (support_axis, rows_axis)
         assert images.support_distinct.shape[0] == np.unique(
             np.unravel_index(cols, shape, order="F")[support_axis]).size
@@ -507,7 +520,8 @@ class TestGroupedCorrection:
         cfg = load_config(name)
         grid = build_grid(cfg.grid_spec)
         mask = rasterize_mask(grid, [shape.snapped(grid) for shape in cfg.shapes])
-        images = support_images(grid.factorizations, build_correction_matrices(grid, mask).N1)
+        N1 = build_correction_matrices(grid, mask).N1
+        images = support_images(grid.factorizations, sparse_rows(N1, grid.counts))
         assert images.support_axis == axis
         assert images.support_distinct.shape == (distinct, grid.counts[axis])
 
@@ -530,14 +544,17 @@ def _members_as_written(group, count):
 def _reads_as_written(facts, images, V):
     """The grouped reads of y_S, rebuilding their grouping data on each call."""
     g = images.support_axis
+    shape = tuple(f.lam.size for f in facts)
     T = _mode_product_as_written(images.support_distinct, np.rollaxis(V, g), 0)
     rows = [r for axis, r in enumerate(_factors_at(facts, images)[0]) if axis != g]
-    group = images.support_group
-    if len(rows) == 1:
-        return np.einsum("kp,kp->k", T[group], rows[0])
+    group = np.unique(np.unravel_index(images.N.cols, shape)[g], return_inverse=True)[1]
+    ones = np.ones((group.size, 1))
+    left = linalg._head_product([ones] + rows[:1])
+    right = linalg._head_product([ones] + rows[1:])
+    T = T.reshape(T.shape[0], left.shape[1], right.shape[1])
     y = np.empty(group.size)
     for d, ks in enumerate(_members_as_written(group, T.shape[0])):
-        y[ks] = np.einsum("kp,kp->k", rows[0][ks] @ T[d], rows[1][ks])
+        y[ks] = np.einsum("kp,kp->k", left[ks] @ T[d], right[ks])
     return y
 
 
@@ -545,18 +562,15 @@ def _image_as_written(facts, images, weights):
     """The grouped spectral image, rebuilding its grouping data on each call."""
     g = images.rows_axis
     shape = tuple(f.lam.size for f in facts)
-    at_rows = np.unravel_index(images.rows, shape, order="F")
+    at_rows = np.unravel_index(images.N.rows, shape)
     Q, group = images.rows_distinct, np.unique(at_rows[g], return_inverse=True)[1]
     factors = [f for axis, f in enumerate(_factors_at(facts, images)[1]) if axis != g]
-    if len(factors) == 1:
-        onehot = np.zeros((Q.shape[1], group.size))
-        onehot[group, np.arange(group.size)] = weights
-        H = onehot @ factors[0].T
-    else:
-        a, b = factors
-        H = np.empty((Q.shape[1], a.shape[0], b.shape[0]))
-        for e, rs in enumerate(_members_as_written(group, Q.shape[1])):
-            np.matmul(a[:, rs] * weights[rs], b[:, rs].T, out=H[e])
+    a = linalg._head_product([np.ones((group.size, 1))] + [f.T for f in factors[:-1]]).T
+    b = factors[-1]
+    H = np.empty((Q.shape[1], a.shape[0], b.shape[0]))
+    for e, rs in enumerate(_members_as_written(group, Q.shape[1])):
+        np.matmul(a[:, rs] * weights[rs], b[:, rs].T, out=H[e])
+    H = H.reshape((Q.shape[1],) + shape[:g] + shape[g + 1:])
     return _mode_product_as_written(Q, np.rollaxis(H, 0, g + 1), g)
 
 
@@ -570,7 +584,7 @@ def _builtin_hole_operators(name):
 
 def _assert_lu_factors(cap):
     """Asserts that `cap` holds the LU factors of an s x s I + alpha*K."""
-    s = cap.images.support.size
+    s = cap.images.N.cols.size
     lu, piv = cap.lu
     assert lu.shape == (s, s) and piv.shape == (s,)
 
@@ -581,13 +595,13 @@ def _check_capacitance_paths(op, rng):
     replace."""
     cap = op.capacitance
     _assert_lu_factors(cap)
-    y = rng.standard_normal(cap.images.support.size)
+    y = rng.standard_normal(cap.images.N.cols.size)
     want = spla.lu_solve(cap.lu, y, check_finite=False)
     assert np.array_equal(cap._solve(y.copy()), want)
 
     W = rng.standard_normal(cap.Upsilon.shape)
     x = cap._solve(_reads_as_written(op.facts, cap.images, cap.Upsilon * W))
-    want = _image_as_written(op.facts, cap.images, -cap.alpha * (cap.images.block @ x))
+    want = _image_as_written(op.facts, cap.images, -cap.alpha * (cap.images.N.block @ x))
     want += W
     assert np.array_equal(cap.corrected(W), want)
 
@@ -604,6 +618,8 @@ class TestFastPathsMatchTheirReferences:
             if part is None:  # circular_pit runs IMEX Euler, with no start
                 continue
             for op in (part.phi, part.c):
+                # The capacitance holds the hole's own correction, not a copy.
+                assert op.capacitance.images.N is ops.hole.N
                 _check_capacitance_paths(op, rng)
         for rows in (ops.hole.N, ops.hole.G, ops.hole.N12):
             v = rng.standard_normal(rows.cols.size)
@@ -620,7 +636,7 @@ class TestFastPathsMatchTheirReferences:
         for size in (1.0, 1e-4):  # a unit-sized and a small alpha*K
             if N.nnz:
                 N = N * (size / (abs(op.b) * np.abs(N).max()))
-            _check_capacitance_paths(op.corrected(support_images(op.facts, N)), rng)
+            _check_capacitance_paths(op.corrected(_images(op, N)), rng)
 
     def test_csr_product(self, monkeypatch):
         A = sp.random(9, 7, density=0.4, format="csr", random_state=1)
@@ -652,7 +668,7 @@ def _operators(shape, seed):
     op = build_operator(a, b, laps)
     N, _ = _random_correction(rng, shape)
     N = N * (0.1 / (abs(b) * np.abs(N).max()))  # keep I + alpha*K well conditioned
-    return op, op.corrected(support_images(op.facts, N))
+    return op, op.corrected(_images(op, N))
 
 
 class TestModeProduct:

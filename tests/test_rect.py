@@ -17,8 +17,8 @@ from pitcorr.grid import (
     build_grid,
     rasterize_mask,
 )
-from pitcorr.holes import IterSchemeConfig, build_hole_operators, run_holes, sparse_rows
-from pitcorr.linalg import factorization_count, kronecker_sum
+from pitcorr.holes import IterSchemeConfig, build_hole_operators, run_holes
+from pitcorr.linalg import factorization_count, kronecker_sum, sparse_rows
 from pitcorr.model import CorrosionParameters, reaction_f1, reaction_f2
 from pitcorr.rect import (
     BoundaryData,

@@ -275,6 +275,10 @@ class TestConfigParsing:
         ("initial", 3, "initial"),
         ("initial", {"phi": "x"}, "initial"),
         ("outputs", [], "outputs"),
+        # A bare string was read as its letters, and a repeated format wrote
+        # every snapshot twice.
+        ("outputs", {"formats": "csv"}, "outputs.formats"),
+        ("outputs", {"formats": ["csv", "csv"]}, "outputs.formats"),
         ("snapshot_times", "a", "snapshot_times"),
         ("snapshot_times", [None], "snapshot_times"),
         ("horizon", "x", "horizon"),
