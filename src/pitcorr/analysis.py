@@ -29,7 +29,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .holes import IMEX_E, IMEX_I
-from .linalg import SylvesterOperator, sparse_rows, support_images, support_inverse
+from .linalg import SylvesterOperator, sparse_rows, support_inverse
 from .model import CorrosionParameters
 from .rect import COEFFICIENTS, iteration_shifts
 
@@ -172,10 +172,10 @@ def actual_spectral_radius(alpha: float, beta: float, grid,
     column support S, with K = `linalg.support_inverse`, the capacitance of
     the exact cavity solve, built on the grid's factorizations.
     """
-    images = support_images(grid.factorizations, sparse_rows(N, grid.counts))
-    if images.N.cols.size == 0:
+    N = sparse_rows(N, grid.counts)
+    if N.cols.size == 0:
         return 0.0
-    K = support_inverse(SylvesterOperator(beta, -alpha, grid.factorizations), images)
+    K = support_inverse(SylvesterOperator(beta, -alpha, grid.factorizations), N)
     return float(np.max(np.abs(np.linalg.eigvals(-alpha * K))))
 
 

@@ -55,18 +55,16 @@ of FACR does (Hockney, J. ACM 12, 1965),
 
 with P and I the head products of the Gamma rows at S and of the Gamma^{-1}
 columns at the rows, and G_h the inverse of the tridiagonal last-axis
-system of head mode h.  G is needed only on the W levels that S and the
-rows span, and there only on its diagonal and first off-diagonals: one
-GEMM of their "lift" Gz[z, q] Gz^{-1}[q, z'] with Upsilon.  G_h is
-semiseparable, so those entries give all others as products of ratios, and
-each triangle of (A^{-1})[S, rows] becomes one GEMM over the H = nodes / m_z
-head modes.  K thus costs 2 * s * R * nodes / m_z products plus the lift
-GEMM, (3W - 2) * nodes.  `support_inverse` forms P, I and the lift from the
-operator's factorizations at set-up, in chunks of head modes whose work
-arrays stay under a fixed byte bound.  N is held once, as the `SparseRows`
-of its nonzero rows and columns that a cavity's fixed-point loop also
-applies; `support_images` adds to it only what the correction of every step
-reads, shared by phi, c and every shift.
+system of head mode h.  G is needed only at the pairs of a level of S and
+a level of the rows, W_S * W_R of them: one GEMM of their "lift"
+Gz[z, q] Gz^{-1}[q, z'] with Upsilon.  The points of S at one level then
+take one GEMM over the H = nodes / m_z head modes, so K costs s * R * H
+products, plus W_S * W_R * nodes for the pairs.  `support_inverse` forms P,
+I and the pairs from the operator's factorizations at set-up, in chunks of
+head modes whose work arrays stay under a fixed byte bound.  N is held once,
+as the `SparseRows` of its nonzero rows and columns that a cavity's
+fixed-point loop also applies; `support_images` adds to it only what the
+correction of every step reads, shared by phi, c and every shift.
 The `corrected` copy of a `SylvesterOperator` holds the `Capacitance` of N,
 and its `solve` applies all three formulas inside the one forward and one
 backward transform of a plain solve: y_S is read off the transformed
@@ -460,116 +458,67 @@ def _head_product(factors) -> np.ndarray:
     return out
 
 
-# log2 of the largest factor by which the decay products may grow within a
-# chunk of S levels, far from float64 overflow.
-_CHUNK_RANGE_BITS = 500.0
-
-# The bytes that the head products and work arrays of `support_inverse` may
-# take, 16 * (s + R) per head mode, unless the modes of one index of the
-# first axis take more: every builtin fits in one chunk (semicylinder3d's N1
-# in 26 MB).
+# The bytes that the lift and the work arrays of `support_inverse` may take:
+# 8 * (s + 2R + W_S * W_R) per head mode, with the level-pair table, unless
+# the modes of one index of the first axis take more.  Every builtin fits in
+# one chunk (semicylinder3d's N1 in 19 MB).
 _CHUNK_BYTES = 32 * 2**20
 
 
-def support_inverse(op: SylvesterOperator, images: SupportImages) -> np.ndarray:
-    """The capacitance K = (A^{-1} N_S)_S of `op` = A, with no solve.
+def support_inverse(op: SylvesterOperator, N: SparseRows) -> np.ndarray:
+    """The capacitance K = (A^{-1} N_S)_S of `op` = A for the correction N,
+    with no solve.
 
     K = (A^{-1})[S, rows] N[rows, S], and (A^{-1})[k, r] sums, over the head
-    modes h, P[k, h] I[h, r] G_h(z_k, z_r), with G_h the inverse of the
-    tridiagonal last-axis system of mode h.  That inverse is semiseparable:
-    along a column, G_h(z, z') falls from its diagonal by the same ratio per
-    level whatever z' is, one ratio set above the diagonal and one below.
-    So, with D the products of those ratios from an origin level,
-
-        G_h(z, z') = G_h(z', z') D_h(z') / D_h(z),
-
-    and each triangle (z_r >= z_k, z_r < z_k) of (A^{-1})[S, rows] is one
-    GEMM over the head modes.  The ratios come from one GEMM of the "lift"
-    Gz[z, q] Gz^{-1}[q, z'] of the W levels that S and the rows span, for
-    the pairs (z, z), (z, z + 1) and (z + 1, z), with Upsilon.  S is sorted
-    by level (`N.cols` keeps N's column-stacked order); it is cut into
-    chunks of consecutive points where D would leave 2**500 within one, so
-    that no factor overflows, which takes levels far apart under a strong
-    decay.  The head modes are cut into
-    ranges of the first axis whose P, I and work arrays stay under
+    modes h, P[k, h] I[h, r] G_h(z_k, z_r).  One GEMM of the lift
+    Gz[z, q] Gz^{-1}[q, z'] of every pair of a level z of S and a level z'
+    of the rows with Upsilon gives G_h(z, z') for every such pair.  S is
+    sorted by level (`N.cols` keeps N's column-stacked order), so the rows
+    of (A^{-1})[S, rows] at the points of one level z take one GEMM: their P
+    rows times (I o G(z, z_r))^T.  K thus costs s * R * H products, with H
+    = nodes / m_z the head modes.  These are cut into ranges of the first
+    axis whose P, I, pair table and work arrays stay, with the lift, under
     `_CHUNK_BYTES`, and the GEMMs of later ranges are added to the first's.
     Raises ArithmeticError when K is not finite.
     """
-    support, rows = images.N.cols, images.N.rows
-    if support.size == 0:
+    if N.cols.size == 0:
         return np.zeros((0, 0))
     facts = op.facts
-    at_support = np.unravel_index(support, op.shape)
-    at_rows = np.unravel_index(rows, op.shape)
-    low = min(at_support[-1].min(), at_rows[-1].min())
-    levels = np.arange(low, max(at_support[-1].max(), at_rows[-1].max()) + 1)
-    pairs = (np.concatenate((levels, levels[:-1], levels[1:])),
-             np.concatenate((levels, levels[1:], levels[:-1])))
-    lift = facts[-1].Gamma[pairs[0]] * facts[-1].GammaInv[:, pairs[1]].T
-    G = lift @ op.Upsilon.reshape(-1, op.shape[-1]).T
-    W = levels.size
-    diagonal = G[:W]
-    rise = G[W:2 * W - 1] / diagonal[1:]  # G(z, z+1) / G(z+1, z+1)
-    fall = G[2 * W - 1:] / diagonal[:-1]  # G(z+1, z) / G(z, z)
-    zs, zr = at_support[-1] - low, at_rows[-1] - low
+    at_support = np.unravel_index(N.cols, op.shape)
+    at_rows = np.unravel_index(N.rows, op.shape)
+    if np.any(np.diff(at_support[-1]) < 0):
+        raise ValueError("the support is not sorted by its last-axis level")
+    support_levels, starts = np.unique(at_support[-1], return_index=True)
+    rows_levels, rows_level = np.unique(at_rows[-1], return_inverse=True)
+    spans = list(zip(starts, np.append(starts[1:], N.cols.size)))
+    lift = (facts[-1].Gamma[support_levels, None, :]
+            * facts[-1].GammaInv[:, rows_levels].T).reshape(-1, op.shape[-1])
+    Upsilon = op.Upsilon.reshape(-1, op.shape[-1])
     # The Gamma rows at S and the Gamma^{-1} columns at the rows, per head axis.
     gamma_rows = [f.Gamma[i] for f, i in zip(facts[:-1], at_support)]
     inverse_cols = [f.GammaInv.T[i] for f, i in zip(facts[:-1], at_rows)]
     per_index = math.prod(op.shape[1:-1])  # head modes per first-axis index
-    step = max(1, _CHUNK_BYTES // (16 * (support.size + rows.size) * per_index))
-    inverse_t, lower = np.empty((rows.size, support.size)), np.empty((rows.size, support.size))
-    chunks = _chunks(zs, rise, fall)
+    per_mode = 8 * (N.cols.size + 2 * N.rows.size + len(lift))
+    step = max(1, (_CHUNK_BYTES - lift.nbytes) // (per_mode * per_index))
+    inverse = np.empty((N.cols.size, N.rows.size))
     for i in range(0, op.shape[0], step):
         modes = slice(i * per_index, (i + step) * per_index)
+        head_support = _head_product([gamma_rows[0][:, i:i + step]] + gamma_rows[1:])
         head_rows = _head_product([inverse_cols[0][:, i:i + step]] + inverse_cols[1:])
+        pairs = (lift @ Upsilon[modes].T).reshape(support_levels.size, rows_levels.size, -1)
         right = np.empty(head_rows.shape)
-        for a, b in chunks:
-            head_support = _head_product([gamma_rows[0][a:b, i:i + step]]
-                                         + [f[a:b] for f in gamma_rows[1:]])
-            left = np.empty(head_support.shape)
-            for D, out in ((_decay(rise[:, modes], zs[a], upward=True), inverse_t[:, a:b]),
-                           (_decay(fall[:, modes], zs[b - 1], upward=False), lower[:, a:b])):
-                np.take(D * diagonal[:, modes], zr, axis=0, out=right)
-                right *= head_rows
-                np.take(D, zs[a:b], axis=0, out=left)
-                np.divide(head_support, left, out=left)
-                if i:
-                    out += right @ left.T
-                else:
-                    np.matmul(right, left.T, out=out)
-    np.copyto(inverse_t, lower, where=zr[:, None] < zs[None, :])
-    K = (images.N.block.T @ inverse_t).T
+        for (a, b), G in zip(spans, pairs):
+            # "clip" writes to `right` directly; "raise" would buffer the copy.
+            np.take(G, rows_level, axis=0, out=right, mode="clip")
+            right *= head_rows
+            if i:
+                inverse[a:b] += head_support[a:b] @ right.T
+            else:
+                np.matmul(head_support[a:b], right.T, out=inverse[a:b])
+    K = (N.block.T @ inverse.T).T
     if not np.isfinite(K).all():
         raise ArithmeticError("capacitance is not finite for this shift")
     return K
-
-
-def _chunks(levels, rise, fall):
-    """[a, b) ranges of the points with the sorted `levels`, cut where the
-    decay products, up or down, would leave 2**_CHUNK_RANGE_BITS within a
-    range for some mode; one range unless the levels are far apart."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        bits = np.maximum((-np.log2(np.abs(rise))).max(axis=1, initial=0.0),
-                          (-np.log2(np.abs(fall))).max(axis=1, initial=0.0))
-    reach = np.concatenate(([0.0], np.cumsum(bits)))[levels]
-    cuts = [0]
-    if not reach[-1] - reach[0] <= _CHUNK_RANGE_BITS:
-        for k in range(1, levels.size):
-            if not reach[k] - reach[cuts[-1]] <= _CHUNK_RANGE_BITS:
-                cuts.append(k)
-    return list(zip(cuts, cuts[1:] + [levels.size]))
-
-
-def _decay(ratios, origin, upward):
-    """The product of `ratios` between `origin` and each of the len(ratios) + 1
-    levels, 1 at the origin and 0 on the side a triangle does not use."""
-    out = np.zeros((ratios.shape[0] + 1, ratios.shape[1]))
-    out[origin] = 1.0
-    if upward:  # levels above the origin
-        np.cumprod(ratios[origin:], axis=0, out=out[origin + 1:])
-    elif origin > 0:  # levels below it, by the ratios read downward
-        np.cumprod(ratios[origin - 1::-1], axis=0, out=out[origin - 1::-1])
-    return out
 
 
 class Capacitance:
@@ -577,7 +526,7 @@ class Capacitance:
 
     Holds N's `SupportImages`, which hold N itself as a `SparseRows`, the
     operator's Upsilon and the LU factors of
-    I + alpha*K, with alpha = -b and K = `support_inverse(op, images)`.  A
+    I + alpha*K, with alpha = -b and K = `support_inverse(op, images.N)`.  A
     numerically singular I + alpha*K (condition number 1e12 or more) raises
     ArithmeticError here, as a singular shift does in `SylvesterOperator`.
     The condition number needs no SVD when the norm bound
@@ -597,7 +546,7 @@ class Capacitance:
         self.images = images
         self.Upsilon = op.Upsilon
         self.alpha = -op.b
-        C = support_inverse(op, images)
+        C = support_inverse(op, images.N)
         C *= self.alpha
         magnitude = np.abs(C)
         b = min(np.linalg.norm(C),  # Frobenius

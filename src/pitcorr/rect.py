@@ -51,15 +51,18 @@ Euler substeps up to t = dt, under the operators' `start`, which set-up
 builds with the run's own, so that no step builds a solver.
 
 A step allocates its fields anew, and on the builtin grids each is larger
-than glibc's default mmap threshold of 128 KiB.  So that freed fields stay in the process for the next
-step, instead of going back to the kernel and faulting in again page by page,
-`build_rect_operators` first calls `_keep_heap`: once per process, it raises
-glibc's mmap threshold to 32 MiB and its trim threshold to 1 GiB through
-`mallopt`.  Fields of up to 32 MiB then come from the heap and go back to
-it, and the heap top is kept.  The memory a run freed stays with the process
-until it exits.  The helper changes no arithmetic, and it does nothing where
-the C library has no `mallopt` or where the user set one of glibc's own
-MALLOC_MMAP_THRESHOLD_, MALLOC_TRIM_THRESHOLD_ or MALLOC_TOP_PAD_.
+than glibc's default mmap threshold of 128 KiB.  So that freed fields stay
+in the process for the next step, instead of going back to the kernel and
+faulting in again page by page, `scenarios.run_scenario`, the run path of
+the CLI and of the benchmark, first calls `_keep_heap`: once per process, it
+raises glibc's mmap threshold to 32 MiB and its trim threshold to 1 GiB
+through `mallopt`.  Fields of up to 32 MiB then come from the heap and go
+back to it, and the heap top is kept.  The memory a run freed stays with the
+process until it exits.  Building operators or stepping through this module
+alone leaves the allocator as it is.  The helper changes no arithmetic, and
+it does nothing where the C library has no `mallopt` or where the user set
+one of glibc's own MALLOC_MMAP_THRESHOLD_, MALLOC_TRIM_THRESHOLD_ or
+MALLOC_TOP_PAD_.
 """
 
 from __future__ import annotations
@@ -283,7 +286,6 @@ def _keep_heap():
 def build_rect_operators(grid, cfg: SchemeConfig, params: CorrosionParameters,
                          bdata: BoundaryData = BoundaryData()) -> RectOperators:
     """The solvers of one scheme, with a 2SBDF run's `start`, and the loads of `bdata`."""
-    _keep_heap()
     ops = RectOperators(
         grid=grid, params=params, cfg=cfg, **_shifted_solvers(grid, cfg, params),
         load_phi=boundary_contribution(grid, bdata, "phi"),

@@ -13,6 +13,7 @@ from __future__ import annotations
 import ctypes
 import glob
 import json
+import numbers
 import os
 import time
 from contextlib import contextmanager
@@ -35,7 +36,7 @@ from .model import (
     CorrosionParameters,
     DEFAULT_FIXED_W,
 )
-from .rect import BoundaryData, FieldPair, SchemeConfig, run_rect, whole_steps
+from .rect import BoundaryData, FieldPair, SchemeConfig, _keep_heap, run_rect, whole_steps
 from . import analysis
 
 __all__ = [
@@ -270,6 +271,24 @@ def _whole(value, where: str, least: int) -> int:
     return value
 
 
+def _real(value, where: str) -> float:
+    """`value` as a float if it is a number or a numeric string (PyYAML reads
+    `1e-3` as one); a bool is not a number here."""
+    if isinstance(value, bool) or not isinstance(value, (numbers.Real, str)):
+        raise ConfigError(f"{where} must be a number, not {value!r}")
+    try:
+        return float(value)
+    except ValueError:
+        raise ConfigError(f"{where} must be a number, not {value!r}") from None
+
+
+def _reals(values, where: str) -> tuple:
+    """The list `values` as floats (`_real`); a string is not a list here."""
+    if not isinstance(values, (list, tuple)):
+        raise ConfigError(f"{where} must list numbers, not {values!r}")
+    return tuple(_real(v, where) for v in values)
+
+
 def _axis_indices(bc_map, ndim):
     names = AXIS_NAMES[:ndim]
     for name in bc_map:
@@ -280,14 +299,14 @@ def _axis_indices(bc_map, ndim):
 
 def _parse_grid(raw_grid) -> tuple:
     _known(raw_grid, "grid")
-    extents_um = _require(raw_grid, "extents_um", "grid")
+    extents_um = _reals(_require(raw_grid, "extents_um", "grid"), "grid.extents_um")
     if len(extents_um) not in (2, 3):
         raise ConfigError("grid.extents_um must list two or three axes")
     ndim = len(extents_um)
     spacing_um = raw_grid.get("spacing_um", 1.0)
     if np.isscalar(spacing_um):
         spacing_um = [spacing_um] * ndim
-    spacings = [float(s_um) * MICRON for s_um in spacing_um]
+    spacings = [s_um * MICRON for s_um in _reals(spacing_um, "grid.spacing_um")]
     if len(spacings) != ndim or not all(s > 0.0 for s in spacings):
         raise ConfigError("grid.spacing_um must give one positive spacing per axis")
     bc_map = _require(raw_grid, "bc", "grid")
@@ -298,7 +317,7 @@ def _parse_grid(raw_grid) -> tuple:
         if len(pair) != 2 or any(kind not in ("dirichlet", "neumann") for kind in pair):
             raise ConfigError(f"grid.bc.{name} must be a (low, high) pair of kinds")
         bc.append(tuple(pair))
-    extents = tuple(float(L) * MICRON for L in extents_um)
+    extents = tuple(L * MICRON for L in extents_um)
     counts = []
     for L, dr, pair in zip(extents, spacings, bc):
         try:
@@ -324,10 +343,7 @@ def _parse_boundary_values(raw, names, bc_pairs) -> BoundaryData:
             raise ConfigError(f"{where} must list (low, high)")
         ends = []
         for kind, v in zip(pair, spec_vals):
-            try:
-                v = 0.0 if v is None else float(v)
-            except (TypeError, ValueError):
-                raise ConfigError(f"{where} holds {v!r}, not a number or null") from None
+            v = 0.0 if v is None else _real(v, where)
             if not np.isfinite(v):
                 raise ConfigError(f"{where} holds {v!r}, not a finite number")
             if kind == "neumann" and v != 0.0:
@@ -360,10 +376,12 @@ def _parse_shapes(raw_geometry, ndim):
         if _SHAPE_NDIM[kind] != ndim:
             raise ConfigError(f"geometry {kind} applies to {_SHAPE_NDIM[kind]}D grids only")
         if kind in ("circle", "cylinder"):
-            center = tuple(float(v) * MICRON for v in _require(body, "center_um", kind))
+            center = tuple(v * MICRON for v in _reals(_require(body, "center_um", kind),
+                                                      f"geometry {kind}.center_um"))
             if len(center) != 2 or not np.isfinite(center).all():
                 raise ConfigError(f"geometry {kind}.center_um must list two finite coordinates")
-            radius = float(_require(body, "radius_um", kind)) * MICRON
+            radius = MICRON * _real(_require(body, "radius_um", kind),
+                                    f"geometry {kind}.radius_um")
             if not 0.0 < radius < np.inf:
                 raise ConfigError(f"geometry {kind}.radius_um must be positive and finite")
         if kind == "circle":
@@ -374,15 +392,17 @@ def _parse_shapes(raw_geometry, ndim):
             if "half_axis" in body:
                 half = (
                     _axis_index(body["half_axis"], "geometry cylinder.half_axis"),
-                    float(_require(body, "half_limit_um", kind)) * MICRON,
+                    _real(_require(body, "half_limit_um", kind),
+                          "geometry cylinder.half_limit_um") * MICRON,
                 )
             span = None
             if "span_um" in body:
-                span = tuple(float(v) * MICRON for v in body["span_um"])
+                span = tuple(v * MICRON
+                             for v in _reals(body["span_um"], "geometry cylinder.span_um"))
             shapes.append(CylinderSegment(axis, center, radius, span, half))
         else:
             amplitude, wavelength, base = (
-                float(_require(body, key, kind)) * MICRON
+                _real(_require(body, key, kind), f"geometry rough_edge.{key}") * MICRON
                 for key in ("amplitude_um", "wavelength_um", "base_height_um"))
             for key, value in (("amplitude_um", amplitude), ("base_height_um", base)):
                 if not np.isfinite(value):
@@ -405,8 +425,8 @@ def _reject_unused(raw_scheme, keys, where: str):
 def _parse_scheme(raw_scheme, has_holes: bool):
     _known(raw_scheme, "scheme")
     order = str(_require(raw_scheme, "order", "scheme")).lower()
-    dt = float(_require(raw_scheme, "dt", "scheme"))
-    w = float(raw_scheme.get("w", DEFAULT_FIXED_W))
+    dt = _real(_require(raw_scheme, "dt", "scheme"), "scheme.dt")
+    w = _real(raw_scheme.get("w", DEFAULT_FIXED_W), "scheme.w")
     if not has_holes:
         _reject_unused(raw_scheme, ("variant", "stop_mode", "eps", "max_iters"),
                        "without geometry")
@@ -415,7 +435,7 @@ def _parse_scheme(raw_scheme, has_holes: bool):
     stop_mode = str(raw_scheme.get("stop_mode", "full")).lower()
     if stop_mode == "exact":
         _reject_unused(raw_scheme, ("eps", "max_iters"), "under stop_mode: exact")
-    eps = raw_scheme.get("eps", [1e-4, 1e-3, 1e-8])
+    eps = _reals(raw_scheme.get("eps", [1e-4, 1e-3, 1e-8]), "scheme.eps")
     if len(eps) != 3:
         raise ConfigError("scheme.eps must list (eps1, eps2, eps3)")
     return IterSchemeConfig(
@@ -423,9 +443,9 @@ def _parse_scheme(raw_scheme, has_holes: bool):
         order=order,
         dt=dt,
         w=w,
-        eps1=float(eps[0]),
-        eps2=float(eps[1]),
-        eps3=float(eps[2]),
+        eps1=eps[0],
+        eps2=eps[1],
+        eps3=eps[2],
         stop_mode=stop_mode,
         max_iters=raw_scheme.get("max_iters", 500),
     )
@@ -442,17 +462,18 @@ def parse_config(raw: dict) -> ScenarioConfig:
     bdata = _parse_boundary_values(raw, names, grid_spec.bc)
     with _section("initial"):
         initial = _known(raw.get("initial", {}), "initial")
-        initial_phi, initial_c = float(initial.get("phi", 1.0)), float(initial.get("c", 1.0))
+        initial_phi, initial_c = (_real(initial.get(key, 1.0), f"initial.{key}")
+                                  for key in ("phi", "c"))
         if not np.isfinite([initial_phi, initial_c]).all():
             raise ValueError("initial values must be finite")
     with _section("scheme"):
         scheme = _parse_scheme(_require(raw, "scheme", "config"), bool(shapes))
     with _section("horizon"):
-        horizon = float(_require(raw, "horizon", "config"))
+        horizon = _real(_require(raw, "horizon", "config"), "horizon")
     if not 0.0 < horizon < np.inf:
         raise ConfigError("horizon must be positive and finite")
     with _section("snapshot_times"):
-        snaps = tuple(float(t) for t in raw.get("snapshot_times", [0.0, horizon]))
+        snaps = _reals(raw.get("snapshot_times", [0.0, horizon]), "snapshot_times")
     if not all(0.0 <= t <= horizon for t in snaps):
         raise ConfigError("snapshot_times must lie inside [0, horizon]")
     for where, t in [("horizon", horizon)] + [("snapshot_times", t) for t in snaps]:
@@ -688,7 +709,10 @@ def _thread_settings() -> dict:
 
 def run_scenario(cfg: ScenarioConfig, output_root: str | None = None,
                  horizon_scale: float = 1.0) -> RunArtifacts:
-    """Run one scenario end to end, writing artifacts when a root is given."""
+    """Run one scenario end to end, writing artifacts when a root is given.
+
+    Sets the process's heap policy first (`rect._keep_heap`)."""
+    _keep_heap()
     grid = build_grid(cfg.grid_spec)
     mask = None
     metadata = {}

@@ -214,7 +214,7 @@ class TestCapacitance:
         images = _images(op, N)
         np.testing.assert_array_equal(
             images.N.cols, np.ravel_multi_index(np.unravel_index(cols, shape, order="F"), shape))
-        K = support_inverse(op, images)
+        K = support_inverse(op, images.N)
         assert factorization_count() == before
         # The construction it replaces: one solve per support column.
         ref = np.empty_like(K)
@@ -246,35 +246,21 @@ class TestCapacitance:
         assert np.abs(X - Xd).max() / np.abs(Xd).max() < 1e-10
 
     @pytest.mark.parametrize("shape,kinds", SHAPES_AND_KINDS)
-    @pytest.mark.parametrize("limit", ["range", "bytes", "both"])
-    def test_support_inverse_in_chunks(self, shape, kinds, limit, monkeypatch):
-        # A range limit of a few bits splits S into many level chunks, and a
-        # byte bound below one head mode gives every index of the first axis
-        # a chunk of its own; the chunked K matches the single-chunk one and
-        # the per-column solves.
+    def test_support_inverse_in_chunks(self, shape, kinds, monkeypatch):
+        # A byte bound below one head mode gives every index of the first
+        # axis a chunk of its own; the chunked K matches the single-chunk one
+        # and the per-column solves.
         rng = np.random.default_rng(20 + len(shape))
         a, b, laps = _random_operator(rng, shape, kinds)
         op = build_operator(a, b, laps)
         N, cols = _random_correction(rng, shape, n_cols=8)
-        images = _images(op, N)
-        whole = support_inverse(op, images)
-        widths = []
-        head_product = linalg._head_product
-        monkeypatch.setattr(linalg, "_head_product",
-                            lambda f: widths.append(f[0].shape[1]) or head_product(f))
-        if limit != "bytes":
-            monkeypatch.setattr(linalg, "_CHUNK_RANGE_BITS", 2.0)
-        if limit != "range":
-            monkeypatch.setattr(linalg, "_CHUNK_BYTES", 1)
-        chunked = support_inverse(op, images)
-        # One head product of the rows per chunk of modes, one of S per chunk
-        # of modes and of S.
-        if limit == "range":
-            assert widths[0] == shape[0] and len(widths) > 2
-        elif limit == "bytes":
-            assert widths == [1] * (2 * shape[0])
-        else:
-            assert set(widths) == {1} and len(widths) > 2 * shape[0]
+        N_rows = sparse_rows(N, shape)
+        whole = support_inverse(op, N_rows)
+        widths = _head_product_widths(monkeypatch)
+        monkeypatch.setattr(linalg, "_CHUNK_BYTES", 1)
+        chunked = support_inverse(op, N_rows)
+        # One head product of S and one of the rows per chunk of modes.
+        assert widths == [1] * (2 * shape[0])
         assert np.abs(chunked - whole).max() <= 1e-13 * np.abs(whole).max()
         ref = np.empty_like(whole)
         for col, j in enumerate(cols):
@@ -282,11 +268,49 @@ class TestCapacitance:
             ref[:, col] = w.ravel(order="F")[cols]
         assert np.abs(chunked - ref).max() <= 1e-12 * np.abs(ref).max()
 
+    def test_support_inverse_over_many_levels(self, monkeypatch):
+        # A cylinder along z: S and the rows span most of the z levels, so
+        # the pair table of the W_S x W_R level pairs outweighs the head
+        # products.  A byte bound that would hold every head mode without
+        # it cuts the modes into several chunks; K still matches the
+        # per-column solves.
+        raw = {"grid": {"extents_um": [6.0, 6.0, 30.0], "spacing_um": 1.0,
+                        "bc": {"x": ["neumann", "neumann"], "y": ["neumann", "neumann"],
+                               "z": ["neumann", "dirichlet"]}},
+               "geometry": [{"cylinder": {"axis": "z", "center_um": [3.0, 3.0],
+                                          "radius_um": 1.0, "span_um": [2.0, 28.0]}}],
+               "scheme": {"order": "euler", "dt": 1e-3, "stop_mode": "exact"},
+               "horizon": 1e-3}
+        cfg = load_config(raw)
+        grid = build_grid(cfg.grid_spec)
+        mask = rasterize_mask(grid, [shape.snapped(grid) for shape in cfg.shapes])
+        N = build_correction_matrices(grid, mask).N1
+        N_rows = sparse_rows(N, grid.counts)
+        op = build_rect_operators(grid, cfg.scheme.scheme(), cfg.params).phi
+        s, R, m_z = N_rows.cols.size, N_rows.rows.size, grid.counts[-1]
+        W_S, W_R = (np.unique(np.unravel_index(index, grid.counts)[-1]).size
+                    for index in (N_rows.cols, N_rows.rows))
+        pairs, H = W_S * W_R, math.prod(grid.counts[:-1])
+        assert min(W_S, W_R) >= 20 and pairs > s + 2 * R
+        # The lift, and the head products and work arrays of every mode with
+        # half of their pair table.
+        limit = 8 * (pairs * m_z + (s + 2 * R + pairs // 2) * H)
+        monkeypatch.setattr(linalg, "_CHUNK_BYTES", limit)
+        widths = _head_product_widths(monkeypatch)
+        K = support_inverse(op, N_rows)
+        assert len(widths) >= 4 and sum(widths[::2]) == grid.counts[0]
+        ref = np.empty_like(K)
+        for col, j in enumerate(N_rows.cols):
+            w = op.solve(N[:, [_column_stacked(j, grid.counts)]].toarray()
+                         .reshape(grid.counts, order="F"))
+            ref[:, col] = w.ravel()[N_rows.cols]
+        assert np.abs(K - ref).max() <= 1e-12 * np.abs(ref).max()
+
     def test_support_inverse_under_strong_decay(self):
         # A small shift b makes the last-axis Green's functions fall by about
-        # 1e-6 per level, so that the levels of S span more than 2**500 and S
-        # is split into chunks.  K still matches the per-column solves to
-        # their round-off, which is relative to each solved field's maximum.
+        # 1e-6 per level, so that their values over the levels of S span more
+        # than 2**500.  K still matches the per-column solves to their
+        # round-off, which is relative to each solved field's maximum.
         rng = np.random.default_rng(7)
         shape = (5, 40)
         laps = (laplacian_1d(NEUMANN, 5, 0.3), laplacian_1d((DIRICHLET, NEUMANN), 40, 0.3))
@@ -295,13 +319,13 @@ class TestCapacitance:
         rows = rng.integers(0, 200, size=(12, 3))
         N = sp.csc_matrix((rng.standard_normal(36), (rows.ravel(), np.repeat(cols, 3))),
                           shape=(200, 200))
-        images = _images(op, N)
-        K = support_inverse(op, images)
+        N_rows = sparse_rows(N, shape)
+        K = support_inverse(op, N_rows)
         ref = np.empty_like(K)
         scale = 0.0
-        for col, j in enumerate(images.N.cols):
+        for col, j in enumerate(N_rows.cols):
             w = op.solve(N[:, [_column_stacked(j, shape)]].toarray().reshape(shape, order="F"))
-            ref[:, col] = w.ravel()[images.N.cols]
+            ref[:, col] = w.ravel()[N_rows.cols]
             scale = max(scale, np.abs(w).max())
         assert np.abs(K - ref).max() <= 1e-12 * scale
 
@@ -313,14 +337,14 @@ class TestCapacitance:
         mask = rasterize_mask(grid, [shape.snapped(grid) for shape in cfg.shapes])
         N = build_correction_matrices(grid, mask).N1
         op = build_rect_operators(grid, cfg.scheme.scheme(), cfg.params).c
-        images = support_images(grid.factorizations, sparse_rows(N, grid.counts))
-        assert images.N.cols.size == images.N.rows.size == 207
-        K = support_inverse(op, images)
+        N_rows = sparse_rows(N, grid.counts)
+        assert N_rows.cols.size == N_rows.rows.size == 207
+        K = support_inverse(op, N_rows)
         ref = np.empty_like(K)
-        for col, j in enumerate(images.N.cols):
+        for col, j in enumerate(N_rows.cols):
             w = op.solve(N[:, [_column_stacked(j, grid.counts)]].toarray()
                          .reshape(grid.counts, order="F"))
-            ref[:, col] = w.ravel()[images.N.cols]
+            ref[:, col] = w.ravel()[N_rows.cols]
         assert np.abs(K - ref).max() <= 1e-12 * np.abs(ref).max()
 
     def test_uncertified_capacitance_falls_back_to_cond(self, monkeypatch):
@@ -328,7 +352,7 @@ class TestCapacitance:
         op = build_operator(2.0, -0.3, (lap, lap))
         r = 14
         unit = sp.csc_matrix(([1.0], ([r], [r])), shape=(36, 36))
-        k = support_inverse(op, _images(op, unit))[0, 0]
+        k = support_inverse(op, sparse_rows(unit, op.shape))[0, 0]
         calls = []
         cond = np.linalg.cond
         monkeypatch.setattr(np.linalg, "cond", lambda C: calls.append(C) or cond(C))
@@ -373,7 +397,7 @@ class TestCapacitance:
         at_support = np.unravel_index(images.N.cols, shape)
         head = linalg._head_product([f.Gamma[i] for f, i in zip(op.facts[:-1], at_support)])
         assert head.shape == (0, n // shape[-1])
-        assert support_inverse(op, images).shape == (0, 0)
+        assert support_inverse(op, images.N).shape == (0, 0)
 
     def test_capacitance_keeps_less_than_a_head_product(self):
         # semicylinder3d: s = 182 points on 201 x 26 x 101 nodes.  What the
@@ -389,7 +413,7 @@ class TestCapacitance:
         op = build_operator(2.0, -0.3, (lap, lap))
         r = 14
         unit = sp.csc_matrix(([1.0], ([r], [r])), shape=(36, 36))
-        k = support_inverse(op, _images(op, unit))[0, 0]
+        k = support_inverse(op, sparse_rows(unit, op.shape))[0, 0]
         # 1 + alpha * c * k = 1 - b * c * k vanishes for c = 1 / (b * k).
         with pytest.raises(ArithmeticError):
             Capacitance(op, _images(op, unit / (op.b * k)))
@@ -415,6 +439,15 @@ def _reachable_bytes(obj):
         elif dataclasses.is_dataclass(x):
             todo += [getattr(x, f.name) for f in dataclasses.fields(x)]
     return total
+
+
+def _head_product_widths(monkeypatch):
+    """The widths of the first factor of each `_head_product` call from now on."""
+    widths = []
+    head_product = linalg._head_product
+    monkeypatch.setattr(linalg, "_head_product",
+                        lambda f: widths.append(f[0].shape[1]) or head_product(f))
+    return widths
 
 
 def _images(op, N):
@@ -453,7 +486,7 @@ def _per_point_corrected(op, images, W):
     V = op.Upsilon * W
     y = np.einsum(",".join("k" + a for a in axes) + f",{axes}->k", *at_support, V)
     alpha = -op.b
-    x = np.linalg.solve(np.eye(y.size) + alpha * support_inverse(op, images), y)
+    x = np.linalg.solve(np.eye(y.size) + alpha * support_inverse(op, images.N), y)
     weights = -alpha * (images.N.block @ x)
     return W + np.einsum(",".join(a + "r" for a in axes) + f",r->{axes}", *at_rows, weights)
 

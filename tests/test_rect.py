@@ -647,9 +647,18 @@ class TestKeptHeap:
         return calls
 
     def test_thresholds_set_once_per_process(self, mallopt_calls, params):
+        from pitcorr import scenarios
+
+        # A library call leaves the allocator alone; a run sets its policy.
         build_rect_operators(small_grid(), SchemeConfig("euler", 1e-3, 4.43e8), params)
+        assert mallopt_calls == []
+        cfg = scenarios.load_config({
+            "grid": {"extents_um": [8.0, 6.0], "bc": {"x": ["neumann", "neumann"],
+                                                      "y": ["neumann", "dirichlet"]}},
+            "scheme": {"order": "euler", "dt": 1e-3}, "horizon": 1e-3})
+        scenarios.run_scenario(cfg)
         pitcorr.rect._keep_heap()
-        build_rect_operators(small_grid(), SchemeConfig("2sbdf", 1e-3, 4.43e8), params)
+        scenarios.run_scenario(cfg)
         assert mallopt_calls == [(pitcorr.rect._M_MMAP_THRESHOLD, 32 << 20),
                                  (pitcorr.rect._M_TRIM_THRESHOLD, 1 << 30)]
 

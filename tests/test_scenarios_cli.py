@@ -112,6 +112,14 @@ class TestConfigParsing:
         cfg = load_config(str(path))
         assert cfg.name == "tiny_pit"
 
+    def test_yaml_exponent_without_dot_is_a_number(self, tmp_path):
+        # YAML 1.1, which PyYAML follows, reads 1e-3 as a string.
+        text = yaml.safe_dump(tiny_pit_config(dt=1e-3)).replace("dt: 0.001", "dt: 1e-3")
+        assert isinstance(yaml.safe_load(text)["scheme"]["dt"], str)
+        path = tmp_path / "scenario.yaml"
+        path.write_text(text)
+        assert load_config(str(path)).scheme.dt == 0.001
+
     def test_malformed_yaml(self, tmp_path):
         path = tmp_path / "bad.yaml"
         path.write_text("grid: [unclosed")
@@ -205,6 +213,15 @@ class TestConfigParsing:
                                                        "radius_um": -1.5}}],
                                grid=dict(raw["grid"], extents_um=[20.0, 20.0, 20.0],
                                          bc=dict(raw["grid"]["bc"], z=["neumann", "neumann"]))),
+        # Booleans that were read as 0 or 1, and strings read as their
+        # characters where a list of numbers belongs.
+        lambda raw: (raw["scheme"].update(dt=True), raw.update(horizon=1.0, snapshot_times=[1.0])),
+        lambda raw: raw["scheme"].update(w=False),
+        lambda raw: raw["geometry"][0]["circle"].update(radius_um=True),
+        lambda raw: raw["scheme"].update(eps=[True, 1e-3, 1e-8]),
+        lambda raw: raw["geometry"][0]["circle"].update(center_um="12"),
+        lambda raw: raw["scheme"].update(eps="123"),
+        lambda raw: raw.update(horizon=5.0, snapshot_times="05"),
     ])
     def test_invalid_configs_rejected(self, mutate):
         raw = tiny_pit_config()
