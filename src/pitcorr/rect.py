@@ -27,12 +27,12 @@ loads are built once with the operators (`RectOperators.load_phi`,
 
 h(phi) and F1 are evaluated once per time level.  The step that makes a
 level forms h(Phi_new) in `reaction_f2` and leaves it on the level
-(`FieldPair`); the next step reads it in that level's F1.  A 2SBDF step
-also carries F1(u^n) on the level u^n to the next step, where u^n is the
-older level, and the 2SBDF start carries F1 of the initial level from its
-first substep to the first main step.  A step takes what it reads, so no
-level keeps either longer; `bootstrap_2sbdf` hands its last substep's h to
-the level it returns, and `run_loop` drops what the last levels carry.
+(`FieldPair`).  The first step that reads the level forms F1 from that h
+and leaves it there in place of h: a 2SBDF step reads F1(u^n) from the
+older level u^n, and the first main step the F1 that the 2SBDF start's
+first substep formed on the initial level.  Steps only fill this carry;
+`run_loop` alone drops it, from each level that leaves the step window.
+`bootstrap_2sbdf` hands its last substep's h to the level it returns.
 Each step builds its right-hand sides in place, in arrays of its own, with
 the operations and association of the formulas above, and makes no pass
 that adds or computes nothing: a zero load (0.0) is not added.
@@ -130,13 +130,11 @@ class InstabilityError(RuntimeError):
 class FieldPair:
     """The (Phi, C) grid state at one time level.
 
-    A level carries what a step formed for the next one (`imex_step`):
-    `_h` is h(Phi) from the step that made the level, and `_f1` is
-    (params, F1(Phi, C)) from the 2SBDF step that read it as its newest, or
-    from the 2SBDF start's first substep, which `bootstrap_2sbdf` asks for
-    it with (params, None).  The next step that reads the level takes both.
-    They are the only mutable part of a level, left out of `replace`,
-    equality and the repr.
+    A level carries what steps formed on it (`imex_step`): `_h`, h(Phi)
+    from the step that made it, until the first step that reads it puts
+    `_f1`, (params, F1(Phi, C)), in its place; `run_loop` drops both.  They
+    are the only mutable part of a level, left out of `replace`, equality
+    and the repr.
     """
 
     Phi: np.ndarray
@@ -357,11 +355,9 @@ def imex_step(levels, ops: RectOperators):
             return op.solve(base), (1, 0.0)
         return hole.iterate(field, op, base, warm, t)
 
-    # F1 once per time level (module docstring): take the F1 or the h that
-    # the levels carry, evaluate the rest, and carry the newest level's F1.
+    # F1 once per time level (module docstring): read the F1 that a level
+    # carries, or form it there from the level's h.
     f1 = [_level_f1(u, p) for u in levels]
-    if len(levels) > 1:
-        object.__setattr__(curr, "_f1", (p, f1[0]))
 
     def explicit_terms():
         for e, u, f in zip(coef.extrap, levels, f1):
@@ -414,17 +410,13 @@ def _subtract_rows(target, rows, values):
 
 def _level_f1(level: FieldPair, params):
     """F1 of `level` under `params`: the F1 it carries under them, else one
-    evaluated with the h it carries, if any.  The level lets both go, but
-    for an F1 it was asked to keep: a level that carries (params, None)
-    keeps the F1 evaluated under `params` for its next reader."""
-    carried, h = level._f1, level._h
-    _drop_carry(level)
-    wanted = carried is not None and carried[0] == params
-    if wanted and carried[1] is not None:
-        return carried[1]
-    f1 = reaction_f1(level.Phi, level.C, params, h=h)
-    if wanted:
-        object.__setattr__(level, "_f1", (params, f1))
+    evaluated with the h it carries, if any, and left on the level in place
+    of that h."""
+    if level._f1 is not None and level._f1[0] == params:
+        return level._f1[1]
+    f1 = reaction_f1(level.Phi, level.C, params, h=level._h)
+    object.__setattr__(level, "_f1", (params, f1))
+    object.__setattr__(level, "_h", None)
     return f1
 
 
@@ -451,18 +443,14 @@ def bootstrap_2sbdf(state0: FieldPair, ops, substep) -> FieldPair:
     """The second 2SBDF level, at t0 + dt, from ceil(4/dt) fine IMEX Euler substeps.
 
     `ops` are a 2SBDF run's operators, and `substep(state, ops.start)`
-    advances one substep.  The initial level carries its F1 to the first
-    main step.
+    advances one substep; the first leaves F1 of `state0` on it for the
+    first main step.
     """
-    # The first substep evaluates F1 of the initial level under the
-    # parameters of the first main step, and keeps it there for that step.
     start, state = ops.start, state0
-    object.__setattr__(state0, "_f1", (ops.params, None))
     for _ in range(bootstrap_substeps(ops.cfg.dt)[0]):
         state = substep(state, start)
     out = replace(state, t=state0.t + ops.cfg.dt, step_index=state0.step_index + 1)
     object.__setattr__(out, "_h", state._h)  # the same Phi, so the same h
-    _drop_carry(state)
     return out
 
 
@@ -493,11 +481,13 @@ def run_loop(state0: FieldPair, ops, horizon: float, hooks, euler, two_step,
     for _ in range(n_steps):
         if cfg.order == EULER:
             nxt = euler(curr, ops)
+            _drop_carry(curr)  # each level that no later step reads
         elif prev is None:
             nxt = bootstrap_2sbdf(curr, ops, substep or euler)
             ops = replace(ops, start=None)  # frees the start's solvers
         else:
             nxt = two_step(prev, curr, ops)
+            _drop_carry(prev)
         prev, curr = curr, nxt
         for hook in hooks:
             hook(curr)

@@ -10,6 +10,7 @@ one-line JSON header; both formats round-trip bit-exactly.
 
 from __future__ import annotations
 
+import copy
 import ctypes
 import glob
 import json
@@ -454,6 +455,8 @@ def _parse_scheme(raw_scheme, has_holes: bool):
 def parse_config(raw: dict) -> ScenarioConfig:
     _known(raw, "config")
     name = str(raw.get("name", "scenario"))
+    if name in ("", ".", "..") or any(sep and sep in name for sep in ("/", os.sep, os.altsep)):
+        raise ConfigError(f"name must name one directory under the output root, not {name!r}")
     with _section("grid"):
         grid_spec, names = _parse_grid(_require(raw, "grid", "config"))
     ndim = len(grid_spec.counts)
@@ -864,12 +867,12 @@ def scaling_report(cfg: ScenarioConfig, sweep: str, factors,
             variant = replace(cfg, scheme=replace(cfg.scheme, dt=cfg.scheme.dt * f))
             x = variant.scheme.dt
         elif sweep == "h":
-            raw = json.loads(json.dumps(cfg.raw))  # deep copy of the source config
+            raw = copy.deepcopy(cfg.raw)
             spacing = raw["grid"].get("spacing_um", 1.0)
             if np.isscalar(spacing):
-                raw["grid"]["spacing_um"] = spacing / f
+                raw["grid"]["spacing_um"] = _real(spacing, "grid.spacing_um") / f
             else:
-                raw["grid"]["spacing_um"] = [s / f for s in spacing]
+                raw["grid"]["spacing_um"] = [s / f for s in _reals(spacing, "grid.spacing_um")]
             variant = parse_config(raw)
             x = min(build_grid(variant.grid_spec).spacings)
         else:

@@ -418,8 +418,8 @@ class TestStepLayout:
 
 class TestReactionCarry:
     """A 2SBDF run evaluates F1 once per time level: the step that reads a
-    level as its newest carries its F1 on it to the next step, which reads
-    it as its older level and lets it go."""
+    level as its newest leaves its F1 on it for the next step, which reads
+    it as its older level, and the run loop then lets it go."""
 
     @staticmethod
     def cavity():
@@ -479,24 +479,52 @@ class TestReactionCarry:
         curr, prev = levels
         mid, _ = imex_step((curr, prev), ops)
         out, _ = imex_step((mid, curr), ops)
-        carried = mid._f1[1]
-        assert curr._f1 is None  # taken by the second step
-        arrays = [out.Phi, out.C, carried, mid.Phi, mid.C, curr.Phi, curr.C]
+        arrays = [out.Phi, out.C, mid._f1[1], mid.Phi, mid.C, curr._f1[1], curr.Phi, curr.C]
         for a, b in itertools.combinations(arrays, 2):
             assert not np.shares_memory(a, b)
 
-    def test_kept_level_lets_its_f1_go(self, params):
-        g = small_grid(counts=(6, 7), extents=(6e-6, 7e-6))
-        ops = build_rect_operators(g, SchemeConfig("2sbdf", 1e-3, 4.43e8), params,
-                                   BoundaryData())
-        curr, prev = self.levels(np.random.default_rng(6), g.counts)
-        nxt = step_imex_2sbdf_rect(prev, curr, ops)
-        ref = weakref.ref(curr._f1[1])
-        step_imex_2sbdf_rect(curr, nxt, ops)
-        gc.collect()
-        assert curr._f1 is None and ref() is None
+    @pytest.mark.parametrize("order", ["euler", "2sbdf"])
+    @pytest.mark.parametrize("domain", ["rect", "exact"])
+    def test_level_that_leaves_the_window_lets_its_f1_go(self, params, monkeypatch,
+                                                          domain, order):
+        # At each completed level, the level that no later step reads (the
+        # one before it under Euler, two before it under 2SBDF) holds no
+        # carry, and the F1 formed on it is freed.
+        f1_refs, kept, gone_levels = {}, [], []
+        original = pitcorr.rect._level_f1
 
+        def recording(level, p):
+            f1 = original(level, p)
+            f1_refs[id(level)] = weakref.ref(f1)
+            return f1
+
+        def check(level):
+            kept.append(level)
+            window = 1 if order == "euler" else 2
+            if len(kept) > window:
+                gone = kept[-1 - window]
+                assert gone._h is None and gone._f1 is None
+                assert f1_refs.pop(id(gone))() is None
+                gone_levels.append(gone.step_index)
+
+        monkeypatch.setattr(pitcorr.rect, "_level_f1", recording)
+        dt, n = 0.5, 5
+        if domain == "rect":
+            g = small_grid(counts=(6, 7), extents=(6e-6, 7e-6))
+            run_rect(random_state(np.random.default_rng(6), g.counts),
+                     SchemeConfig(order, dt, 4.43e8), params, g, BoundaryData(), n * dt,
+                     hooks=(check,))
+        else:
+            g, mask = self.cavity()
+            u = np.where(mask.theta, 0.0, 1.0)
+            run_holes(FieldPair(u, u.copy()),
+                      IterSchemeConfig("imex-e", order, dt, 4.43e8, stop_mode=domain),
+                      params, g, mask, BoundaryData(), n * dt, hooks=(check,))
+        assert gone_levels == list(range(n if order == "euler" else n - 1))
+
+    def test_kept_level_lets_its_f1_go(self, params):
         # No level a hook keeps holds an F1 once the run is over.
+        g = small_grid(counts=(6, 7), extents=(6e-6, 7e-6))
         kept = []
         run_rect(random_state(np.random.default_rng(7), g.counts),
                  SchemeConfig("2sbdf", 0.5, 4.43e8), params, g, BoundaryData(), 2.0,

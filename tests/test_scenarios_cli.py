@@ -222,6 +222,13 @@ class TestConfigParsing:
         lambda raw: raw["geometry"][0]["circle"].update(center_um="12"),
         lambda raw: raw["scheme"].update(eps="123"),
         lambda raw: raw.update(horizon=5.0, snapshot_times="05"),
+        # Names that wrote outside the output root, or into the root itself.
+        lambda raw: raw.update(name="../escaped"),
+        lambda raw: raw.update(name="/abs/dir"),
+        lambda raw: raw.update(name="a/b"),
+        lambda raw: raw.update(name=""),
+        lambda raw: raw.update(name="."),
+        lambda raw: raw.update(name=".."),
     ])
     def test_invalid_configs_rejected(self, mutate):
         raw = tiny_pit_config()
@@ -556,6 +563,22 @@ class TestScalingReport:
         assert len(report["points"]) == 3
         assert np.isfinite(report["slope"])
 
+    @pytest.mark.parametrize("edit, spacing", [
+        # A YAML date in a key the parser does not read, and a spacing that
+        # PyYAML reads as a string; each raised a TypeError in the h sweep.
+        (lambda text: text + "description: 2025-06-01\n", 1e-6),
+        (lambda text: text.replace("spacing_um: 1.0", "spacing_um: 5e-1"), 0.5e-6),
+    ])
+    def test_h_sweep_of_a_config_the_parser_accepts(self, edit, spacing, tmp_path):
+        path = tmp_path / "scenario.yaml"
+        path.write_text(edit(yaml.safe_dump(tiny_rect_config())))
+        code = main(["sweep", str(path), "--vary", "h", "--factors", "1", "2", "4",
+                     "--output", str(tmp_path / "out")])
+        assert code == 0
+        report = json.loads((tmp_path / "out" / "tiny_rect" / "sweep_h.json").read_text())
+        assert [x for x, _ in report["points"]] == pytest.approx([spacing, spacing / 2,
+                                                                 spacing / 4])
+
     def test_too_few_factors(self):
         cfg = load_config(tiny_pit_config())
         with pytest.raises(ConfigError):
@@ -638,6 +661,15 @@ class TestCli:
         assert main(argv) == 2
         assert "configuration error" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_name_cannot_leave_the_output_root(self, tmp_path, capsys):
+        raw = tiny_rect_config()
+        raw["name"] = "../escaped"
+        path = tmp_path / "scenario.yaml"
+        path.write_text(yaml.safe_dump(raw))
+        assert main(["run", str(path), "--output", str(tmp_path / "out")]) == 2
+        assert "name must name one directory" in capsys.readouterr().err
+        assert not (tmp_path / "escaped").exists()
 
     def test_bounds_verb(self, capsys):
         code = main([
